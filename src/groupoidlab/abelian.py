@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import core, groups
 from .groups import FiniteGroup
@@ -216,8 +216,14 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
                 raise ValueError("character list is not closed under products")
             row.append(index[s])
         table.append(row)
-    labels = [f"chi{i}" for i in range(len(fiber))]
-    return finite_abelian_group(labels, table, name=f"dual({host.name})")
+    # Built directly, not through finite_abelian_group: the table is addition
+    # of exponent tuples mod nn, so it is associative and commutative, and the
+    # completeness and closure checks above make it a subgroup.  The order of
+    # a tuple under that addition is nn / gcd(nn, its entries).
+    return FiniteAbelianGroup(
+        name=f"dual({host.name})", labels=tuple(f"chi{i}" for i in range(len(fiber))),
+        table=tuple(map(tuple, table)), identity=index[(0,) * host.order],
+        exponent=lcm(*(nn // gcd(nn, *key) for key in index)))
 
 
 # --- dual bundles over groupoids ----------------------------------------

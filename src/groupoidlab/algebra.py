@@ -325,25 +325,21 @@ def abelianization_dim(G: FiniteGroupoid) -> int:
 
 # --- characters -----------------------------------------------------------
 
-def abelianized_fiber(G: FiniteGroupoid, x: int) -> tuple[FiniteAbelianGroup, dict[int, int]]:
-    """The abelianized isotropy group at a fixed point x.
+def abelianized_fiber(ab: quotients.Abelianization,
+                      x: int) -> tuple[FiniteAbelianGroup, dict[int, int]]:
+    """The abelianized isotropy group at a fixed point x of ab.host.
 
-    Returns the group together with the class map sending each arrow at x to
-    its element index.
+    Read off ab.g_ab at the class of x.  Returns the group together with the
+    class map sending each host arrow at x to its element index.
     """
-    if x not in core.fixed_points(G):
+    G = ab.host
+    if x not in ab.fixed_points:
         raise ValueError(f"unit {G.labels[x]} is not a fixed point")
-    kept = core.restricted_arrows(G, [x])
-    gx = core.restrict(G, [x])
-    qr = quotients.quotient(gx, quotients.commutator_subgroupoid(gx))
-    a, arrows = abelian.abelian_fiber(qr.quotient, next(iter(qr.quotient.units)))
+    a, arrows = abelian.abelian_fiber(ab.g_ab, ab.class_map[ab.inclusion.index(x)])
     elem_of_arrow = {arrow: i for i, arrow in enumerate(arrows)}
-    class_of = {g: elem_of_arrow[qr.class_map[i]] for i, g in enumerate(kept)}
+    class_of = {g: elem_of_arrow[ab.class_map[i]]
+                for i, g in enumerate(ab.inclusion) if G.src[g] == x}
     return a, class_of
-
-
-def _compatible(a: FiniteAbelianGroup, b: FiniteAbelianGroup) -> bool:
-    return a.table == b.table and a.identity == b.identity
 
 
 @dataclass
@@ -380,24 +376,15 @@ class CharacterFunctional:
                    start=0j)
 
 
-def character_functional(G: FiniteGroupoid, x: int, chi: Character) -> CharacterFunctional:
-    """The functional chi . Q_x: evaluate the class of each arrow at x under chi."""
-    a, class_of = abelianized_fiber(G, x)
-    if not _compatible(a, chi.host):
-        raise ValueError("character does not belong to the abelianized fiber at this unit")
-    exponents = {g: chi.exps[cls] % a.exponent for g, cls in class_of.items()}
-    return CharacterFunctional(host=G, unit=x, chi=chi, exponents=exponents,
-                               modulus=a.exponent)
-
-
-def enumerate_characters(G: FiniteGroupoid) -> list[CharacterFunctional]:
-    """All one-dimensional representations: fixed points paired with fiber characters."""
+def enumerate_characters(ab: quotients.Abelianization) -> list[CharacterFunctional]:
+    """All one-dimensional representations of ab.host's algebra: its fixed
+    points paired with the characters of their abelianized fibers."""
     out = []
-    for x in sorted(core.fixed_points(G).members):
-        a, class_of = abelianized_fiber(G, x)
+    for x in ab.fixed_points:
+        a, class_of = abelianized_fiber(ab, x)
         for chi in abelian.characters(a):
             exponents = {g: chi.exps[cls] % a.exponent for g, cls in class_of.items()}
-            out.append(CharacterFunctional(host=G, unit=x, chi=chi,
+            out.append(CharacterFunctional(host=ab.host, unit=x, chi=chi,
                                            exponents=exponents, modulus=a.exponent))
     return out
 
@@ -436,14 +423,17 @@ def functional_star_violations(phi: CharacterFunctional, limit: int = 1) -> list
     return out
 
 
-def pi_hom(G: FiniteGroupoid) -> AlgebraHom:
-    """Restrict to the fixed points, then push down to the abelianized bundle."""
-    ab = quotients.abelianize_groupoid(G)
-    to_fix = restriction_hom(G, core.fixed_points(G))
-    to_ab = quotient_hom(ab.g_fix, ab.commutator)
-    if to_fix.codomain != to_ab.domain:
-        raise AssertionError("fixed-point restrictions disagree")
-    return compose_homs(to_ab, to_fix)
+def pi_hom(ab: quotients.Abelianization) -> AlgebraHom:
+    """Restrict to the fixed points, then push down to the abelianized bundle.
+
+    A delta at a fixed point goes to the delta of its class in ab.g_ab; every
+    other delta goes to zero.
+    """
+    Q = ab.g_ab
+    class_of = {g: ab.class_map[i] for i, g in enumerate(ab.inclusion)}
+    images = tuple(AlgebraElement(Q, {class_of[g]: QI1} if g in class_of else {})
+                   for g in ab.host.arrows())
+    return AlgebraHom(domain=ab.host, codomain=Q, images=images)
 
 
 # --- the transform for abelian bundles ------------------------------------
@@ -471,14 +461,14 @@ class GelfandMatrix:
                 for row in self.entries]
 
 
-def gelfand_transform(G: FiniteGroupoid) -> GelfandMatrix:
-    """The fiberwise character table of an abelian group bundle.
+def gelfand_transform(bundle: abelian.DualBundle) -> GelfandMatrix:
+    """The fiberwise character table of an abelian group bundle, from its dual.
 
     Square because the characters of each fiber are as numerous as its
     elements; block-diagonal across units; convolution goes to pointwise
     multiplication.
     """
-    bundle = abelian.dual_bundle(G)
+    G = bundle.host
     pairs = []
     entries = []
     for x in bundle.base:

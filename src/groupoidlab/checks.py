@@ -8,6 +8,7 @@ data, ready for JSON.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -126,25 +127,24 @@ def _check_quotient_family(G: FiniteGroupoid):
     return witnesses or None
 
 
-def _check_character_count(G: FiniteGroupoid):
-    chars = len(algebra.enumerate_characters(G))
-    dim = algebra.abelianization_dim(G)
+def _check_character_count(ab: quotients.Abelianization, ideal: algebra.IdealBasis):
+    chars = len(algebra.enumerate_characters(ab))
+    dim = ab.host.n - ideal.rank
     if chars != dim:
         return {"characters": chars, "abelianization_dim": dim}
     return None
 
 
-def _check_pi_kernel(G: FiniteGroupoid):
-    pi = algebra.pi_hom(G)
-    kernel = pi.kernel()
-    ideal = algebra.commutator_ideal(G)
+def _check_pi_kernel(ab: quotients.Abelianization, ideal: algebra.IdealBasis):
+    kernel = algebra.pi_hom(ab).kernel()
     if not same_span(kernel, ideal.rows):
         return {"kernel_rank": len(kernel), "ideal_rank": ideal.rank}
     return None
 
 
-def _gelfand_witness(B: FiniteGroupoid):
-    gm = algebra.gelfand_transform(B)
+def _gelfand_witness(bundle: abelian.DualBundle):
+    B = bundle.host
+    gm = algebra.gelfand_transform(bundle)
     if gm.size != B.n:
         return {"reason": "not square", "rows": gm.size, "dim": B.n}
     bad = algebra.gelfand_multiplicativity_violations(gm)
@@ -157,25 +157,25 @@ def _gelfand_witness(B: FiniteGroupoid):
     return None
 
 
-def _check_gelfand(G: FiniteGroupoid):
-    targets = [("abelianization", quotients.abelianize_groupoid(G).g_ab)]
-    if core.is_group_bundle(G):
+def _check_gelfand(ab: quotients.Abelianization):
+    targets = [("abelianization", abelian.dual_bundle(ab.g_ab))]
+    if core.is_group_bundle(ab.host):
         try:
-            abelian.dual_bundle(G)
-            targets.append(("self", G))
+            targets.append(("self", abelian.dual_bundle(ab.host)))
         except ValueError:
             pass   # non-abelian fibers: the transform does not apply to G itself
-    for tag, B in targets:
-        w = _gelfand_witness(B)
+    for tag, bundle in targets:
+        w = _gelfand_witness(bundle)
         if w is not None:
             w["target"] = tag
             return w
     return None
 
 
-def _check_fiber_duality(G: FiniteGroupoid):
-    for x in sorted(core.fixed_points(G).members):
-        a, _ = algebra.abelianized_fiber(G, x)
+def _check_fiber_duality(ab: quotients.Abelianization):
+    G = ab.host
+    for x in ab.fixed_points:
+        a, _ = algebra.abelianized_fiber(ab, x)
         chars = abelian.characters(a)
         if len(chars) != a.order:
             return {"unit": G.labels[x], "characters": len(chars), "order": a.order}
@@ -188,13 +188,17 @@ def _check_fiber_duality(G: FiniteGroupoid):
 
 
 def instance_checks(G: FiniteGroupoid, instance: str) -> list[CheckResult]:
+    # Each is built once, inside the first check that needs it: a crash while
+    # building fails that check and, not being cached, each later one too.
+    ab = functools.cache(lambda: quotients.abelianize_groupoid(G))
+    ideal = functools.cache(lambda: algebra.commutator_ideal(G))
     return [
         _run("axioms", instance, lambda: _check_axioms(G)),
         _run("quotient-family", instance, lambda: _check_quotient_family(G)),
-        _run("character-count", instance, lambda: _check_character_count(G)),
-        _run("pi-kernel", instance, lambda: _check_pi_kernel(G)),
-        _run("gelfand", instance, lambda: _check_gelfand(G)),
-        _run("fiber-duality", instance, lambda: _check_fiber_duality(G)),
+        _run("character-count", instance, lambda: _check_character_count(ab(), ideal())),
+        _run("pi-kernel", instance, lambda: _check_pi_kernel(ab(), ideal())),
+        _run("gelfand", instance, lambda: _check_gelfand(ab())),
+        _run("fiber-duality", instance, lambda: _check_fiber_duality(ab())),
     ]
 
 
@@ -221,7 +225,7 @@ def _regression_s3_a3():
 
 def _regression_klein_cross():
     G = generators.klein_cross()
-    chars = algebra.enumerate_characters(G)
+    chars = algebra.enumerate_characters(quotients.abelianize_groupoid(G))
     center = G.label_index("(e,c)")
     if len(chars) != 4:
         return {"characters": len(chars)}
@@ -233,7 +237,7 @@ def _regression_klein_cross():
 
 def _regression_pair():
     G = generators.pair_groupoid(2)
-    chars = algebra.enumerate_characters(G)
+    chars = algebra.enumerate_characters(quotients.abelianize_groupoid(G))
     rank = algebra.commutator_ideal(G).rank
     if chars or rank != G.n:
         return {"characters": len(chars), "ideal_rank": rank}

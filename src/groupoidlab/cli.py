@@ -32,7 +32,7 @@ class CliError(Exception):
 
 def _model(kind: str, seed: int, budget: int) -> core.FiniteGroupoid:
     if kind == "random":
-        return generators.random_groupoid(seed, budget)
+        return generators.random_groupoid(seed, _at_least_one(budget, "--budget"))
     if kind in generators.NAMED_MODELS:
         return generators.NAMED_MODELS[kind]()
     if kind.startswith("pair:"):
@@ -60,6 +60,12 @@ def _positive(text: str, kind: str) -> int:
         value = 0
     if value < 1:
         raise CliError(EXIT_INPUT, {"error": f"kind {kind!r} needs a positive size"})
+    return value
+
+
+def _at_least_one(value: int, option: str) -> int:
+    if value < 1:
+        raise CliError(EXIT_INPUT, {"error": f"{option} must be at least 1, got {value}"})
     return value
 
 
@@ -164,7 +170,7 @@ def _cmd_abelianize(args) -> int:
     dim = algebra.abelianization_dim(G)
     class_map = {G.labels[ab.inclusion[i]]: ab.g_ab.labels[ab.class_map[i]]
                  for i in range(ab.g_fix.n)}
-    _emit({"fixed_points": sorted(G.labels[x] for x in core.fixed_points(G).members),
+    _emit({"fixed_points": sorted(G.labels[x] for x in ab.fixed_points),
            "restricted": document.encode_groupoid(ab.g_fix),
            "abelianized": document.encode_groupoid(ab.g_ab),
            "class_map": class_map,
@@ -197,7 +203,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_characters(args) -> int:
     G = _load(args)
-    functionals = algebra.enumerate_characters(G)
+    functionals = algebra.enumerate_characters(quotients.abelianize_groupoid(G))
     payload = {
         "count": len(functionals),
         "abelianization_dim": algebra.abelianization_dim(G),
@@ -213,8 +219,10 @@ def _cmd_characters(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.corpus:
-        report = checks.corpus_report(seed=args.seed, count=args.count,
-                                      cap=args.budget, jobs=args.jobs)
+        report = checks.corpus_report(seed=args.seed,
+                                      count=_at_least_one(args.count, "--count"),
+                                      cap=_at_least_one(args.budget, "--budget"),
+                                      jobs=args.jobs)
     else:
         # axiom problems surface as a failing check with a witness, so the
         # suite runs on whatever decodes — only parse errors stop it

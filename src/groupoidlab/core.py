@@ -9,8 +9,7 @@ decidable table properties.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -217,19 +216,6 @@ def isotropy(G: FiniteGroupoid) -> ElementSubset:
     is already open; no interior needs to be taken.
     """
     return subset(G, (g for g in G.arrows() if G.src[g] == G.rng[g]))
-
-
-def compose_sets(G: FiniteGroupoid, U: ElementSubset | Iterable[int],
-                 V: ElementSubset | Iterable[int]) -> ElementSubset:
-    """Pointwise product {u.v : u in U, v in V, composable}."""
-    mu = _members(G, U)
-    mv = _members(G, V)
-    out = set()
-    for u in mu:
-        for v in mv:
-            if G.src[u] == G.rng[v]:
-                out.add(G.comp[(u, v)])
-    return subset(G, out)
 
 
 def fixed_points(G: FiniteGroupoid) -> ElementSubset:

@@ -107,7 +107,8 @@ def decode_element(G: FiniteGroupoid, data: Any) -> algebra.AlgebraElement:
     for lab, quad in data.items():
         _expect(lab in index, f"unknown label {lab!r}")
         _expect(isinstance(quad, list) and len(quad) == 4
-                and all(isinstance(x, int) for x in quad),
+                and all(type(x) is int for x in quad),   # bool is an int subclass
                 f"coefficient for {lab!r} must be [re_num, re_den, im_num, im_den]")
+        _expect(quad[1] != 0 and quad[3] != 0, f"coefficient for {lab!r} has a zero denominator")
         coeffs[index[lab]] = Qi(Fraction(quad[0], quad[1]), Fraction(quad[2], quad[3]))
     return algebra.from_coeffs(G, coeffs)

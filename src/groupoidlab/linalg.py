@@ -97,10 +97,6 @@ def vec_iadd_scaled(dst: dict, src: dict, c: Qi) -> dict:
     return dst
 
 
-def vec_scale(v: dict, c: Qi) -> dict:
-    return {k: c * x for k, x in v.items()} if c else {}
-
-
 def vec_equal(a: dict, b: dict) -> bool:
     return a.keys() == b.keys() and all(a[k] == b[k] for k in a)
 

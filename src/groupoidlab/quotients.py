@@ -164,14 +164,10 @@ def commutator_subgroupoid(G: FiniteGroupoid) -> NormalSubgroupoid:
     return normal_subgroupoid(G, carrier)
 
 
-def g_fix(G: FiniteGroupoid) -> FiniteGroupoid:
-    """Restriction to the fixed points; always a group bundle."""
-    return core.restrict(G, core.fixed_points(G))
-
-
 @dataclass(frozen=True)
 class Abelianization:
-    """g_ab = g_fix / commutator, with maps back to the host groupoid."""
+    """g_ab = g_fix / commutator, where g_fix is the host restricted to its
+    fixed points (a group bundle), with maps back to the host groupoid."""
 
     host: FiniteGroupoid
     g_fix: FiniteGroupoid
@@ -179,6 +175,11 @@ class Abelianization:
     commutator: NormalSubgroupoid  # of g_fix
     g_ab: FiniteGroupoid
     class_map: tuple[int, ...]     # g_fix arrow -> g_ab arrow
+
+    @property
+    def fixed_points(self) -> list[int]:
+        """The host's fixed points, ascending: the units of g_fix."""
+        return sorted(self.inclusion[u] for u in self.g_fix.units)
 
 
 def abelianize_groupoid(G: FiniteGroupoid) -> Abelianization:

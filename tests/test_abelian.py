@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from groupoidlab import abelian, generators, groups
+from groupoidlab import abelian, checks, generators, groups
 
 
 def _ab(g):
@@ -104,6 +104,16 @@ class TestCharacters:
             dual = abelian.char_group_structure(abelian.characters(a))
             assert (abelian.invariant_factors(dual).factors
                     == abelian.invariant_factors(a).factors)
+
+    def test_character_group_satisfies_the_group_axioms(self):
+        # char_group_structure builds its table without validating it
+        for n in range(1, 25):
+            for _, a in checks.abelian_groups_of_order(n):
+                dual = abelian.char_group_structure(abelian.characters(a))
+                assert groups.group_violations(dual) == []
+                assert groups.is_abelian(dual)
+                # the stored exponent against the lcm of orders read off the table
+                assert dual.exponent == groups.FiniteGroup.exponent(dual)
 
 
 class TestDualBundle:

@@ -108,9 +108,10 @@ def test_criterion_5_characters_count_and_pi_kernel(corpus):
     count_failures = []
     kernel_failures = []
     for seed, G in corpus:
-        if len(algebra.enumerate_characters(G)) != algebra.abelianization_dim(G):
+        if (len(algebra.enumerate_characters(quotients.abelianize_groupoid(G)))
+                != algebra.abelianization_dim(G)):
             count_failures.append(seed)
-        if not same_span(algebra.pi_hom(G).kernel(),
+        if not same_span(algebra.pi_hom(quotients.abelianize_groupoid(G)).kernel(),
                          algebra.commutator_ideal(G).rows):
             kernel_failures.append(seed)
     ok = not count_failures and not kernel_failures
@@ -130,12 +131,15 @@ def test_criterion_6_named_regressions():
     results = {
         "one-object S3 dim": algebra.abelianization_dim(s3) == 2,
         "S3+A3 bundle dim": algebra.abelianization_dim(bundle) == 5,
-        "Klein-cross characters": len(algebra.enumerate_characters(kc)) == 4,
-        "pair groupoid characters": len(algebra.enumerate_characters(pair)) == 0,
+        "Klein-cross characters":
+            len(algebra.enumerate_characters(quotients.abelianize_groupoid(kc))) == 4,
+        "pair groupoid characters":
+            len(algebra.enumerate_characters(quotients.abelianize_groupoid(pair))) == 0,
     }
     center = kc.label_index("(e,c)")
     results["Klein-cross support"] = all(
-        phi.unit == center for phi in algebra.enumerate_characters(kc))
+        phi.unit == center
+        for phi in algebra.enumerate_characters(quotients.abelianize_groupoid(kc)))
     ok = all(results.values())
     _report(6, ok, "named regressions "
             + ", ".join(f"{k}={'ok' if v else 'BAD'}" for k, v in results.items()))
@@ -164,7 +168,7 @@ def test_criterion_7_bundle_transform_invertible_and_multiplicative(corpus):
     mult_failures = []
     numeric_failures = []
     for name, B in targets:
-        gm = algebra.gelfand_transform(B)
+        gm = algebra.gelfand_transform(abelian.dual_bundle(B))
         matrix = np.array(gm.to_complex(), dtype=complex)
         if gm.size != B.n or abs(np.linalg.det(matrix)) <= DET_TOL:
             det_failures.append(name)

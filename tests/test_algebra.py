@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupoidlab import algebra, core, generators, groups, quotients
+from groupoidlab import abelian, algebra, core, generators, groups, quotients
 from groupoidlab.linalg import Qi, same_span
 
 
@@ -157,15 +157,28 @@ class TestHoms:
 class TestPiHom:
     def test_kernel_is_the_commutator_ideal(self, klein_cross, s3, s3_a3, pair2):
         for G in (klein_cross, s3, s3_a3, pair2):
-            pi = algebra.pi_hom(G)
+            pi = algebra.pi_hom(quotients.abelianize_groupoid(G))
             assert same_span(pi.kernel(), algebra.commutator_ideal(G).rows)
 
     def test_pi_is_surjective_onto_the_abelianized_bundle(self, klein_cross):
-        assert algebra.hom_is_surjective(algebra.pi_hom(klein_cross))
+        assert algebra.hom_is_surjective(
+            algebra.pi_hom(quotients.abelianize_groupoid(klein_cross)))
 
     def test_codomain_dimension_equals_abelianization_dim(self, s3_a3):
-        pi = algebra.pi_hom(s3_a3)
+        pi = algebra.pi_hom(quotients.abelianize_groupoid(s3_a3))
         assert pi.codomain.n == algebra.abelianization_dim(s3_a3)
+
+    def test_images_match_restrict_then_quotient(self, corpus40, klein_cross, s3_a3, pair2):
+        # reference: restrict to the fixed points, then push down along the
+        # commutator quotient, as two composed exact homomorphisms
+        for G in [G for _, G in corpus40] + [klein_cross, s3_a3, pair2]:
+            ab = quotients.abelianize_groupoid(G)
+            reference = algebra.compose_homs(
+                algebra.quotient_hom(ab.g_fix, ab.commutator),
+                algebra.restriction_hom(G, core.fixed_points(G)))
+            pi = algebra.pi_hom(ab)
+            assert pi.codomain == reference.codomain
+            assert pi.images == reference.images
 
 
 class TestCharacters:
@@ -174,28 +187,47 @@ class TestCharacters:
     ])
     def test_counts(self, model, count, request):
         G = request.getfixturevalue(model)
-        assert len(algebra.enumerate_characters(G)) == count
+        assert len(algebra.enumerate_characters(quotients.abelianize_groupoid(G))) == count
 
     def test_count_equals_abelianization_dim_on_corpus(self, corpus40):
         for _, G in corpus40:
-            assert (len(algebra.enumerate_characters(G))
+            assert (len(algebra.enumerate_characters(quotients.abelianize_groupoid(G)))
                     == algebra.abelianization_dim(G))
 
+    def test_match_per_fixed_point_construction(self, corpus40, klein_cross, s3_a3, pair2):
+        # reference: restrict to each fixed point alone, quotient by its
+        # commutators, and take the characters of that one fiber
+        for G in [G for _, G in corpus40] + [klein_cross, s3_a3, pair2]:
+            expected = []
+            for x in sorted(core.fixed_points(G).members):
+                kept = core.restricted_arrows(G, [x])
+                gx = core.restrict(G, [x])
+                qr = quotients.quotient(gx, quotients.commutator_subgroupoid(gx))
+                a, arrows = abelian.abelian_fiber(qr.quotient, next(iter(qr.quotient.units)))
+                elem = {arrow: i for i, arrow in enumerate(arrows)}
+                for chi in abelian.characters(a):
+                    exponents = {g: chi.exps[elem[qr.class_map[i]]] % a.exponent
+                                 for i, g in enumerate(kept)}
+                    expected.append((x, chi, a.exponent, exponents))
+            got = [(phi.unit, phi.chi, phi.modulus, phi.exponents)
+                   for phi in algebra.enumerate_characters(quotients.abelianize_groupoid(G))]
+            assert got == expected
+
     def test_supports_live_on_isotropy_at_their_unit(self, klein_cross):
-        for phi in algebra.enumerate_characters(klein_cross):
+        for phi in algebra.enumerate_characters(quotients.abelianize_groupoid(klein_cross)):
             for g in phi.support:
                 assert klein_cross.src[g] == phi.unit
                 assert klein_cross.rng[g] == phi.unit
 
     def test_exact_multiplicativity_and_star(self, klein_cross, s3_a3):
         for G in (klein_cross, s3_a3):
-            for phi in algebra.enumerate_characters(G):
+            for phi in algebra.enumerate_characters(quotients.abelianize_groupoid(G)):
                 assert algebra.functional_multiplicativity_violations(phi) == []
                 assert algebra.functional_star_violations(phi) == []
 
     def test_numeric_evaluation_is_multiplicative(self, klein_cross):
         rng = random.Random(17)
-        for phi in algebra.enumerate_characters(klein_cross):
+        for phi in algebra.enumerate_characters(quotients.abelianize_groupoid(klein_cross)):
             for _ in range(4):
                 f = _random_element(klein_cross, rng)
                 g = _random_element(klein_cross, rng)
@@ -205,13 +237,13 @@ class TestCharacters:
 
     def test_characters_vanish_on_the_commutator_ideal(self, s3_a3):
         ideal = algebra.commutator_ideal(s3_a3)
-        for phi in algebra.enumerate_characters(s3_a3):
+        for phi in algebra.enumerate_characters(quotients.abelianize_groupoid(s3_a3)):
             for row in ideal.rows:
                 value = phi.evaluate(algebra.from_coeffs(s3_a3, dict(row)))
                 assert abs(value) <= 1e-9
 
     def test_mismatched_character_rejected(self, klein_cross, s3):
-        phi = algebra.enumerate_characters(klein_cross)[0]
+        phi = algebra.enumerate_characters(quotients.abelianize_groupoid(klein_cross))[0]
         f = algebra.delta(s3, 0)
         with pytest.raises(ValueError):
             phi.evaluate(f)
@@ -220,7 +252,7 @@ class TestCharacters:
 class TestGelfand:
     def test_cyclic_three_gives_the_discrete_fourier_matrix(self):
         G = generators.group_bundle([("p", groups.cyclic(3))])
-        gm = algebra.gelfand_transform(G)
+        gm = algebra.gelfand_transform(abelian.dual_bundle(G))
         F = Fraction
         assert [list(row) for row in gm.entries] == [
             [F(0), F(0), F(0)],
@@ -231,14 +263,14 @@ class TestGelfand:
     def test_two_fiber_bundle_determinant(self):
         import numpy as np
         G = generators.group_bundle([("u", groups.cyclic(2)), ("v", groups.klein())])
-        gm = algebra.gelfand_transform(G)
+        gm = algebra.gelfand_transform(abelian.dual_bundle(G))
         assert gm.size == 6
         det = np.linalg.det(np.array(gm.to_complex(), dtype=complex))
         assert abs(abs(det) - 32.0) < 1e-9
 
     def test_blocks_vanish_between_fibers(self):
         G = generators.group_bundle([("u", groups.cyclic(2)), ("v", groups.klein())])
-        gm = algebra.gelfand_transform(G)
+        gm = algebra.gelfand_transform(abelian.dual_bundle(G))
         for r, (x, _) in enumerate(gm.pairs):
             for g in G.arrows():
                 if G.src[g] != x:
@@ -247,12 +279,12 @@ class TestGelfand:
     def test_exact_multiplicativity(self):
         G = generators.group_bundle([("u", groups.cyclic(4)),
                                      ("v", groups.cyclic(3))])
-        gm = algebra.gelfand_transform(G)
+        gm = algebra.gelfand_transform(abelian.dual_bundle(G))
         assert algebra.gelfand_multiplicativity_violations(gm) == []
 
     def test_numeric_multiplicativity(self):
         G = generators.group_bundle([("u", groups.cyclic(2)), ("v", groups.klein())])
-        gm = algebra.gelfand_transform(G)
+        gm = algebra.gelfand_transform(abelian.dual_bundle(G))
         m = gm.to_complex()
         for a in G.arrows():
             for b in G.arrows():
@@ -264,13 +296,13 @@ class TestGelfand:
 
     def test_rejects_non_bundle(self, klein_cross):
         with pytest.raises(ValueError):
-            algebra.gelfand_transform(klein_cross)
+            algebra.gelfand_transform(abelian.dual_bundle(klein_cross))
 
     def test_abelianized_bundle_always_transforms(self, corpus40):
         import numpy as np
         for _, G in corpus40[:15]:
             B = quotients.abelianize_groupoid(G).g_ab
-            gm = algebra.gelfand_transform(B)
+            gm = algebra.gelfand_transform(abelian.dual_bundle(B))
             assert gm.size == B.n
             assert algebra.gelfand_multiplicativity_violations(gm) == []
             if B.n:

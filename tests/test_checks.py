@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from groupoidlab import checks, core, generators
+from groupoidlab import algebra, checks, core, generators, quotients
 
 
 class TestReports:
@@ -84,3 +84,26 @@ class TestAbelianGroupFamily:
                 assert total == n
                 assert all(expected[i + 1] % expected[i] == 0
                            for i in range(len(expected) - 1))
+
+
+class TestSharedPerInstanceValues:
+    def test_ideal_and_abelianization_are_built_once_per_instance(self, monkeypatch):
+        calls = {"commutator_ideal": 0, "abelianize_groupoid": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(algebra, "commutator_ideal")
+        counted(quotients, "abelianize_groupoid")
+        for G in (generators.klein_cross(), generators.s3_a3_bundle(),
+                  generators.random_groupoid(59, 60)):
+            calls.update(commutator_ideal=0, abelianize_groupoid=0)
+            results = checks.instance_checks(G, "counted")
+            assert all(r.ok for r in results)
+            assert calls == {"commutator_ideal": 1, "abelianize_groupoid": 1}

@@ -96,6 +96,13 @@ class TestGenerateAndValidate:
         assert code == 2
         code, _ = run(["generate", "--kind", "trivial:x"], capsys)
         assert code == 2
+        for args in (["generate", "--kind", "random", "--budget", "0"],
+                     ["validate", "--kind", "random", "--budget", "0"],
+                     ["check", "--corpus", "--budget", "0"],
+                     ["check", "--corpus", "--count", "-3"],
+                     ["check", "--corpus", "--count", "0"]):
+            code, data = run(args, capsys)
+            assert code == 2 and "error" in data, args
 
 
 class TestQuotientCommand:

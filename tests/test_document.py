@@ -132,6 +132,9 @@ class TestElementCodec:
             document.decode_element(s3, {s3.labels[0]: [1, 1]})
         with pytest.raises(document.DocumentError):
             document.decode_element(s3, {s3.labels[0]: [1.5, 1, 0, 1]})
+        for quad in ([1, 0, 0, 1], [1, 1, 2, 0], [True, 1, 0, 1], [1, 1, 0, False]):
+            with pytest.raises(document.DocumentError):
+                document.decode_element(s3, {s3.labels[0]: quad})
 
     def test_zero_coefficients_are_dropped(self, s3):
         f = document.decode_element(s3, {s3.labels[0]: [0, 1, 0, 1]})

@@ -81,7 +81,7 @@ from .generators import (
     trivial_groupoid,
 )
 from .groups import FiniteGroup, cyclic, dihedral4, finite_group, klein, quaternion8, sym3
-from .linalg import Echelon, Qi, kernel_basis, same_span
+from .linalg import BinomialSpan, Echelon, Qi, kernel_basis, same_span
 from .quotients import (
     Abelianization,
     NormalSubgroupoid,
@@ -101,7 +101,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "AlgebraHom", "AxiomViolation", "Abelianization",
-    "Character", "CharacterFunctional", "CheckReport", "CheckResult",
+    "BinomialSpan", "Character", "CharacterFunctional", "CheckReport", "CheckResult",
     "CyclicDecomposition", "DocumentError", "DualBundle", "Echelon",
     "FiniteAbelianGroup", "FiniteGroup", "FiniteGroupoid", "GelfandMatrix",
     "NormalSubgroupoid", "NotInvariantError", "Qi", "QuotientResult",

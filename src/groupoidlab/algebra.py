@@ -12,14 +12,14 @@ numeric value.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from . import abelian, core, quotients
 from .abelian import Character, FiniteAbelianGroup
 from .core import ElementSubset, FiniteGroupoid
-from .linalg import QI0, QI1, Echelon, Qi, as_qi, kernel_basis, vec_iadd_scaled
+from .linalg import QI0, QI1, BinomialSpan, Echelon, Qi, as_qi, vec_iadd_scaled
 
 
 @dataclass
@@ -154,13 +154,27 @@ class AlgebraHom:
             vec_iadd_scaled(acc, self.images[k].coeffs, c)
         return AlgebraElement(self.codomain, acc)
 
-    def kernel(self) -> list[dict]:
-        """Exact basis of the kernel, one vector per free coordinate."""
-        rows: dict[int, dict] = {}
-        for j, img in enumerate(self.images):
-            for i, c in img.coeffs.items():
-                rows.setdefault(i, {})[j] = c
-        return kernel_basis(rows.values(), self.domain.n)
+    def kernel(self) -> BinomialSpan:
+        """The kernel of a map sending each delta to one delta or to zero.
+
+        Arrows with the same image are joined and arrows sent to zero are
+        killed.  Restriction, quotient pushforward, pi and their compositions
+        all have this shape; an image of any other shape raises ValueError.
+        """
+        span = BinomialSpan()
+        first: dict[int, int] = {}
+        for g, img in enumerate(self.images):
+            if not img.coeffs:
+                span.kill(g)
+                continue
+            (t, c), *rest = img.coeffs.items()
+            if rest or c != QI1:
+                raise ValueError(f"image of arrow {g} is not a single delta: {img!r}")
+            if t in first:
+                span.union(first[t], g)
+            else:
+                first[t] = g
+        return span
 
 
 def compose_homs(outer: AlgebraHom, inner: AlgebraHom) -> AlgebraHom:
@@ -229,23 +243,20 @@ def hom_is_surjective(h: AlgebraHom) -> bool:
 
 @dataclass
 class IdealBasis:
-    """A two-sided ideal, held as canonical reduced rows."""
+    """A two-sided ideal, held as a span of binomials and monomials."""
 
     host: FiniteGroupoid
-    rows: tuple[dict, ...]
-    _echelon: Echelon = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._echelon = Echelon()
-        for r in self.rows:
-            self._echelon.insert(dict(r))
+    span: BinomialSpan
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return self.span.rank
 
     def contains(self, vec: dict) -> bool:
-        return self._echelon.contains(vec)
+        return self.span.contains(vec)
+
+    def vectors(self) -> list[dict]:
+        return self.span.vectors()
 
 
 def _left_shift(G: FiniteGroupoid, g: int, row: dict) -> dict:
@@ -271,43 +282,45 @@ def _right_shift(G: FiniteGroupoid, g: int, row: dict) -> dict:
 def commutator_ideal(G: FiniteGroupoid) -> IdealBasis:
     """The smallest closed two-sided ideal containing all basis commutators.
 
-    Seeds with delta_a * delta_b - delta_b * delta_a, then alternates
-    left/right multiplication by every basis delta with exact re-reduction
-    until the dimension stops growing; the algebra dimension bounds the
-    number of growth steps, so termination is immediate.
+    Seeds with delta_ab - delta_ba (delta_ab alone where ba is undefined),
+    then shifts each generator that grew the span left and right by every
+    arrow it composes with.  Translation is injective where it is defined, so
+    a shift of e_u - e_v or e_u is again a binomial, a monomial or zero, and
+    the span is closed once every growing generator has been shifted: at most
+    n of them, so O(n^2) shifts.
     """
-    ech = Echelon()
-    queue: list[dict] = []
+    span = BinomialSpan()
+    grown: list[tuple[int, ...]] = []   # (u, v) for e_u - e_v, (u,) for e_u
 
-    def feed(vec: dict):
-        stored = ech.insert(vec)
-        if stored:
-            queue.append(dict(stored))
+    def feed(arrows: tuple[int, ...]):
+        if span.union(*arrows) if len(arrows) == 2 else span.kill(*arrows):
+            grown.append(arrows)
 
-    for (a, b), ab in G.comp.items():
-        vec = {ab: QI1}
-        ba = G.comp.get((b, a))
-        if ba is not None:
-            vec_iadd_scaled(vec, {ba: QI1}, Qi(-1))
-        if vec:
-            feed(vec)
+    comp = G.comp
+    left: dict[int, dict[int, int]] = {}    # left[u][g] = g.u
+    right: dict[int, dict[int, int]] = {}   # right[u][g] = u.g
+    for (a, b), ab in comp.items():
+        left.setdefault(b, {})[a] = ab
+        right.setdefault(a, {})[b] = ab
+        ba = comp.get((b, a))
+        feed((ab,) if ba is None else (ab, ba))
 
     n = G.n
-    while queue and ech.rank < n:
-        row = queue.pop()
-        for g in G.arrows():
-            for shifted in (_left_shift(G, g, row), _right_shift(G, g, row)):
-                if shifted:
-                    feed(shifted)
+    while grown and span.rank < n:
+        arrows = grown.pop()
+        for side in (left, right):
+            shifts = [side.get(u, {}) for u in arrows]
+            for g in set().union(*shifts):
+                feed(tuple(by[g] for by in shifts if g in by))
 
-    return IdealBasis(host=G, rows=tuple(dict(r) for r in ech.rows()))
+    return IdealBasis(host=G, span=span)
 
 
 def ideal_closure_violations(basis: IdealBasis, limit: int = 1) -> list[tuple[int, int, str]]:
-    """Shifts of basis rows that escape the span (empty for a two-sided ideal)."""
+    """Shifts of basis vectors that escape the span (empty for a two-sided ideal)."""
     G = basis.host
     out = []
-    for i, row in enumerate(basis.rows):
+    for i, row in enumerate(basis.vectors()):
         for g in G.arrows():
             for side, shifted in (("left", _left_shift(G, g, row)),
                                   ("right", _right_shift(G, g, row))):

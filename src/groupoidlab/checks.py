@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import abelian, algebra, core, generators, groups, quotients
 from .core import FiniteGroupoid
-from .linalg import Echelon, same_span
 
 DET_TOLERANCE = 1e-6
 NUMERIC_TOLERANCE = 1e-9
@@ -67,7 +67,9 @@ def _run(name: str, instance: str, fn: Callable[[], object]) -> CheckResult:
         witness = fn()
         ok = witness is None
     except Exception as exc:   # a crash is a failing check, not a crashed report
-        witness = {"error": repr(exc)}
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        witness = {"error": repr(exc), "type": type(exc).__name__, "message": str(exc),
+                   "location": f"{frame.filename}:{frame.lineno}"}
         ok = False
     return CheckResult(name=name, instance=instance, ok=ok,
                        seconds=time.perf_counter() - start, witness=witness)
@@ -106,14 +108,11 @@ def _check_quotient_family(G: FiniteGroupoid):
                               "carrier": _carrier_labels(G, H.members),
                               "preimage": _carrier_labels(G, pre)})
             break
-        hom = algebra.quotient_hom_from_result(G, qr)
-        kernel = hom.kernel()
-        ech = Echelon()
-        for row in kernel:
-            ech.insert(row)
-        kernel_rank = ech.rank
-        for d in algebra.diagonal_basis(G):
-            if not ech.insert(d):
+        kernel = algebra.quotient_hom_from_result(G, qr).kernel()
+        kernel_rank = kernel.rank
+        # the unit deltas meet the kernel trivially iff each one grows the span
+        for x in sorted(G.units):
+            if not kernel.kill(x):
                 witnesses.append({"check": "kernel-diagonal",
                                   "carrier": _carrier_labels(G, H.members)})
                 break
@@ -137,8 +136,8 @@ def _check_character_count(ab: quotients.Abelianization, ideal: algebra.IdealBas
 
 def _check_pi_kernel(ab: quotients.Abelianization, ideal: algebra.IdealBasis):
     kernel = algebra.pi_hom(ab).kernel()
-    if not same_span(kernel, ideal.rows):
-        return {"kernel_rank": len(kernel), "ideal_rank": ideal.rank}
+    if kernel != ideal.span:
+        return {"kernel_rank": kernel.rank, "ideal_rank": ideal.rank}
     return None
 
 

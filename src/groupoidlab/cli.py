@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import abelian, algebra, checks, core, document, generators, groups, quotients
@@ -222,7 +223,8 @@ def _cmd_check(args) -> int:
         report = checks.corpus_report(seed=args.seed,
                                       count=_at_least_one(args.count, "--count"),
                                       cap=_at_least_one(args.budget, "--budget"),
-                                      jobs=args.jobs)
+                                      jobs=min(_at_least_one(args.jobs, "--jobs"),
+                                               os.cpu_count() or 1))
     else:
         # axiom problems surface as a failing check with a witness, so the
         # suite runs on whatever decodes — only parse errors stop it
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=200,
                    help="number of corpus instances")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the corpus")
+                   help="worker processes for the corpus, at most the CPU count")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(fn=_cmd_check)
 

@@ -5,6 +5,10 @@ are sparse dicts from coordinate index to scalar.  The Echelon accumulator
 keeps a reduced row basis (monic pivots, pivot columns eliminated everywhere
 else), so ranks, kernels, and subspace comparisons are exact and the stored
 rows are canonical for the subspace they span.
+
+BinomialSpan holds the subspaces spanned by binomials e_u - e_v and
+monomials e_u, the only kind the commutator ideal and the kernels of the
+induced maps produce, as a partition of coordinates with no elimination.
 """
 
 from __future__ import annotations
@@ -181,3 +185,80 @@ def same_span(rows_a, rows_b) -> bool:
     if ea.rank != eb.rank:
         return False
     return all(ea.contains(r) for r in eb.rows()) and all(eb.contains(r) for r in ea.rows())
+
+
+class BinomialSpan:
+    """Span of binomials e_u - e_v and monomials e_u, as a partition.
+
+    A union-find over coordinates (Tarjan 1975) whose classes carry a killed
+    flag: the span is every e_u with u in a killed class, plus every vector
+    supported on one unkilled class with coefficients summing to zero.  Its
+    rank is the touched coordinates minus the unkilled classes.
+    """
+
+    def __init__(self):
+        self._parent: dict[int, int] = {}
+        self._killed: set[int] = set()   # roots of killed classes
+        self.rank = 0
+
+    def _find(self, u: int) -> int:
+        parent = self._parent
+        root = parent.setdefault(u, u)
+        while root != parent[root]:
+            parent[root] = root = parent[parent[root]]
+        parent[u] = root
+        return root
+
+    def union(self, u: int, v: int) -> bool:
+        """Add e_u - e_v; return whether the rank grew."""
+        ru, rv = self._find(u), self._find(v)
+        if ru == rv or (ru in self._killed and rv in self._killed):
+            return False
+        if ru in self._killed:
+            ru, rv = rv, ru
+        self._parent[ru] = rv   # a killed root stays the root
+        self.rank += 1
+        return True
+
+    def kill(self, u: int) -> bool:
+        """Add e_u; return whether the rank grew."""
+        root = self._find(u)
+        if root in self._killed:
+            return False
+        self._killed.add(root)
+        self.rank += 1
+        return True
+
+    def contains(self, vec: dict) -> bool:
+        """Exact membership of any sparse vector: every nonzero coordinate is
+        touched, and the coefficients over each unkilled class sum to zero."""
+        sums: dict[int, Qi] = {}
+        for k, c in vec.items():
+            if not c:
+                continue
+            if k not in self._parent:
+                return False
+            root = self._find(k)
+            if root not in self._killed:
+                sums[root] = sums.get(root, QI0) + c
+        return not any(sums.values())
+
+    def vectors(self) -> list[dict]:
+        """A basis with coefficients +-1: e_u for each killed coordinate, and
+        e_first - e_u inside each unkilled class."""
+        classes: dict[int, list[int]] = {}
+        for u in sorted(self._parent):
+            classes.setdefault(self._find(u), []).append(u)
+        out = []
+        for root, members in classes.items():
+            if root in self._killed:
+                out.extend({u: QI1} for u in members)
+            else:
+                out.extend({members[0]: QI1, u: -QI1} for u in members[1:])
+        return out
+
+    def __eq__(self, other):
+        """Subspace equality: equal ranks, and one span inside the other."""
+        if not isinstance(other, BinomialSpan):
+            return NotImplemented
+        return self.rank == other.rank and all(map(other.contains, self.vectors()))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from groupoidlab import abelian, algebra, core, generators, groups, quotients
-from groupoidlab.linalg import Qi, same_span
+from groupoidlab.linalg import Echelon, Qi, kernel_basis, same_span, vec_iadd_scaled
 
 
 def _random_element(G, rng):
@@ -87,6 +87,44 @@ class TestConvolution:
         assert f.star() == algebra.involute(f)
 
 
+def _echelon_commutator_ideal(G):
+    """Reference: the closure by exact row reduction, shifting every stored
+    reduced row left and right by every arrow until the rank stops growing."""
+    ech = Echelon()
+    queue = []
+
+    def feed(vec):
+        stored = ech.insert(vec)
+        if stored:
+            queue.append(dict(stored))
+
+    for (a, b), ab in G.comp.items():
+        vec = {ab: Qi(1)}
+        ba = G.comp.get((b, a))
+        if ba is not None:
+            vec_iadd_scaled(vec, {ba: Qi(1)}, Qi(-1))
+        if vec:
+            feed(vec)
+    while queue and ech.rank < G.n:
+        row = queue.pop()
+        for g in G.arrows():
+            left = {G.comp[g, b]: c for b, c in row.items() if (g, b) in G.comp}
+            right = {G.comp[a, g]: c for a, c in row.items() if (a, g) in G.comp}
+            for shifted in (left, right):
+                if shifted:
+                    feed(shifted)
+    return ech.rows()
+
+
+def _matrix_kernel(h):
+    """Reference: kernel_basis on the hom's matrix, one equation per codomain arrow."""
+    rows = {}
+    for j, img in enumerate(h.images):
+        for i, c in img.coeffs.items():
+            rows.setdefault(i, {})[j] = c
+    return kernel_basis(rows.values(), h.domain.n)
+
+
 class TestCommutatorIdeal:
     @pytest.mark.parametrize("model,rank,dim", [
         ("s3", 4, 2),
@@ -115,6 +153,13 @@ class TestCommutatorIdeal:
             comm = algebra.convolve(f, g) - algebra.convolve(g, f)
             assert ideal.contains(dict(comm.coeffs))
 
+    def test_matches_the_echelon_closure(self, corpus40, klein_cross, s3, s3_a3, pair2):
+        for G in [G for _, G in corpus40] + [klein_cross, s3, s3_a3, pair2]:
+            ideal = algebra.commutator_ideal(G)
+            reference = _echelon_commutator_ideal(G)
+            assert ideal.rank == len(reference)
+            assert same_span(ideal.vectors(), reference)
+
     def test_commutative_algebra_has_zero_ideal(self):
         G = generators.group_bundle([("u", groups.cyclic(4)),
                                      ("v", groups.klein())])
@@ -139,13 +184,34 @@ class TestHoms:
     def test_quotient_hom_kernel_dimension(self, s3):
         carrier = {s3.label_index(l) for l in ("e@p", "s@p", "s2@p")}
         h = algebra.quotient_hom(s3, carrier)
-        assert len(h.kernel()) == s3.n - 2
+        assert h.kernel().rank == s3.n - 2
 
     def test_kernel_vectors_map_to_zero(self, s3_a3):
         h = algebra.quotient_hom(s3_a3, core.isotropy(s3_a3))
-        for vec in h.kernel():
+        for vec in h.kernel().vectors():
             img = h.apply(algebra.from_coeffs(s3_a3, vec))
             assert img.is_zero()
+
+    def test_kernels_match_the_matrix_kernel(self, corpus40, klein_cross, s3, s3_a3, pair2):
+        for G in [G for _, G in corpus40] + [klein_cross, s3, s3_a3, pair2]:
+            carriers = (quotients.enumerate_normal_subgroupoids(G) if G.n <= 24
+                        else [quotients.normal_subgroupoid(G, G.units),
+                              quotients.interior_isotropy(G)])
+            homs = [algebra.quotient_hom(G, H) for H in carriers]
+            homs.append(algebra.pi_hom(quotients.abelianize_groupoid(G)))
+            homs.append(algebra.restriction_hom(G, core.fixed_points(G)))
+            for h in homs:
+                kernel, reference = h.kernel(), _matrix_kernel(h)
+                assert kernel.rank == len(reference)
+                assert same_span(kernel.vectors(), reference)
+
+    def test_kernel_rejects_images_that_are_not_single_deltas(self, s3):
+        h = algebra.quotient_hom(s3, s3.units)
+        for bad in (algebra.delta(h.codomain, 0).scaled(Qi(2)),
+                    algebra.delta(h.codomain, 0) + algebra.delta(h.codomain, 1)):
+            broken = algebra.AlgebraHom(h.domain, h.codomain, (bad,) + h.images[1:])
+            with pytest.raises(ValueError):
+                broken.kernel()
 
     def test_compose_homs_requires_matching_ends(self, s3, pair2):
         h = algebra.restriction_hom(pair2, pair2.units)
@@ -158,7 +224,7 @@ class TestPiHom:
     def test_kernel_is_the_commutator_ideal(self, klein_cross, s3, s3_a3, pair2):
         for G in (klein_cross, s3, s3_a3, pair2):
             pi = algebra.pi_hom(quotients.abelianize_groupoid(G))
-            assert same_span(pi.kernel(), algebra.commutator_ideal(G).rows)
+            assert same_span(pi.kernel().vectors(), algebra.commutator_ideal(G).vectors())
 
     def test_pi_is_surjective_onto_the_abelianized_bundle(self, klein_cross):
         assert algebra.hom_is_surjective(
@@ -238,7 +304,7 @@ class TestCharacters:
     def test_characters_vanish_on_the_commutator_ideal(self, s3_a3):
         ideal = algebra.commutator_ideal(s3_a3)
         for phi in algebra.enumerate_characters(quotients.abelianize_groupoid(s3_a3)):
-            for row in ideal.rows:
+            for row in ideal.vectors():
                 value = phi.evaluate(algebra.from_coeffs(s3_a3, dict(row)))
                 assert abs(value) <= 1e-9
 

@@ -3,6 +3,7 @@
 import dataclasses
 
 from groupoidlab import algebra, checks, core, generators, quotients
+from groupoidlab.linalg import BinomialSpan
 
 
 class TestReports:
@@ -40,6 +41,36 @@ class TestReports:
                                   labels=("u", "g"))
         report = checks.file_report(bad, "bad")
         assert not report.ok
+
+    def test_crash_witness_locates_the_exception(self):
+        def check():
+            raise KeyError("no arrow 7")
+
+        result = checks._run("crash", "unit", check)
+        assert not result.ok
+        assert result.witness == {
+            "error": "KeyError('no arrow 7')", "type": "KeyError",
+            "message": "'no arrow 7'",
+            "location": f"{__file__}:{check.__code__.co_firstlineno + 1}"}
+
+    def test_pi_kernel_check_compares_spans_not_ranks(self, s3):
+        ab = quotients.abelianize_groupoid(s3)
+        ideal = algebra.commutator_ideal(s3)
+        assert checks._check_pi_kernel(ab, ideal) is None
+        wrong = BinomialSpan()     # as many killed arrows as the ideal's rank
+        for g in range(ideal.rank):
+            wrong.kill(g)
+        assert checks._check_pi_kernel(ab, algebra.IdealBasis(s3, wrong)) == {
+            "kernel_rank": ideal.rank, "ideal_rank": ideal.rank}
+
+    def test_quotient_family_reports_a_kernel_meeting_the_diagonal(self, s3, monkeypatch):
+        def zero_hom(G, qr):
+            images = tuple(algebra.zero(qr.quotient) for _ in G.arrows())
+            return algebra.AlgebraHom(G, qr.quotient, images)
+
+        monkeypatch.setattr(algebra, "quotient_hom_from_result", zero_hom)
+        witnesses = checks._check_quotient_family(s3)
+        assert witnesses[0]["check"] == "kernel-diagonal"
 
     def test_regressions_pass(self):
         assert all(r.ok for r in checks.regression_checks())

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import groupoidlab
-from groupoidlab import cli
+from groupoidlab import checks, cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # The directory holding the imported package, so that a child interpreter
@@ -100,7 +100,9 @@ class TestGenerateAndValidate:
                      ["validate", "--kind", "random", "--budget", "0"],
                      ["check", "--corpus", "--budget", "0"],
                      ["check", "--corpus", "--count", "-3"],
-                     ["check", "--corpus", "--count", "0"]):
+                     ["check", "--corpus", "--count", "0"],
+                     ["check", "--corpus", "--count", "1", "--jobs", "0"],
+                     ["check", "--corpus", "--count", "1", "--jobs", "-5"]):
             code, data = run(args, capsys)
             assert code == 2 and "error" in data, args
 
@@ -180,6 +182,21 @@ class TestCheckCommand:
         assert code == 0
         assert data["status"] == "pass"
         assert data["counts"]["fail"] == 0
+
+    def test_jobs_is_clamped_to_the_cpu_count(self, monkeypatch, capsys):
+        # a stand-in report records the worker count, so no worker starts
+        seen = []
+
+        def report(seed, count, cap, jobs):
+            seen.append(jobs)
+            return checks.CheckReport()
+
+        monkeypatch.setattr(checks, "corpus_report", report)
+        for cpus, asked in ((2, 1), (2, 2), (2, 64), (None, 4)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            code, data = run(["check", "--corpus", "--jobs", str(asked)], capsys)
+            assert code == 0 and data["status"] == "pass"
+        assert seen == [1, 2, 2, 1]
 
     def test_corrupted_document_fails_check_with_witness(self, tmp_path, capsys):
         _, doc = run(["generate", "--kind", "s3"], capsys)

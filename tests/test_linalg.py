@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidlab.linalg import (
     QI1,
     QI_I,
+    BinomialSpan,
     Echelon,
     Qi,
     kernel_basis,
@@ -141,3 +144,85 @@ class TestSameSpan:
     def test_empty_spans(self):
         assert same_span([], [])
         assert not same_span([], [{0: QI1}])
+
+
+def _span(ops):
+    """A BinomialSpan from (u, v) binomials and (u,) monomials."""
+    span = BinomialSpan()
+    for op in ops:
+        span.union(*op) if len(op) == 2 else span.kill(*op)
+    return span
+
+
+def _vector(op):
+    if len(op) == 1:
+        return {op[0]: QI1}
+    return {op[0]: QI1, op[1]: Qi(-1)} if op[0] != op[1] else {}
+
+
+class TestBinomialSpan:
+    def test_union_grows_rank_once_per_merge(self):
+        span = BinomialSpan()
+        assert span.union(0, 1)
+        assert span.union(1, 2)
+        assert not span.union(0, 2)    # e0 - e2 = (e0 - e1) + (e1 - e2)
+        assert not span.union(3, 3)
+        assert span.rank == 2
+
+    def test_kill_marks_a_whole_class(self):
+        span = BinomialSpan()
+        span.union(0, 1)
+        assert span.kill(1)
+        assert not span.kill(0)        # e0 = (e0 - e1) + e1
+        assert span.kill(2)
+        assert not span.union(0, 2)    # joins two killed classes
+        assert span.union(2, 4)        # a killed class takes in an untouched arrow
+        assert span.contains({4: QI1})
+        assert span.rank == 4
+
+    def test_contains_takes_any_coefficients(self):
+        span = _span([(0, 1), (1, 2), (5,)])
+        assert span.contains({0: Qi(2, 1), 1: Qi(-3), 2: Qi(1, -1), 5: Qi(7, 2)})
+        assert not span.contains({0: QI1, 1: QI1})
+        assert not span.contains({3: QI1, 0: QI1, 1: Qi(-1)})   # 3 is untouched
+        assert span.contains({})
+        assert span.contains({3: Qi(0)})
+
+    def test_vectors_are_a_plus_minus_one_basis(self):
+        span = _span([(2, 0), (0, 4), (3,), (3, 6), (7, 7)])
+        vectors = span.vectors()
+        assert vectors == [{0: QI1, 2: Qi(-1)}, {0: QI1, 4: Qi(-1)}, {3: QI1}, {6: QI1}]
+        assert len(vectors) == span.rank
+        assert all(span.contains(v) for v in vectors)
+
+    def test_equality_is_subspace_equality(self):
+        assert _span([(0, 1), (1, 2)]) == _span([(2, 0), (1, 0)])
+        assert _span([(0, 1), (1,)]) == _span([(0,), (1,)])
+        assert _span([(0, 1), (5, 5)]) == _span([(1, 0)])     # singleton classes aside
+        assert _span([(0, 1)]) != _span([(0, 2)])
+        assert _span([(0, 1)]) != _span([(0,), (1,)])
+        assert BinomialSpan() == BinomialSpan()
+        assert BinomialSpan() != [{}]
+
+
+_ops = st.lists(st.one_of(st.tuples(st.integers(0, 7)),
+                          st.tuples(st.integers(0, 7), st.integers(0, 7))), max_size=12)
+_coeffs = st.builds(Qi, st.integers(-2, 2), st.integers(-2, 2)).filter(bool)
+
+
+class TestBinomialSpanAgainstEchelon:
+    @settings(max_examples=300, deadline=None)
+    @given(_ops, _ops, st.lists(st.dictionaries(st.integers(0, 7), _coeffs, max_size=4),
+                                max_size=6))
+    def test_rank_contains_and_equality_agree(self, ops_a, ops_b, probes):
+        span, ech = BinomialSpan(), Echelon()
+        for op in ops_a:
+            grew = span.union(*op) if len(op) == 2 else span.kill(*op)
+            assert grew == (ech.insert(_vector(op)) is not None)
+        assert span.rank == ech.rank
+        for vec in probes + [_vector(op) for op in ops_b]:
+            assert span.contains(vec) == ech.contains(vec)
+        assert same_span(span.vectors(), ech.rows())
+        other = _span(ops_b)
+        assert (span == other) == same_span([_vector(op) for op in ops_a],
+                                            [_vector(op) for op in ops_b])

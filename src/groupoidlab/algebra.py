@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from . import abelian, core, quotients
@@ -342,17 +343,17 @@ def abelianized_fiber(ab: quotients.Abelianization,
                       x: int) -> tuple[FiniteAbelianGroup, dict[int, int]]:
     """The abelianized isotropy group at a fixed point x of ab.host.
 
-    Read off ab.g_ab at the class of x.  Returns the group together with the
+    Read off ab.dual at the class of x.  Returns the group together with the
     class map sending each host arrow at x to its element index.
     """
     G = ab.host
     if x not in ab.fixed_points:
         raise ValueError(f"unit {G.labels[x]} is not a fixed point")
-    a, arrows = abelian.abelian_fiber(ab.g_ab, ab.class_map[ab.inclusion.index(x)])
-    elem_of_arrow = {arrow: i for i, arrow in enumerate(arrows)}
+    y = ab.fiber_unit(x)
+    elem_of_arrow = {arrow: i for i, arrow in enumerate(ab.dual.fiber_arrows[y])}
     class_of = {g: elem_of_arrow[ab.class_map[i]]
                 for i, g in enumerate(ab.inclusion) if G.src[g] == x}
-    return a, class_of
+    return ab.dual.fiber_groups[y], class_of
 
 
 @dataclass
@@ -395,7 +396,7 @@ def enumerate_characters(ab: quotients.Abelianization) -> list[CharacterFunction
     out = []
     for x in ab.fixed_points:
         a, class_of = abelianized_fiber(ab, x)
-        for chi in abelian.characters(a):
+        for chi in ab.dual.fibers[ab.fiber_unit(x)]:
             exponents = {g: chi.exps[cls] % a.exponent for g, cls in class_of.items()}
             out.append(CharacterFunctional(host=ab.host, unit=x, chi=chi,
                                            exponents=exponents, modulus=a.exponent))
@@ -455,23 +456,23 @@ def pi_hom(ab: quotients.Abelianization) -> AlgebraHom:
 class GelfandMatrix:
     """Evaluation of every character functional on every basis delta.
 
-    Entries are root-of-unity exponents as Fractions of a full turn (None for
-    zero), so the matrix is exact; to_complex() gives the numeric matrix.
     Row r corresponds to pairs[r] = (unit, character); columns follow arrow
-    order.
+    order.  entries[r][g] is the exponent e of the value exp(2 pi i e / N),
+    N = pairs[r][1].modulus, or None where the value is zero, so the matrix
+    is exact; to_complex() gives the numeric matrix.
     """
 
     host: FiniteGroupoid
     pairs: tuple[tuple[int, Character], ...]
-    entries: tuple[tuple[Fraction | None, ...], ...]
+    entries: tuple[tuple[int | None, ...], ...]
 
     @property
     def size(self) -> int:
         return len(self.pairs)
 
     def to_complex(self) -> list[list[complex]]:
-        return [[0j if e is None else cmath.exp(2j * cmath.pi * e) for e in row]
-                for row in self.entries]
+        return [[0j if e is None else cmath.exp(2j * cmath.pi * e / chi.modulus) for e in row]
+                for (_, chi), row in zip(self.pairs, self.entries)]
 
 
 def gelfand_transform(bundle: abelian.DualBundle) -> GelfandMatrix:
@@ -487,32 +488,57 @@ def gelfand_transform(bundle: abelian.DualBundle) -> GelfandMatrix:
     for x in bundle.base:
         arrows = bundle.fiber_arrows[x]
         group = bundle.fiber_groups[x]
-        col_of = {g: i for i, g in enumerate(arrows)}
         for chi in bundle.fibers[x]:
             pairs.append((x, chi))
-            row: list[Fraction | None] = [None] * G.n
-            for g, i in col_of.items():
-                row[g] = Fraction(chi.exps[i] % group.exponent, group.exponent)
+            row: list[int | None] = [None] * G.n
+            for i, g in enumerate(arrows):
+                row[g] = chi.exps[i] % group.exponent
             entries.append(tuple(row))
     return GelfandMatrix(host=G, pairs=tuple(pairs), entries=tuple(entries))
 
 
-def gelfand_multiplicativity_violations(gm: GelfandMatrix, limit: int = 1) -> list[tuple]:
-    """Basis pairs and rows where the transform fails to turn * into pointwise product.
+def gelfand_violations(gm: GelfandMatrix) -> dict | None:
+    """A witness that the transform of a group bundle is not square, not
+    invertible or not multiplicative; None when it is all three.
 
-    Exact: exponents add modulo one where both factors are roots of unity.
+    Checks, in integer exponent arithmetic, that there are as many rows as
+    arrows and that each row r at unit x
+      - is nonzero exactly on the fiber A_x, the arrows with source x;
+      - is multiplicative there: e[a] + e[b] = e[a.b] modulo its modulus;
+      - differs from every other row at x.
+    Arrows of different fibers do not compose and every row vanishes on one
+    of them, so the first two make each row a homomorphism from A_x to the
+    nonzero complex numbers and the transform send convolution to pointwise
+    product.  Distinct
+    homomorphisms are linearly independent (Dedekind's lemma; Lang, Algebra,
+    VI.4), so at most |A_x| rows sit at x, and with as many rows as arrows
+    each block has exactly |A_x| independent rows: the matrix is
+    nonsingular.  A repeated row is the only way it can be singular.  The
+    verdict is exact, with no tolerance.
     """
     G = gm.host
-    out = []
-    for a in G.arrows():
-        for b in G.arrows():
-            ab = G.comp.get((a, b))
-            for r in range(gm.size):
-                ea, eb = gm.entries[r][a], gm.entries[r][b]
-                eab = None if ab is None else gm.entries[r][ab]
-                expected = None if (ea is None or eb is None) else (ea + eb) % 1
-                if expected != eab:
-                    out.append((a, b, r))
-                    if len(out) >= limit:
-                        return out
-    return out
+    if gm.size != G.n:
+        return {"reason": "not square", "rows": gm.size, "dim": G.n}
+    fibers: dict[int, list[int]] = {}
+    for g in G.arrows():
+        fibers.setdefault(G.src[g], []).append(g)
+    # rows compared as functions: exponents over a common modulus
+    common = lcm(*(chi.modulus for _, chi in gm.pairs))
+    seen: dict[tuple, int] = {}
+    for r, ((x, chi), e) in enumerate(zip(gm.pairs, gm.entries)):
+        fiber = fibers[x]
+        for g in G.arrows():
+            if (e[g] is None) == (G.src[g] == x):
+                return {"reason": "wrong support", "row": r, "unit": G.labels[x],
+                        "arrow": G.labels[g]}
+        m = chi.modulus
+        for a in fiber:
+            for b in fiber:
+                if (e[a] + e[b] - e[G.comp[(a, b)]]) % m:
+                    return {"reason": "not multiplicative", "row": r,
+                            "pair": [G.labels[a], G.labels[b]]}
+        key = (x, tuple(e[g] * (common // m) % common for g in fiber))
+        if key in seen:
+            return {"reason": "repeated row", "rows": [seen[key], r], "unit": G.labels[x]}
+        seen[key] = r
+    return None

@@ -15,13 +15,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from . import abelian, algebra, core, generators, groups, quotients
 from .core import FiniteGroupoid
 
-DET_TOLERANCE = 1e-6
-NUMERIC_TOLERANCE = 1e-9
 EXHAUSTIVE_NORMAL_LIMIT = 24
 
 
@@ -141,41 +137,15 @@ def _check_pi_kernel(ab: quotients.Abelianization, ideal: algebra.IdealBasis):
     return None
 
 
-def _gelfand_witness(bundle: abelian.DualBundle):
-    B = bundle.host
-    gm = algebra.gelfand_transform(bundle)
-    if gm.size != B.n:
-        return {"reason": "not square", "rows": gm.size, "dim": B.n}
-    bad = algebra.gelfand_multiplicativity_violations(gm)
-    if bad:
-        a, b, r = bad[0]
-        return {"reason": "not multiplicative", "pair": [B.labels[a], B.labels[b]], "row": r}
-    det = np.linalg.det(np.array(gm.to_complex(), dtype=complex)) if gm.size else 1.0
-    if abs(det) <= DET_TOLERANCE:
-        return {"reason": "numerically singular", "abs_det": abs(det)}
-    return None
-
-
 def _check_gelfand(ab: quotients.Abelianization):
-    targets = [("abelianization", abelian.dual_bundle(ab.g_ab))]
-    if core.is_group_bundle(ab.host):
-        try:
-            targets.append(("self", abelian.dual_bundle(ab.host)))
-        except ValueError:
-            pass   # non-abelian fibers: the transform does not apply to G itself
-    for tag, bundle in targets:
-        w = _gelfand_witness(bundle)
-        if w is not None:
-            w["target"] = tag
-            return w
-    return None
+    return algebra.gelfand_violations(algebra.gelfand_transform(ab.dual))
 
 
 def _check_fiber_duality(ab: quotients.Abelianization):
     G = ab.host
     for x in ab.fixed_points:
-        a, _ = algebra.abelianized_fiber(ab, x)
-        chars = abelian.characters(a)
+        y = ab.fiber_unit(x)
+        a, chars = ab.dual.fiber_groups[y], ab.dual.fibers[y]
         if len(chars) != a.order:
             return {"unit": G.labels[x], "characters": len(chars), "order": a.order}
         dual = abelian.char_group_structure(chars)
@@ -187,8 +157,9 @@ def _check_fiber_duality(ab: quotients.Abelianization):
 
 
 def instance_checks(G: FiniteGroupoid, instance: str) -> list[CheckResult]:
-    # Each is built once, inside the first check that needs it: a crash while
-    # building fails that check and, not being cached, each later one too.
+    # Each, like ab().dual, is built once, inside the first check that needs
+    # it: a crash while building fails that check and, not being cached, each
+    # later one too.
     ab = functools.cache(lambda: quotients.abelianize_groupoid(G))
     ideal = functools.cache(lambda: algebra.commutator_ideal(G))
     return [

@@ -78,7 +78,7 @@ def _read_document(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_INPUT, {"error": f"cannot read {path}: {exc}"}) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # bad JSON or UTF-8; nesting too deep
         raise CliError(EXIT_INPUT, {"error": f"invalid JSON in {path}: {exc}"}) from exc
 
 

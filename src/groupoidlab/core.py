@@ -33,22 +33,8 @@ class FiniteGroupoid:
     def arrows(self) -> range:
         return range(self.n)
 
-    def composable(self, a: int, b: int) -> bool:
-        return self.src[a] == self.rng[b]
-
-    def compose(self, a: int, b: int) -> int:
-        return self.comp[(a, b)]
-
     def is_unit(self, g: int) -> bool:
         return g in self.units
-
-    def arrows_from(self, x: int) -> list[int]:
-        """All arrows with source x."""
-        return [g for g in range(self.n) if self.src[g] == x]
-
-    def arrows_into(self, x: int) -> list[int]:
-        """All arrows with range x."""
-        return [g for g in range(self.n) if self.rng[g] == x]
 
     def label_index(self, label: str) -> int:
         return self.labels.index(label)

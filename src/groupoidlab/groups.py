@@ -24,9 +24,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.labels)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def inverse(self, i: int) -> int:
         return self.table[i].index(self.identity)
 

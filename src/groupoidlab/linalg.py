@@ -117,7 +117,7 @@ class Echelon:
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec modulo the current row space (zero iff contained)."""
-        work = dict(vec)
+        work = {k: c for k, c in vec.items() if c}
         for p in sorted(set(work) & set(self.pivots)):
             c = work.get(p)
             if c:

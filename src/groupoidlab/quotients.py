@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
-from . import core, groups
+from . import abelian, core, groups
 from .core import ElementSubset, FiniteGroupoid
 
 
@@ -81,9 +82,6 @@ class NormalSubgroupoid:
     def __len__(self) -> int:
         return len(self.members)
 
-    def subset(self) -> ElementSubset:
-        return ElementSubset(self.host, self.members)
-
 
 def normal_subgroupoid(G: FiniteGroupoid, H: ElementSubset | Iterable[int]) -> NormalSubgroupoid:
     """Validated constructor; raises with the failing condition and witness."""
@@ -97,7 +95,6 @@ def normal_subgroupoid(G: FiniteGroupoid, H: ElementSubset | Iterable[int]) -> N
 class QuotientResult:
     quotient: FiniteGroupoid
     class_map: tuple[int, ...]     # host arrow -> quotient arrow
-    rep_arrows: tuple[int, ...]    # quotient arrow -> minimal host representative
 
 
 def quotient(G: FiniteGroupoid, H: NormalSubgroupoid | ElementSubset | Iterable[int]) -> QuotientResult:
@@ -134,7 +131,7 @@ def quotient(G: FiniteGroupoid, H: NormalSubgroupoid | ElementSubset | Iterable[
                 comp[(i, j)] = class_map[G.comp[(a, b)]]
     Q = FiniteGroupoid(n=len(reps), units=units, src=src, rng=rng, comp=comp,
                        inv=inv, labels=tuple(G.labels[r] for r in reps))
-    return QuotientResult(quotient=Q, class_map=class_map, rep_arrows=tuple(reps))
+    return QuotientResult(quotient=Q, class_map=class_map)
 
 
 def quotient_preimage_of_units(G: FiniteGroupoid, result: QuotientResult) -> frozenset[int]:
@@ -180,6 +177,16 @@ class Abelianization:
     def fixed_points(self) -> list[int]:
         """The host's fixed points, ascending: the units of g_fix."""
         return sorted(self.inclusion[u] for u in self.g_fix.units)
+
+    def fiber_unit(self, x: int) -> int:
+        """The unit of g_ab that the fixed point x of the host maps to."""
+        return self.class_map[self.inclusion.index(x)]
+
+    @cached_property
+    def dual(self) -> abelian.DualBundle:
+        """The character dual of g_ab, built on first use.  A build that
+        raises is not kept, so the next reader raises again."""
+        return abelian.dual_bundle(self.g_ab)
 
 
 def abelianize_groupoid(G: FiniteGroupoid) -> Abelianization:

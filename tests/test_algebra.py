@@ -1,5 +1,6 @@
 """Convolution algebra, commutator ideal, characters, and the bundle transform."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -319,12 +320,8 @@ class TestGelfand:
     def test_cyclic_three_gives_the_discrete_fourier_matrix(self):
         G = generators.group_bundle([("p", groups.cyclic(3))])
         gm = algebra.gelfand_transform(abelian.dual_bundle(G))
-        F = Fraction
-        assert [list(row) for row in gm.entries] == [
-            [F(0), F(0), F(0)],
-            [F(0), F(1, 3), F(2, 3)],
-            [F(0), F(2, 3), F(1, 3)],
-        ]
+        assert [list(row) for row in gm.entries] == [[0, 0, 0], [0, 1, 2], [0, 2, 1]]
+        assert [chi.modulus for _, chi in gm.pairs] == [3, 3, 3]
 
     def test_two_fiber_bundle_determinant(self):
         import numpy as np
@@ -346,7 +343,7 @@ class TestGelfand:
         G = generators.group_bundle([("u", groups.cyclic(4)),
                                      ("v", groups.cyclic(3))])
         gm = algebra.gelfand_transform(abelian.dual_bundle(G))
-        assert algebra.gelfand_multiplicativity_violations(gm) == []
+        assert algebra.gelfand_violations(gm) is None
 
     def test_numeric_multiplicativity(self):
         G = generators.group_bundle([("u", groups.cyclic(2)), ("v", groups.klein())])
@@ -360,6 +357,31 @@ class TestGelfand:
                     got = 0j if c is None else m[r][c]
                     assert abs(want - got) <= 1e-9
 
+    def test_injected_faults_get_their_own_reason(self):
+        import numpy as np
+        G = generators.group_bundle([("u", groups.cyclic(4)), ("v", groups.klein())])
+        gm = algebra.gelfand_transform(abelian.dual_bundle(G))
+        assert algebra.gelfand_violations(gm) is None
+        rows = [list(row) for row in gm.entries]
+        u_rows = [r for r, (x, _) in enumerate(gm.pairs) if x == gm.pairs[0][0]]
+        v_row = next(r for r, (x, _) in enumerate(gm.pairs) if x != gm.pairs[0][0])
+        g = next(g for g, e in enumerate(rows[1]) if e not in (None, 0))
+
+        def reason(**changes):
+            witness = algebra.gelfand_violations(dataclasses.replace(gm, **changes))
+            return witness and witness["reason"]
+
+        moved = rows[:u_rows[-1]] + [rows[v_row]] + rows[u_rows[-1] + 1:]
+        assert reason(entries=tuple(map(tuple, moved))) == "wrong support"
+        bent = [list(row) for row in rows]
+        bent[1][g] = (bent[1][g] + 1) % gm.pairs[1][1].modulus
+        assert reason(entries=tuple(map(tuple, bent))) == "not multiplicative"
+        repeated = rows[:2] + [rows[1]] + rows[3:]
+        assert reason(entries=tuple(map(tuple, repeated))) == "repeated row"
+        singular = dataclasses.replace(gm, entries=tuple(map(tuple, repeated))).to_complex()
+        assert abs(np.linalg.det(np.array(singular, dtype=complex))) < 1e-9
+        assert reason(pairs=gm.pairs[1:], entries=gm.entries[1:]) == "not square"
+
     def test_rejects_non_bundle(self, klein_cross):
         with pytest.raises(ValueError):
             algebra.gelfand_transform(abelian.dual_bundle(klein_cross))
@@ -370,7 +392,7 @@ class TestGelfand:
             B = quotients.abelianize_groupoid(G).g_ab
             gm = algebra.gelfand_transform(abelian.dual_bundle(B))
             assert gm.size == B.n
-            assert algebra.gelfand_multiplicativity_violations(gm) == []
+            assert algebra.gelfand_violations(gm) is None
             if B.n:
                 det = np.linalg.det(np.array(gm.to_complex(), dtype=complex))
                 assert abs(det) > 1e-6

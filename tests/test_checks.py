@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from groupoidlab import algebra, checks, core, generators, quotients
+from groupoidlab import abelian, algebra, checks, core, generators, quotients
 from groupoidlab.linalg import BinomialSpan
 
 
@@ -138,3 +138,37 @@ class TestSharedPerInstanceValues:
             results = checks.instance_checks(G, "counted")
             assert all(r.ok for r in results)
             assert calls == {"commutator_ideal": 1, "abelianize_groupoid": 1}
+
+    def test_dual_is_built_once_and_shared_by_its_readers(self, monkeypatch):
+        built = []
+        original = abelian.dual_bundle
+
+        def counted(G):
+            built.append(original(G))
+            return built[-1]
+
+        monkeypatch.setattr(abelian, "dual_bundle", counted)
+        for G in (generators.klein_cross(), generators.s3_a3_bundle(),
+                  generators.random_groupoid(59, 60)):
+            built.clear()
+            ab = quotients.abelianize_groupoid(G)
+            assert not built   # the abelianization alone never dualizes
+            assert checks._check_gelfand(ab) is None
+            assert checks._check_fiber_duality(ab) is None
+            chars = algebra.enumerate_characters(ab)
+            assert len(built) == 1 and ab.dual is built[0]
+            for x in ab.fixed_points:
+                y = ab.fiber_unit(x)
+                assert algebra.abelianized_fiber(ab, x)[0] is ab.dual.fiber_groups[y]
+            assert all(any(phi.chi is chi for chi in ab.dual.fibers[ab.fiber_unit(phi.unit)])
+                       for phi in chars)
+
+    def test_a_failed_dual_fails_each_check_that_reads_it(self, monkeypatch):
+        def broken(G):
+            raise RuntimeError("no dual")
+
+        monkeypatch.setattr(abelian, "dual_bundle", broken)
+        results = checks.instance_checks(generators.klein_cross(), "broken")
+        failed = {r.name: r.witness["message"] for r in results if not r.ok}
+        assert failed == {"character-count": "no dual", "gelfand": "no dual",
+                          "fiber-duality": "no dual"}

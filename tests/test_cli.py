@@ -67,9 +67,10 @@ class TestGenerateAndValidate:
 
     def test_unparseable_input_exits_two(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
-        path.write_text("{not json")
-        code, data = run(["validate", "--input", str(path)], capsys)
-        assert code == 2 and "error" in data
+        for junk in (b"{not json", b'{"units": "\xff"}', b"[" * 200_000):
+            path.write_bytes(junk)
+            code, data = run(["validate", "--input", str(path)], capsys)
+            assert code == 2 and "error" in data
 
     def test_missing_file_exits_two(self, capsys):
         code, data = run(["validate", "--input", "/nonexistent/x.json"], capsys)
@@ -257,6 +258,15 @@ class TestPlumbing:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert json.loads(out.stdout)["valid"] is True
+
+    def test_check_runs_without_numpy(self):
+        script = ("import sys; sys.modules['numpy'] = None; from groupoidlab import cli; "
+                  "sys.exit(cli.main(['check', '--kind', 'klein-cross']))")
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["status"] == "pass"
 
     def test_usage_error_exits_two(self):
         out = subprocess.run([sys.executable, "-m", "groupoidlab.cli", "frobnicate"],

@@ -2,7 +2,7 @@
 
 import pytest
 
-from groupoidlab import core, generators, groups, quotients
+from groupoidlab import checks, core, generators, groups, quotients
 
 
 def _labels(G, members):
@@ -151,3 +151,15 @@ class TestCommutatorAndAbelianization:
             assert core.is_group_bundle(ab.g_ab)
             for (a, b), c in ab.g_ab.comp.items():
                 assert ab.g_ab.comp[(b, a)] == c
+
+    def test_abelian_group_bundles_abelianize_to_themselves(self):
+        bundles = 0
+        for seed in range(200):
+            G = generators.random_groupoid(seed, checks.corpus_budget(seed))
+            if not core.is_group_bundle(G) or not all(
+                    groups.is_abelian(quotients.fiber_group(G, x)[0]) for x in G.units):
+                continue
+            bundles += 1
+            g_ab = quotients.abelianize_groupoid(G).g_ab
+            assert (g_ab.src, g_ab.rng, g_ab.comp, g_ab.inv) == (G.src, G.rng, G.comp, G.inv)
+        assert bundles >= 10

@@ -57,7 +57,6 @@ from .core import (
     is_effective,
     is_group_bundle,
     isotropy,
-    make_groupoid,
     restrict,
     unit_components,
     validate,
@@ -81,7 +80,7 @@ from .generators import (
     trivial_groupoid,
 )
 from .groups import FiniteGroup, cyclic, dihedral4, finite_group, klein, quaternion8, sym3
-from .linalg import BinomialSpan, Echelon, Qi, kernel_basis, same_span
+from .linalg import BinomialSpan, Qi
 from .quotients import (
     Abelianization,
     NormalSubgroupoid,
@@ -102,7 +101,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement", "AlgebraHom", "AxiomViolation", "Abelianization",
     "BinomialSpan", "Character", "CharacterFunctional", "CheckReport", "CheckResult",
-    "CyclicDecomposition", "DocumentError", "DualBundle", "Echelon",
+    "CyclicDecomposition", "DocumentError", "DualBundle",
     "FiniteAbelianGroup", "FiniteGroup", "FiniteGroupoid", "GelfandMatrix",
     "NormalSubgroupoid", "NotInvariantError", "Qi", "QuotientResult",
     "SmithNormalForm",
@@ -116,11 +115,11 @@ __all__ = [
     "finite_group", "fixed_points", "from_coeffs", "gelfand_transform",
     "group_action", "group_bundle", "instance_checks", "interior_isotropy",
     "invariant_factors", "involute", "is_bisection", "is_effective",
-    "is_group_bundle", "is_normal", "isotropy", "kernel_basis", "klein",
-    "klein_cross", "make_groupoid", "normal_subgroupoid", "pair_groupoid",
+    "is_group_bundle", "is_normal", "isotropy", "klein",
+    "klein_cross", "normal_subgroupoid", "pair_groupoid",
     "pi_hom", "quaternion8", "quotient", "quotient_hom",
     "quotient_preimage_of_units", "random_groupoid", "regression_checks",
-    "restrict", "restriction_hom", "s3_a3_bundle", "s3_point", "same_span",
+    "restrict", "restriction_hom", "s3_a3_bundle", "s3_point",
     "smith_normal_form", "sym3", "transformation_groupoid",
     "trivial_groupoid", "unit_components", "unit_element", "validate",
 ]

@@ -181,20 +181,6 @@ def characters(a: FiniteAbelianGroup) -> list[Character]:
     return out
 
 
-def character_violations(chi: Character) -> list[str]:
-    """Exhaustive homomorphism check in exponent arithmetic, for tests."""
-    a = chi.host
-    nn = chi.modulus
-    out = []
-    if chi.exps[a.identity] % nn != 0:
-        out.append("identity not sent to 1")
-    for x in range(a.order):
-        for y in range(a.order):
-            if (chi.exps[x] + chi.exps[y] - chi.exps[a.table[x][y]]) % nn != 0:
-                out.append(f"not multiplicative at ({x},{y})")
-    return out
-
-
 def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     """The character group under pointwise multiplication of values.
 

@@ -3,10 +3,12 @@
 Basis deltas multiply by composition (delta_a * delta_b = delta_{a.b} when
 composable, zero otherwise) and the involution is conjugate-transpose along
 inversion.  Induced maps — restriction to an invariant unit set, pushforward
-along a quotient — are stored as exact matrices on the delta basis, so kernels
-and ideal ranks are computed with no floating point.  Characters evaluate as
-root-of-unity exponents; complex numbers appear only when a caller asks for a
-numeric value.
+along a quotient, and their composite pi onto the abelianization — send each
+delta to one delta or to zero, so they are stored as maps of arrows, and their
+kernels and the commutator ideal are partitions of arrows (BinomialSpan), with
+no elimination and no floating point.  Characters evaluate as root-of-unity
+exponents; complex numbers appear only when a caller asks for a numeric
+value.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable
 from . import abelian, core, quotients
 from .abelian import Character, FiniteAbelianGroup
 from .core import ElementSubset, FiniteGroupoid
-from .linalg import QI0, QI1, BinomialSpan, Echelon, Qi, as_qi, vec_iadd_scaled
+from .linalg import QI0, QI1, BinomialSpan, Qi, as_qi, vec_iadd_scaled
 
 
 @dataclass
@@ -132,46 +134,40 @@ def involute(f: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(G, {G.inv[k]: v.conjugate() for k, v in f.coeffs.items()})
 
 
-def diagonal_basis(G: FiniteGroupoid) -> list[dict]:
-    """Delta vectors of the units: the canonical commutative diagonal."""
-    return [{x: QI1} for x in sorted(G.units)]
-
-
 # --- induced homomorphisms ------------------------------------------------
 
 @dataclass
 class AlgebraHom:
-    """A linear map between groupoid algebras, stored on the delta basis."""
+    """A linear map between groupoid algebras induced by a map of arrows.
+
+    arrow_map[g] is the codomain arrow that delta_g goes to, or None where
+    delta_g goes to zero.  Restriction, quotient pushforward, pi and their
+    compositions all have this shape.
+    """
 
     domain: FiniteGroupoid
     codomain: FiniteGroupoid
-    images: tuple[AlgebraElement, ...]
+    arrow_map: tuple[int | None, ...]
 
     def apply(self, f: AlgebraElement) -> AlgebraElement:
         if f.host != self.domain:
             raise ValueError("element not in the domain algebra")
         acc: dict[int, Qi] = {}
         for k, c in f.coeffs.items():
-            vec_iadd_scaled(acc, self.images[k].coeffs, c)
+            t = self.arrow_map[k]
+            if t is not None:
+                vec_iadd_scaled(acc, {t: QI1}, c)
         return AlgebraElement(self.codomain, acc)
 
     def kernel(self) -> BinomialSpan:
-        """The kernel of a map sending each delta to one delta or to zero.
-
-        Arrows with the same image are joined and arrows sent to zero are
-        killed.  Restriction, quotient pushforward, pi and their compositions
-        all have this shape; an image of any other shape raises ValueError.
-        """
+        """The partition of arrow_map: arrows with the same image are joined
+        and arrows sent to zero are killed."""
         span = BinomialSpan()
         first: dict[int, int] = {}
-        for g, img in enumerate(self.images):
-            if not img.coeffs:
+        for g, t in enumerate(self.arrow_map):
+            if t is None:
                 span.kill(g)
-                continue
-            (t, c), *rest = img.coeffs.items()
-            if rest or c != QI1:
-                raise ValueError(f"image of arrow {g} is not a single delta: {img!r}")
-            if t in first:
+            elif t in first:
                 span.union(first[t], g)
             else:
                 first[t] = g
@@ -181,26 +177,19 @@ class AlgebraHom:
 def compose_homs(outer: AlgebraHom, inner: AlgebraHom) -> AlgebraHom:
     if inner.codomain != outer.domain:
         raise ValueError("homomorphisms do not compose")
-    images = tuple(outer.apply(img) for img in inner.images)
-    return AlgebraHom(domain=inner.domain, codomain=outer.codomain, images=images)
+    arrow_map = tuple(None if t is None else outer.arrow_map[t] for t in inner.arrow_map)
+    return AlgebraHom(domain=inner.domain, codomain=outer.codomain, arrow_map=arrow_map)
 
 
 def restriction_hom(G: FiniteGroupoid, F: ElementSubset | Iterable[int]) -> AlgebraHom:
     """Restriction of functions to the subgroupoid over an invariant unit set."""
-    kept = core.restricted_arrows(G, F)
-    sub = core.restrict(G, F)
-    index = {g: i for i, g in enumerate(kept)}
-    images = tuple(
-        AlgebraElement(sub, {index[g]: QI1}) if g in index else AlgebraElement(sub, {})
-        for g in G.arrows())
-    return AlgebraHom(domain=G, codomain=sub, images=images)
+    index = {g: i for i, g in enumerate(core.restricted_arrows(G, F))}
+    return AlgebraHom(G, core.restrict(G, F), tuple(map(index.get, G.arrows())))
 
 
 def quotient_hom_from_result(G: FiniteGroupoid, qr: quotients.QuotientResult) -> AlgebraHom:
     """Pushforward along an already-computed quotient map."""
-    Q = qr.quotient
-    images = tuple(AlgebraElement(Q, {qr.class_map[g]: QI1}) for g in G.arrows())
-    return AlgebraHom(domain=G, codomain=Q, images=images)
+    return AlgebraHom(G, qr.quotient, qr.class_map)
 
 
 def quotient_hom(G: FiniteGroupoid,
@@ -209,78 +198,9 @@ def quotient_hom(G: FiniteGroupoid,
     return quotient_hom_from_result(G, quotients.quotient(G, H))
 
 
-def hom_multiplicativity_violations(h: AlgebraHom, limit: int = 1) -> list[tuple[int, int]]:
-    """Basis pairs where phi(d_a * d_b) != phi(d_a) * phi(d_b)."""
-    out = []
-    for a in h.domain.arrows():
-        fa = h.images[a]
-        for b in h.domain.arrows():
-            lhs = h.apply(convolve(delta(h.domain, a), delta(h.domain, b)))
-            if lhs != convolve(fa, h.images[b]):
-                out.append((a, b))
-                if len(out) >= limit:
-                    return out
-    return out
-
-
-def hom_star_violations(h: AlgebraHom, limit: int = 1) -> list[int]:
-    out = []
-    for a in h.domain.arrows():
-        if h.apply(involute(delta(h.domain, a))) != involute(h.images[a]):
-            out.append(a)
-            if len(out) >= limit:
-                return out
-    return out
-
-
-def hom_is_surjective(h: AlgebraHom) -> bool:
-    ech = Echelon()
-    for img in h.images:
-        ech.insert(img.coeffs)
-    return ech.rank == h.codomain.n
-
-
 # --- the commutator ideal -------------------------------------------------
 
-@dataclass
-class IdealBasis:
-    """A two-sided ideal, held as a span of binomials and monomials."""
-
-    host: FiniteGroupoid
-    span: BinomialSpan
-
-    @property
-    def rank(self) -> int:
-        return self.span.rank
-
-    def contains(self, vec: dict) -> bool:
-        return self.span.contains(vec)
-
-    def vectors(self) -> list[dict]:
-        return self.span.vectors()
-
-
-def _left_shift(G: FiniteGroupoid, g: int, row: dict) -> dict:
-    comp = G.comp
-    out = {}
-    for b, c in row.items():
-        t = comp.get((g, b))
-        if t is not None:
-            out[t] = c
-    return out
-
-
-def _right_shift(G: FiniteGroupoid, g: int, row: dict) -> dict:
-    comp = G.comp
-    out = {}
-    for a, c in row.items():
-        t = comp.get((a, g))
-        if t is not None:
-            out[t] = c
-    return out
-
-
-def commutator_ideal(G: FiniteGroupoid) -> IdealBasis:
+def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
     """The smallest closed two-sided ideal containing all basis commutators.
 
     Seeds with delta_ab - delta_ba (delta_ab alone where ba is undefined),
@@ -314,22 +234,7 @@ def commutator_ideal(G: FiniteGroupoid) -> IdealBasis:
             for g in set().union(*shifts):
                 feed(tuple(by[g] for by in shifts if g in by))
 
-    return IdealBasis(host=G, span=span)
-
-
-def ideal_closure_violations(basis: IdealBasis, limit: int = 1) -> list[tuple[int, int, str]]:
-    """Shifts of basis vectors that escape the span (empty for a two-sided ideal)."""
-    G = basis.host
-    out = []
-    for i, row in enumerate(basis.vectors()):
-        for g in G.arrows():
-            for side, shifted in (("left", _left_shift(G, g, row)),
-                                  ("right", _right_shift(G, g, row))):
-                if shifted and not basis.contains(shifted):
-                    out.append((i, g, side))
-                    if len(out) >= limit:
-                        return out
-    return out
+    return span
 
 
 def abelianization_dim(G: FiniteGroupoid) -> int:
@@ -403,51 +308,14 @@ def enumerate_characters(ab: quotients.Abelianization) -> list[CharacterFunction
     return out
 
 
-def functional_multiplicativity_violations(phi: CharacterFunctional,
-                                           limit: int = 1) -> list[tuple[int, int]]:
-    """Basis pairs where phi(d_a * d_b) != phi(d_a) phi(d_b), checked in exponents."""
-    G = phi.host
-    out = []
-    for a in G.arrows():
-        ea = phi.exponents.get(a)
-        for b in G.arrows():
-            eb = phi.exponents.get(b)
-            ab = G.comp.get((a, b))
-            eab = None if ab is None else phi.exponents.get(ab)
-            expected = None if (ea is None or eb is None) else (ea + eb) % phi.modulus
-            if expected != eab:
-                out.append((a, b))
-                if len(out) >= limit:
-                    return out
-    return out
-
-
-def functional_star_violations(phi: CharacterFunctional, limit: int = 1) -> list[int]:
-    """Arrows where phi(d_g*) is not the conjugate of phi(d_g)."""
-    G = phi.host
-    out = []
-    for g in G.arrows():
-        e = phi.exponents.get(g)
-        ei = phi.exponents.get(G.inv[g])
-        bad = (e is None) != (ei is None) or (e is not None and (e + ei) % phi.modulus != 0)
-        if bad:
-            out.append(g)
-            if len(out) >= limit:
-                return out
-    return out
-
-
 def pi_hom(ab: quotients.Abelianization) -> AlgebraHom:
     """Restrict to the fixed points, then push down to the abelianized bundle.
 
     A delta at a fixed point goes to the delta of its class in ab.g_ab; every
     other delta goes to zero.
     """
-    Q = ab.g_ab
     class_of = {g: ab.class_map[i] for i, g in enumerate(ab.inclusion)}
-    images = tuple(AlgebraElement(Q, {class_of[g]: QI1} if g in class_of else {})
-                   for g in ab.host.arrows())
-    return AlgebraHom(domain=ab.host, codomain=Q, images=images)
+    return AlgebraHom(ab.host, ab.g_ab, tuple(map(class_of.get, ab.host.arrows())))
 
 
 # --- the transform for abelian bundles ------------------------------------

@@ -17,6 +17,7 @@ from typing import Callable
 
 from . import abelian, algebra, core, generators, groups, quotients
 from .core import FiniteGroupoid
+from .linalg import BinomialSpan
 
 EXHAUSTIVE_NORMAL_LIMIT = 24
 
@@ -122,7 +123,7 @@ def _check_quotient_family(G: FiniteGroupoid):
     return witnesses or None
 
 
-def _check_character_count(ab: quotients.Abelianization, ideal: algebra.IdealBasis):
+def _check_character_count(ab: quotients.Abelianization, ideal: BinomialSpan):
     chars = len(algebra.enumerate_characters(ab))
     dim = ab.host.n - ideal.rank
     if chars != dim:
@@ -130,9 +131,9 @@ def _check_character_count(ab: quotients.Abelianization, ideal: algebra.IdealBas
     return None
 
 
-def _check_pi_kernel(ab: quotients.Abelianization, ideal: algebra.IdealBasis):
+def _check_pi_kernel(ab: quotients.Abelianization, ideal: BinomialSpan):
     kernel = algebra.pi_hom(ab).kernel()
-    if kernel != ideal.span:
+    if kernel != ideal:
         return {"kernel_rank": kernel.rank, "ideal_rank": ideal.rank}
     return None
 

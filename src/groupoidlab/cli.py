@@ -19,6 +19,11 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
+# The largest model the CLI builds, in arrows: pair:64.  Every table is held
+# in memory and the checks grow polynomially with the arrow count, so a larger
+# size is refused before anything is built instead of ending in a MemoryError.
+MAX_ARROWS = 4096
+
 
 class CliError(Exception):
     """Carries the exit code and a JSON payload describing what went wrong."""
@@ -33,13 +38,17 @@ class CliError(Exception):
 
 def _model(kind: str, seed: int, budget: int) -> core.FiniteGroupoid:
     if kind == "random":
-        return generators.random_groupoid(seed, _at_least_one(budget, "--budget"))
+        return generators.random_groupoid(seed, _budget(budget))
     if kind in generators.NAMED_MODELS:
         return generators.NAMED_MODELS[kind]()
     if kind.startswith("pair:"):
-        return generators.pair_groupoid(_positive(kind.split(":", 1)[1], kind))
+        n = _positive(kind.split(":", 1)[1], kind)
+        _within_limit(n * n, f"kind {kind!r}")
+        return generators.pair_groupoid(n)
     if kind.startswith("trivial:"):
-        return generators.trivial_groupoid(_positive(kind.split(":", 1)[1], kind))
+        n = _positive(kind.split(":", 1)[1], kind)
+        _within_limit(n, f"kind {kind!r}")
+        return generators.trivial_groupoid(n)
     if kind.startswith("group:"):
         name = kind.split(":", 1)[1]
         builder = groups.LIBRARY_BUILDERS.get(name)
@@ -68,6 +77,17 @@ def _at_least_one(value: int, option: str) -> int:
     if value < 1:
         raise CliError(EXIT_INPUT, {"error": f"{option} must be at least 1, got {value}"})
     return value
+
+
+def _within_limit(arrows: int, what: str) -> int:
+    if arrows > MAX_ARROWS:
+        raise CliError(EXIT_INPUT, {
+            "error": f"{what} means up to {arrows} arrows; the limit is {MAX_ARROWS}"})
+    return arrows
+
+
+def _budget(value: int) -> int:
+    return _within_limit(_at_least_one(value, "--budget"), "--budget")
 
 
 def _read_document(path: str) -> dict:
@@ -222,7 +242,7 @@ def _cmd_check(args) -> int:
     if args.corpus:
         report = checks.corpus_report(seed=args.seed,
                                       count=_at_least_one(args.count, "--count"),
-                                      cap=_at_least_one(args.budget, "--budget"),
+                                      cap=_budget(args.budget),
                                       jobs=min(_at_least_one(args.jobs, "--jobs"),
                                                os.cpu_count() or 1))
     else:
@@ -247,7 +267,7 @@ def _add_source(p: argparse.ArgumentParser, require_kind: bool = False) -> None:
                         "pair:N, trivial:N, group:NAME")
     p.add_argument("--seed", type=int, default=0, help="seed for --kind random")
     p.add_argument("--budget", type=int, default=60,
-                   help="size budget for --kind random")
+                   help=f"size budget for --kind random, at most {MAX_ARROWS} arrows")
 
 
 def build_parser() -> argparse.ArgumentParser:

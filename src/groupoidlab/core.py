@@ -43,18 +43,6 @@ class FiniteGroupoid:
         return f"FiniteGroupoid(n={self.n}, units={len(self.units)})"
 
 
-def make_groupoid(units: Iterable[int], src: Iterable[int], rng: Iterable[int],
-                  comp: dict[tuple[int, int], int], inv: Iterable[int],
-                  labels: Iterable[str] | None = None) -> FiniteGroupoid:
-    """Normalize containers and build a FiniteGroupoid (no axiom checking)."""
-    src_t = tuple(src)
-    n = len(src_t)
-    if labels is None:
-        labels = [f"g{i}" for i in range(n)]
-    return FiniteGroupoid(n=n, units=frozenset(units), src=src_t, rng=tuple(rng),
-                          comp=dict(comp), inv=tuple(inv), labels=tuple(labels))
-
-
 @dataclass(frozen=True)
 class ElementSubset:
     """A subset of a groupoid's arrows, remembering its host."""

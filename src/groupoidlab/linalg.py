@@ -1,14 +1,18 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Scalars are complex numbers with Fraction real and imaginary parts; vectors
-are sparse dicts from coordinate index to scalar.  The Echelon accumulator
-keeps a reduced row basis (monic pivots, pivot columns eliminated everywhere
-else), so ranks, kernels, and subspace comparisons are exact and the stored
-rows are canonical for the subspace they span.
+are sparse dicts from coordinate index to scalar.
 
 BinomialSpan holds the subspaces spanned by binomials e_u - e_v and
 monomials e_u, the only kind the commutator ideal and the kernels of the
 induced maps produce, as a partition of coordinates with no elimination.
+These are the package's kernels and ideals.
+
+The Echelon accumulator keeps a reduced row basis (monic pivots, pivot
+columns eliminated everywhere else), so its stored rows are canonical for the
+subspace they span.  Echelon, kernel_basis and same_span are general
+elimination, independent of the partition: the tests use them as the
+reference that BinomialSpan and the kernels are compared against.
 """
 
 from __future__ import annotations
@@ -101,10 +105,6 @@ def vec_iadd_scaled(dst: dict, src: dict, c: Qi) -> dict:
     return dst
 
 
-def vec_equal(a: dict, b: dict) -> bool:
-    return a.keys() == b.keys() and all(a[k] == b[k] for k in a)
-
-
 class Echelon:
     """Growing reduced row basis; insert() reports whether the rank increased."""
 
@@ -144,13 +144,6 @@ class Echelon:
     def rows(self) -> list[dict]:
         """Canonical reduced rows, ordered by pivot column."""
         return [self.pivots[p] for p in sorted(self.pivots)]
-
-
-def rank_of(vectors) -> int:
-    e = Echelon()
-    for v in vectors:
-        e.insert(v)
-    return e.rank
 
 
 def kernel_basis(equations, width: int) -> list[dict]:

@@ -2,6 +2,7 @@
 
 import itertools
 
+import oracle
 import pytest
 
 from groupoidlab import abelian, checks, generators, groups
@@ -79,7 +80,7 @@ class TestCharacters:
     def test_all_characters_are_homomorphisms(self):
         for orders in [(6,), (2, 4), (3, 3), (8,)]:
             for chi in abelian.characters(_product(*orders)):
-                assert abelian.character_violations(chi) == []
+                assert oracle.character_violations(chi) == []
 
     def test_trivial_character_comes_first(self):
         chars = abelian.characters(_product(2, 4))

@@ -10,6 +10,7 @@ budgets cycling 1..60.
 import time
 
 import numpy as np
+import oracle
 import pytest
 
 from groupoidlab import (
@@ -83,7 +84,7 @@ def test_criterion_3_kernel_meets_diagonal_trivially(quotient_pairs):
         ech = Echelon()
         for row in hom.kernel().vectors():
             ech.insert(row)
-        for d in algebra.diagonal_basis(G):
+        for d in oracle.diagonal_basis(G):
             if ech.insert(d) is None:
                 failures.append(seed)
                 break

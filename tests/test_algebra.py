@@ -4,6 +4,7 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import oracle
 import pytest
 
 from groupoidlab import abelian, algebra, core, generators, groups, quotients
@@ -109,9 +110,7 @@ def _echelon_commutator_ideal(G):
     while queue and ech.rank < G.n:
         row = queue.pop()
         for g in G.arrows():
-            left = {G.comp[g, b]: c for b, c in row.items() if (g, b) in G.comp}
-            right = {G.comp[a, g]: c for a, c in row.items() if (a, g) in G.comp}
-            for shifted in (left, right):
+            for _, shifted in oracle.shifts(G, g, row):
                 if shifted:
                     feed(shifted)
     return ech.rows()
@@ -120,7 +119,7 @@ def _echelon_commutator_ideal(G):
 def _matrix_kernel(h):
     """Reference: kernel_basis on the hom's matrix, one equation per codomain arrow."""
     rows = {}
-    for j, img in enumerate(h.images):
+    for j, img in enumerate(oracle.hom_images(h)):
         for i, c in img.coeffs.items():
             rows.setdefault(i, {})[j] = c
     return kernel_basis(rows.values(), h.domain.n)
@@ -142,7 +141,7 @@ class TestCommutatorIdeal:
     def test_ideal_is_two_sided(self, klein_cross, s3_a3):
         for G in (klein_cross, s3_a3):
             ideal = algebra.commutator_ideal(G)
-            assert algebra.ideal_closure_violations(ideal) == []
+            assert oracle.ideal_closure_violations(G, ideal) == []
 
     def test_ideal_contains_every_commutator(self, s3_a3):
         G = s3_a3
@@ -171,16 +170,16 @@ class TestCommutatorIdeal:
 class TestHoms:
     def test_restriction_hom_is_multiplicative_and_star(self, klein_cross):
         h = algebra.restriction_hom(klein_cross, core.fixed_points(klein_cross))
-        assert algebra.hom_multiplicativity_violations(h) == []
-        assert algebra.hom_star_violations(h) == []
-        assert algebra.hom_is_surjective(h)
+        assert oracle.hom_multiplicativity_violations(h) == []
+        assert oracle.hom_star_violations(h) == []
+        assert oracle.hom_is_surjective(h)
 
     def test_quotient_hom_is_multiplicative_and_star(self, s3):
         carrier = {s3.label_index(l) for l in ("e@p", "s@p", "s2@p")}
         h = algebra.quotient_hom(s3, carrier)
-        assert algebra.hom_multiplicativity_violations(h) == []
-        assert algebra.hom_star_violations(h) == []
-        assert algebra.hom_is_surjective(h)
+        assert oracle.hom_multiplicativity_violations(h) == []
+        assert oracle.hom_star_violations(h) == []
+        assert oracle.hom_is_surjective(h)
 
     def test_quotient_hom_kernel_dimension(self, s3):
         carrier = {s3.label_index(l) for l in ("e@p", "s@p", "s2@p")}
@@ -206,14 +205,6 @@ class TestHoms:
                 assert kernel.rank == len(reference)
                 assert same_span(kernel.vectors(), reference)
 
-    def test_kernel_rejects_images_that_are_not_single_deltas(self, s3):
-        h = algebra.quotient_hom(s3, s3.units)
-        for bad in (algebra.delta(h.codomain, 0).scaled(Qi(2)),
-                    algebra.delta(h.codomain, 0) + algebra.delta(h.codomain, 1)):
-            broken = algebra.AlgebraHom(h.domain, h.codomain, (bad,) + h.images[1:])
-            with pytest.raises(ValueError):
-                broken.kernel()
-
     def test_compose_homs_requires_matching_ends(self, s3, pair2):
         h = algebra.restriction_hom(pair2, pair2.units)
         k = algebra.quotient_hom(s3, s3.units)
@@ -228,7 +219,7 @@ class TestPiHom:
             assert same_span(pi.kernel().vectors(), algebra.commutator_ideal(G).vectors())
 
     def test_pi_is_surjective_onto_the_abelianized_bundle(self, klein_cross):
-        assert algebra.hom_is_surjective(
+        assert oracle.hom_is_surjective(
             algebra.pi_hom(quotients.abelianize_groupoid(klein_cross)))
 
     def test_codomain_dimension_equals_abelianization_dim(self, s3_a3):
@@ -245,7 +236,7 @@ class TestPiHom:
                 algebra.restriction_hom(G, core.fixed_points(G)))
             pi = algebra.pi_hom(ab)
             assert pi.codomain == reference.codomain
-            assert pi.images == reference.images
+            assert oracle.hom_images(pi) == oracle.hom_images(reference)
 
 
 class TestCharacters:
@@ -289,8 +280,8 @@ class TestCharacters:
     def test_exact_multiplicativity_and_star(self, klein_cross, s3_a3):
         for G in (klein_cross, s3_a3):
             for phi in algebra.enumerate_characters(quotients.abelianize_groupoid(G)):
-                assert algebra.functional_multiplicativity_violations(phi) == []
-                assert algebra.functional_star_violations(phi) == []
+                assert oracle.functional_multiplicativity_violations(phi) == []
+                assert oracle.functional_star_violations(phi) == []
 
     def test_numeric_evaluation_is_multiplicative(self, klein_cross):
         rng = random.Random(17)

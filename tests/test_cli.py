@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import groupoidlab
-from groupoidlab import checks, cli
+from groupoidlab import checks, cli, generators
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # The directory holding the imported package, so that a child interpreter
@@ -92,12 +92,24 @@ class TestGenerateAndValidate:
         code, data = run(["generate", "--kind", "group:M11"], capsys)
         assert code == 2
 
-    def test_bad_size_exits_two(self, capsys):
+    def test_bad_size_exits_two(self, monkeypatch, capsys):
+        # a size over cli.MAX_ARROWS is refused before any table is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        for module, name in ((generators, "pair_groupoid"), (generators, "trivial_groupoid"),
+                             (generators, "random_groupoid"), (checks, "corpus_report")):
+            monkeypatch.setattr(module, name, refuse)
         code, _ = run(["generate", "--kind", "pair:0"], capsys)
         assert code == 2
         code, _ = run(["generate", "--kind", "trivial:x"], capsys)
         assert code == 2
-        for args in (["generate", "--kind", "random", "--budget", "0"],
+        for args in (["generate", "--kind", "pair:100000"],
+                     ["check", "--kind", "trivial:99999999999"],
+                     ["generate", "--kind", f"trivial:{cli.MAX_ARROWS + 1}"],
+                     ["validate", "--kind", "random", "--budget", "1000000000"],
+                     ["check", "--corpus", "--budget", "1000000000"],
+                     ["generate", "--kind", "random", "--budget", "0"],
                      ["validate", "--kind", "random", "--budget", "0"],
                      ["check", "--corpus", "--budget", "0"],
                      ["check", "--corpus", "--count", "-3"],

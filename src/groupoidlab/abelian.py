@@ -77,12 +77,7 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
     invariant factors and a realizing generator tuple.
     """
     n = a.order
-    gens: list[int] = []
-    reached = groups.closure(a, gens)
-    for x in range(n):
-        if x not in reached:
-            gens.append(x)
-            reached = groups.closure(a, gens)
+    gens = groups.generating_set(a)
     k = len(gens)
 
     words: dict[int, tuple[int, ...]] = {a.identity: (0,) * k}
@@ -184,9 +179,17 @@ def characters(a: FiniteAbelianGroup) -> list[Character]:
 def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     """The character group under pointwise multiplication of values.
 
-    Expects the complete character list of one group; exponent tuples add
-    modulo the host exponent.  The result has the same invariant factors as
-    the original group.
+    Expects the complete character list of one group; exponents add modulo
+    the host exponent.  The result has the same invariant factors as the
+    original group.
+
+    Each character is first checked to be a homomorphism on the generators,
+    chi(x*g) = chi(x) + chi(g) for every x and each generator g.  The
+    elements g that satisfy this for every x are closed under products and
+    hold the identity, a power of any generator, so the character is a
+    homomorphism everywhere and its values on the generators determine it.
+    Characters are therefore keyed, compared and added by those k values
+    instead of by all n.
     """
     if not fiber:
         raise ValueError("empty character list")
@@ -194,25 +197,33 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     if any(chi.host != host for chi in fiber):
         raise ValueError("characters of different groups")
     nn = host.exponent
-    index = {tuple(e % nn for e in chi.exps): i for i, chi in enumerate(fiber)}
+    gens = groups.generating_set(host)
+    columns = [(g, [row[g] for row in host.table]) for g in gens]   # x -> x*g
+    for i, chi in enumerate(fiber):
+        e = chi.exps
+        for g, column in columns:
+            if any((e[xg] - e[x] - e[g]) % nn for x, xg in enumerate(column)):
+                raise ValueError(f"character {i} is not a homomorphism at generator {g}")
+    keys = [tuple(chi.exps[g] % nn for g in gens) for chi in fiber]
+    index = {key: i for i, key in enumerate(keys)}
     if len(index) != len(fiber) or len(fiber) != host.order:
         raise ValueError("character list is not the complete dual")
     table = []
-    for x in fiber:
+    for x in keys:
         row = []
-        for y in fiber:
-            s = tuple((u + v) % nn for u, v in zip(x.exps, y.exps))
+        for y in keys:
+            s = tuple((u + v) % nn for u, v in zip(x, y))
             if s not in index:
                 raise ValueError("character list is not closed under products")
             row.append(index[s])
         table.append(row)
     # Built directly, not through finite_abelian_group: the table is addition
-    # of exponent tuples mod nn, so it is associative and commutative, and the
+    # of keys mod nn, so it is associative and commutative, and the
     # completeness and closure checks above make it a subgroup.  The order of
-    # a tuple under that addition is nn / gcd(nn, its entries).
+    # a character is nn / gcd(nn, its values on the generators).
     return FiniteAbelianGroup(
         name=f"dual({host.name})", labels=tuple(f"chi{i}" for i in range(len(fiber))),
-        table=tuple(map(tuple, table)), identity=index[(0,) * host.order],
+        table=tuple(map(tuple, table)), identity=index[(0,) * len(gens)],
         exponent=lcm(*(nn // gcd(nn, *key) for key in index)))
 
 

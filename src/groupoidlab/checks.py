@@ -9,6 +9,7 @@ data, ready for JSON.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -266,7 +267,6 @@ def abelian_groups_of_order(n: int):
     Yields (expected_invariant_factors, group); the expectation comes from
     the prime-power partitions directly, independent of the matrix route.
     """
-    import itertools
     primes = _prime_factorization(n)
     partition_lists = [_partitions(e) for _, e in primes]
     for combo in itertools.product(*partition_lists):
@@ -335,13 +335,18 @@ def corpus_report(seed: int, count: int, cap: int = 60, jobs: int = 1) -> CheckR
     report = CheckReport()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # the family is the longest single task: started first, it runs
+            # beside the instances instead of after them
+            family = pool.submit(duality_family_check)
             for results in pool.map(_corpus_instance, tasks):
                 report.results.extend(results)
+            report.results.extend(regression_checks())
+            report.results.append(family.result())
     else:
         for task in tasks:
             report.results.extend(_corpus_instance(task))
-    report.results.extend(regression_checks())
-    report.results.append(duality_family_check())
+        report.results.extend(regression_checks())
+        report.results.append(duality_family_check())
     return report
 
 

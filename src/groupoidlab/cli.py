@@ -24,6 +24,13 @@ EXIT_INPUT = 2
 # size is refused before anything is built instead of ending in a MemoryError.
 MAX_ARROWS = 4096
 
+# The most instances one check --corpus run takes.  The report holds six
+# CheckResults per instance until it prints them as one JSON document, about
+# 8 kB of memory per instance (a 1,000-instance run peaks at 34 MB), so a
+# larger count is refused before anything runs instead of growing towards a
+# MemoryError.  A longer corpus is several runs with different --seed values.
+MAX_COUNT = 10_000
+
 
 class CliError(Exception):
     """Carries the exit code and a JSON payload describing what went wrong."""
@@ -88,6 +95,13 @@ def _within_limit(arrows: int, what: str) -> int:
 
 def _budget(value: int) -> int:
     return _within_limit(_at_least_one(value, "--budget"), "--budget")
+
+
+def _count(value: int) -> int:
+    if _at_least_one(value, "--count") > MAX_COUNT:
+        raise CliError(EXIT_INPUT, {
+            "error": f"--count is {value}; the limit is {MAX_COUNT} instances"})
+    return value
 
 
 def _read_document(path: str) -> dict:
@@ -241,7 +255,7 @@ def _cmd_characters(args) -> int:
 def _cmd_check(args) -> int:
     if args.corpus:
         report = checks.corpus_report(seed=args.seed,
-                                      count=_at_least_one(args.count, "--count"),
+                                      count=_count(args.count),
                                       cap=_budget(args.budget),
                                       jobs=min(_at_least_one(args.jobs, "--jobs"),
                                                os.cpu_count() or 1))
@@ -316,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", action="store_true",
                    help="run over generated instances plus fixed families")
     p.add_argument("--count", type=int, default=200,
-                   help="number of corpus instances")
+                   help=f"number of corpus instances, at most {MAX_COUNT}")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the corpus, at most the CPU count")
     p.add_argument("--output", metavar="FILE")

@@ -188,13 +188,12 @@ def random_groupoid(seed: int, size_budget: int = 60) -> FiniteGroupoid:
     if size_budget < 1:
         raise ValueError("size budget must allow at least one arrow")
     rng = random.Random(seed)
-    lib = groups.library()
+    lib = groups.library_subgroups()
     parts: list[FiniteGroupoid] = []
     remaining = size_budget
     attempts = 0
     while remaining >= 1 and attempts < 16:
-        g = lib[rng.randrange(len(lib))]
-        subs = groups.subgroups(g)
+        g, subs = lib[rng.randrange(len(lib))]
         sub = subs[rng.randrange(len(subs))]
         cost = g.order * (g.order // len(sub))
         if cost > remaining:

@@ -4,9 +4,12 @@ its definition by brute force.  The hom checkers read a hom only through
 of the partition that ``AlgebraHom.kernel`` reads.
 """
 
+import itertools
+
 from groupoidlab.abelian import Character
 from groupoidlab.algebra import AlgebraHom, CharacterFunctional, convolve, delta, involute
 from groupoidlab.core import FiniteGroupoid
+from groupoidlab.groups import FiniteGroup
 from groupoidlab.linalg import QI1, BinomialSpan, Echelon
 
 
@@ -119,3 +122,10 @@ def character_violations(chi: Character) -> list[str]:
             if (chi.exps[x] + chi.exps[y] - chi.exps[a.table[x][y]]) % nn != 0:
                 out.append(f"not multiplicative at ({x},{y})")
     return out
+
+
+def associativity_violations(g: FiniteGroup) -> list[tuple[int, int, int]]:
+    """Every triple (i, j, k) with (i*j)*k != i*(j*k), by the cubic loop."""
+    t = g.table
+    return [(i, j, k) for i, j, k in itertools.product(range(g.order), repeat=3)
+            if t[t[i][j]][k] != t[i][t[j][k]]]

@@ -1,11 +1,13 @@
 """Cyclic decomposition, characters, and the dual of an abelian bundle."""
 
+import dataclasses
 import itertools
+from math import gcd, lcm
 
 import oracle
 import pytest
 
-from groupoidlab import abelian, checks, generators, groups
+from groupoidlab import abelian, checks, generators, groups, quotients
 
 
 def _ab(g):
@@ -120,6 +122,61 @@ class TestCharacters:
                 assert groups.is_abelian(dual)
                 # the stored exponent against the lcm of orders read off the table
                 assert dual.exponent == groups.FiniteGroup.exponent(dual)
+
+
+def _full_tuple_char_group(fiber):
+    """The character group keyed by every value, as char_group_structure once
+    built it: the reference for its generator-keyed table."""
+    host = fiber[0].host
+    nn = host.exponent
+    index = {tuple(e % nn for e in chi.exps): i for i, chi in enumerate(fiber)}
+    assert len(index) == len(fiber) == host.order
+    table = [[index[tuple((u + v) % nn for u, v in zip(x.exps, y.exps))] for y in fiber]
+             for x in fiber]
+    return abelian.FiniteAbelianGroup(
+        name=f"dual({host.name})", labels=tuple(f"chi{i}" for i in range(len(fiber))),
+        table=tuple(map(tuple, table)), identity=index[(0,) * host.order],
+        exponent=lcm(*(nn // gcd(nn, *key) for key in index)))
+
+
+class TestCharGroupStructure:
+    def test_matches_the_full_tuple_table_on_the_family(self):
+        for n in range(1, 65):
+            for _, a in checks.abelian_groups_of_order(n):
+                chars = abelian.characters(a)
+                assert abelian.char_group_structure(chars) == _full_tuple_char_group(chars), a.name
+
+    def test_matches_the_full_tuple_table_on_the_corpus_fibers(self):
+        fibers = 0
+        for seed in range(200):
+            G = generators.random_groupoid(seed, checks.corpus_budget(seed))
+            for chars in quotients.abelianize_groupoid(G).dual.fibers.values():
+                assert (abelian.char_group_structure(chars)
+                        == _full_tuple_char_group(chars)), seed
+                fibers += 1
+        assert fibers > 200
+
+    def _fiber(self):
+        return abelian.characters(_product(2, 6))
+
+    def test_rejects_a_non_homomorphism(self):
+        chars = self._fiber()
+        chi = chars[3]
+        bent = list(chi.exps)
+        bent[5] = (bent[5] + 1) % chi.modulus
+        chars[3] = dataclasses.replace(chi, exps=tuple(bent))
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            abelian.char_group_structure(chars)
+
+    def test_rejects_a_duplicated_character(self):
+        chars = self._fiber()
+        chars[3] = chars[4]
+        with pytest.raises(ValueError, match="not the complete dual"):
+            abelian.char_group_structure(chars)
+
+    def test_rejects_a_missing_character(self):
+        with pytest.raises(ValueError, match="not the complete dual"):
+            abelian.char_group_structure(self._fiber()[:-1])
 
 
 class TestDualBundle:

@@ -80,8 +80,8 @@ class TestReports:
         serial = checks.corpus_report(seed=0, count=6, jobs=1)
         parallel = checks.corpus_report(seed=0, count=6, jobs=2)
         assert serial.ok and parallel.ok
-        assert ([r.name for r in serial.results]
-                == [r.name for r in parallel.results])
+        assert ([(r.name, r.instance, r.ok) for r in serial.results]
+                == [(r.name, r.instance, r.ok) for r in parallel.results])
 
 
 class TestBudgetSchedule:

@@ -93,7 +93,8 @@ class TestGenerateAndValidate:
         assert code == 2
 
     def test_bad_size_exits_two(self, monkeypatch, capsys):
-        # a size over cli.MAX_ARROWS is refused before any table is built
+        # a size over cli.MAX_ARROWS or a count over cli.MAX_COUNT is refused
+        # before any table is built
         def refuse(*args, **kwargs):
             raise AssertionError("a model was built")
 
@@ -114,6 +115,8 @@ class TestGenerateAndValidate:
                      ["check", "--corpus", "--budget", "0"],
                      ["check", "--corpus", "--count", "-3"],
                      ["check", "--corpus", "--count", "0"],
+                     ["check", "--corpus", "--count", str(cli.MAX_COUNT + 1)],
+                     ["check", "--corpus", "--count", "100000000"],
                      ["check", "--corpus", "--count", "1", "--jobs", "0"],
                      ["check", "--corpus", "--count", "1", "--jobs", "-5"]):
             code, data = run(args, capsys)

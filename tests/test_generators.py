@@ -2,7 +2,7 @@
 
 import pytest
 
-from groupoidlab import core, document, generators, groups
+from groupoidlab import checks, core, document, generators, groups
 
 
 class TestTransformationGroupoid:
@@ -102,3 +102,28 @@ class TestRandomCorpus:
     def test_degenerate_budget_gives_a_unit_point(self):
         G = generators.random_groupoid(0, 1)
         assert G.n == 1 and core.validate(G) == []
+
+
+class _FreshLibrary:
+    """The library as random_groupoid once read it: each group built and its
+    subgroups computed again on every access."""
+
+    def __len__(self):
+        return len(groups.LIBRARY_BUILDERS)
+
+    def __getitem__(self, i):
+        g = list(groups.LIBRARY_BUILDERS.values())[i]()
+        return g, tuple(groups.subgroups(g))
+
+
+class TestLibrarySubgroups:
+    def test_equals_a_fresh_computation(self):
+        fresh = [(g, tuple(groups.subgroups(g))) for g in groups.library()]
+        assert list(groups.library_subgroups()) == fresh
+        assert len(fresh) == len(groups.LIBRARY_BUILDERS) == 17
+
+    def test_memoized_corpus_equals_the_fresh_one(self, monkeypatch):
+        memoized = [generators.random_groupoid(s, checks.corpus_budget(s)) for s in range(200)]
+        monkeypatch.setattr(groups, "library_subgroups", _FreshLibrary)
+        fresh = [generators.random_groupoid(s, checks.corpus_budget(s)) for s in range(200)]
+        assert memoized == fresh

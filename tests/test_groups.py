@@ -1,8 +1,21 @@
 """The built-in group library and subgroup machinery."""
 
-import pytest
+import random
 
-from groupoidlab import groups
+import oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupoidlab import abelian, groups
+
+# A loop of order 5 (a Latin square with identity 0) that is not associative:
+# (1*1)*2 = 2 but 1*(1*2) = 4.
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
 
 
 class TestLibrary:
@@ -37,11 +50,93 @@ class TestLibrary:
         g = groups.finite_group("broken", ["e", "a"], [[0, 1], [1, 1]])
         assert groups.group_violations(g) != []
 
+    def test_violations_flag_a_non_associative_loop(self):
+        g = groups.finite_group("loop5", list("eabcd"), LOOP5)
+        assert oracle.associativity_violations(g)
+        bad = groups.group_violations(g)
+        assert len(bad) == 1 and bad[0].startswith("associativity fails at")
+        with pytest.raises(ValueError, match="not a group: associativity"):
+            abelian.finite_abelian_group(list("eabcd"), LOOP5)
+
+    def test_out_of_range_entries_are_reported_not_indexed(self):
+        for entry in (3, -1):
+            g = groups.finite_group("broken", ["e", "a", "b"],
+                                    [[0, 1, 2], [1, 2, entry], [2, 0, 1]])
+            assert groups.group_violations(g) == ["entry (1,2) out of range"]
+
+    def test_generating_set_generates(self):
+        for g in groups.library():
+            gens = groups.generating_set(g)
+            assert groups.closure(g, gens) == frozenset(range(g.order)), g.name
+            # greedy: no generator is reached by the ones chosen before it
+            assert all(x not in groups.closure(g, gens[:i]) for i, x in enumerate(gens))
+
     def test_order_of_elements(self):
         s3 = groups.sym3()
         assert s3.order_of(s3.labels.index("t")) == 2
         assert s3.order_of(s3.labels.index("s")) == 3
         assert s3.order_of(s3.identity) == 1
+
+
+def _latin_square(n: int, seed: int) -> list[list[int]]:
+    """A random Latin square with first row and column 0..n-1, by backtracking."""
+    rng = random.Random(seed)
+    square = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c: int) -> bool:
+        if c == len(cells):
+            return True
+        i, j = cells[c]
+        used = set(square[i][:j]) | {square[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            square[i][j] = v
+            if fill(c + 1):
+                return True
+        square[i][j] = None
+        return False
+
+    assert fill(0)
+    return square
+
+
+@st.composite
+def _tables_with_identity(draw) -> groups.FiniteGroup:
+    """Closed tables with an identity, order 1..6: arbitrary ones, Latin
+    squares (loops) and library groups, each relabelled at random."""
+    kind = draw(st.sampled_from(["any", "latin", "group"]))
+    if kind == "group":
+        table = [list(row) for row in draw(st.sampled_from(
+            [g for g in groups.library() if g.order <= 6])).table]
+        n = len(table)
+    else:
+        n = draw(st.integers(1, 6))
+        if kind == "latin":
+            table = _latin_square(n, draw(st.integers(0, 2 ** 32)))
+        else:
+            cells = draw(st.lists(st.integers(0, n - 1),
+                                  min_size=(n - 1) ** 2, max_size=(n - 1) ** 2))
+            table = [list(range(n))] + [[i] + cells[(i - 1) * (n - 1):i * (n - 1)]
+                                        for i in range(1, n)]
+    p = draw(st.permutations(range(n)))
+    relabelled = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            relabelled[p[i]][p[j]] = p[table[i][j]]
+    return groups.finite_group("t", [str(i) for i in range(n)], relabelled)
+
+
+class TestLightsTest:
+    @settings(max_examples=400, deadline=None)
+    @given(_tables_with_identity())
+    def test_agrees_with_the_cubic_loop(self, g):
+        failures = [v for v in groups.group_violations(g) if v.startswith("associativity")]
+        assert bool(failures) == bool(oracle.associativity_violations(g))
+        if failures:
+            x, a, y = map(int, failures[0].split("(")[1].rstrip(")").split(","))
+            assert (x, a, y) in oracle.associativity_violations(g)
 
 
 class TestSubgroups:

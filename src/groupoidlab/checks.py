@@ -20,8 +20,6 @@ from . import abelian, algebra, core, generators, groups, quotients
 from .core import FiniteGroupoid
 from .linalg import BinomialSpan
 
-EXHAUSTIVE_NORMAL_LIMIT = 24
-
 
 @dataclass
 class CheckResult:
@@ -82,46 +80,42 @@ def _check_axioms(G: FiniteGroupoid):
     return None
 
 
-def _normal_subgroupoids_for(G: FiniteGroupoid) -> list[quotients.NormalSubgroupoid]:
-    if G.n <= EXHAUSTIVE_NORMAL_LIMIT:
-        return quotients.enumerate_normal_subgroupoids(G)
-    return [quotients.normal_subgroupoid(G, G.units),
-            quotients.interior_isotropy(G)]
-
-
 def _carrier_labels(G: FiniteGroupoid, members) -> list[str]:
     return [G.labels[g] for g in sorted(members)]
 
 
 def _check_quotient_family(G: FiniteGroupoid):
     """Exactness, kernel-diagonal triviality, and the injectivity criterion
-    for every available normal subgroupoid."""
-    witnesses = []
-    units = frozenset(G.units)
-    for H in _normal_subgroupoids_for(G):
-        qr = quotients.quotient(G, H)
-        pre = quotients.quotient_preimage_of_units(G, qr)
-        if pre != H.members:
-            witnesses.append({"check": "exactness",
-                              "carrier": _carrier_labels(G, H.members),
-                              "preimage": _carrier_labels(G, pre)})
-            break
-        kernel = algebra.quotient_hom_from_result(G, qr).kernel()
-        kernel_rank = kernel.rank
-        # the unit deltas meet the kernel trivially iff each one grows the span
-        for x in sorted(G.units):
-            if not kernel.kill(x):
-                witnesses.append({"check": "kernel-diagonal",
-                                  "carrier": _carrier_labels(G, H.members)})
-                break
-        if witnesses:
-            break
-        if (kernel_rank == 0) != (H.members == units):
-            witnesses.append({"check": "injectivity-criterion",
-                              "carrier": _carrier_labels(G, H.members),
-                              "kernel_rank": kernel_rank})
-            break
-    return witnesses or None
+    for every normal subgroupoid, component by component.
+
+    A normal subgroupoid of G is a union of one H_C per component C, each
+    normal in the restriction G_C (``component_normal_subgroupoids``), and
+    its quotient is the disjoint union of the G_C / H_C: unit preimages
+    unite and kernels add up.  So each identity holds for the union iff it
+    holds for every H_C, and the sum of the per-component counts of
+    quotients checks their product of carriers.  A witness names H_C joined
+    with the other components' units, a failing carrier of G.
+    """
+    for GC, inclusion, normals in quotients.component_normal_subgroupoids(G):
+        others = G.units - {inclusion[x] for x in GC.units}
+
+        def in_G(members):
+            return _carrier_labels(G, others.union(inclusion[a] for a in members))
+        for H in normals:
+            qr = quotients.quotient(GC, H)
+            pre = quotients.quotient_preimage_of_units(GC, qr)
+            if pre != H.members:
+                return [{"check": "exactness", "carrier": in_G(H.members),
+                         "preimage": in_G(pre)}]
+            kernel = algebra.quotient_hom_from_result(GC, qr).kernel()
+            kernel_rank = kernel.rank
+            # the unit deltas meet the kernel trivially iff each one grows the span
+            if not all(kernel.kill(x) for x in sorted(GC.units)):
+                return [{"check": "kernel-diagonal", "carrier": in_G(H.members)}]
+            if (kernel_rank == 0) != (H.members == GC.units):
+                return [{"check": "injectivity-criterion", "carrier": in_G(H.members),
+                         "kernel_rank": kernel_rank}]
+    return None
 
 
 def _check_character_count(ab: quotients.Abelianization, ideal: BinomialSpan):
@@ -143,18 +137,24 @@ def _check_gelfand(ab: quotients.Abelianization):
     return algebra.gelfand_violations(algebra.gelfand_transform(ab.dual))
 
 
+def _duality_witness(a: abelian.FiniteAbelianGroup, chars) -> dict | None:
+    """None when a has one character per element and their group has a's
+    invariant factors; else the counts or the factors that differ."""
+    if len(chars) != a.order:
+        return {"characters": len(chars), "order": a.order}
+    factors = abelian.invariant_factors(a).factors
+    dual_factors = abelian.invariant_factors(abelian.char_group_structure(chars)).factors
+    if dual_factors != factors:
+        return {"factors": list(factors), "dual_factors": list(dual_factors)}
+    return None
+
+
 def _check_fiber_duality(ab: quotients.Abelianization):
-    G = ab.host
     for x in ab.fixed_points:
         y = ab.fiber_unit(x)
-        a, chars = ab.dual.fiber_groups[y], ab.dual.fibers[y]
-        if len(chars) != a.order:
-            return {"unit": G.labels[x], "characters": len(chars), "order": a.order}
-        dual = abelian.char_group_structure(chars)
-        if abelian.invariant_factors(dual).factors != abelian.invariant_factors(a).factors:
-            return {"unit": G.labels[x],
-                    "factors": list(abelian.invariant_factors(a).factors),
-                    "dual_factors": list(abelian.invariant_factors(dual).factors)}
+        witness = _duality_witness(ab.dual.fiber_groups[y], ab.dual.fibers[y])
+        if witness:
+            return {"unit": ab.host.labels[x], **witness}
     return None
 
 
@@ -297,14 +297,9 @@ def _duality_family(max_order: int = 64):
             if dec.factors != expected:
                 return {"group": a.name, "factors": list(dec.factors),
                         "expected": list(expected)}
-            chars = abelian.characters(a)
-            if len(chars) != a.order:
-                return {"group": a.name, "characters": len(chars), "order": a.order}
-            dual = abelian.char_group_structure(chars)
-            if abelian.invariant_factors(dual).factors != dec.factors:
-                return {"group": a.name,
-                        "dual_factors": list(abelian.invariant_factors(dual).factors),
-                        "factors": list(dec.factors)}
+            witness = _duality_witness(a, abelian.characters(a))
+            if witness:
+                return {"group": a.name, **witness}
             checked += 1
     if checked < max_order:   # sanity: at least one group per order
         return {"reason": "family enumeration came up short", "checked": checked}

@@ -20,9 +20,19 @@ EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
 # The largest model the CLI builds, in arrows: pair:64.  Every table is held
-# in memory and the checks grow polynomially with the arrow count, so a larger
-# size is refused before anything is built instead of ending in a MemoryError.
+# in memory and, with MAX_FAMILY_ARROWS, the checks grow polynomially with
+# the arrow count, so a larger size is refused before anything is built
+# instead of ending in a MemoryError.
 MAX_ARROWS = 4096
+
+# The most arrows that check quotients on one document: it quotients each
+# component by each of its normal subgroupoids.  Their count grows
+# exponentially with the rank of an elementary abelian isotropy (C2^5 has
+# 374, C2^8 has 417,199), so a document whose components' arrow counts
+# times normal subgroupoid counts sum past this is refused, before any
+# quotient and after counting little further.  A 60-arrow library model takes
+# at most 360; C2^6 (64 x 2,825) is in, C2^7 (128 x 29,212) is out.
+MAX_FAMILY_ARROWS = 250_000
 
 # The most instances one check --corpus run takes.  The report holds six
 # CheckResults per instance until it prints them as one JSON document, about
@@ -187,7 +197,7 @@ def _cmd_quotient(args) -> int:
             "error": "not a normal subgroupoid",
             "kind": verdict.kind,
             "message": verdict.message})
-    H = quotients.normal_subgroupoid(G, carrier)
+    H = quotients.NormalSubgroupoid(G, carrier)
     qr = quotients.quotient(G, H)
     exact = quotients.quotient_preimage_of_units(G, qr) == H.members
     _emit({"by": sorted(G.labels[g] for g in carrier),
@@ -263,6 +273,14 @@ def _cmd_check(args) -> int:
         # axiom problems surface as a failing check with a witness, so the
         # suite runs on whatever decodes — only parse errors stop it
         G = _load(args, validate_axioms=False)
+        try:
+            quotients.component_normal_subgroupoids(G, limit=MAX_FAMILY_ARROWS)
+        except groups.TooManySubgroups as exc:
+            raise CliError(EXIT_INPUT, {
+                "error": "the quotients by every normal subgroupoid of each component "
+                         f"take in more than the limit of {MAX_FAMILY_ARROWS} arrows"}) from exc
+        except Exception:   # a table that is no groupoid: the checks say where
+            pass
         name = args.input or args.kind
         report = checks.file_report(G, instance=name)
     _emit(report.to_json(), args.output)

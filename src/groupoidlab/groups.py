@@ -42,10 +42,18 @@ class FiniteGroup:
 
 
 def finite_group(name: str, labels: list[str], table: list[list[int]]) -> FiniteGroup:
+    """A table of n rows of n entries for n labels; the group axioms are
+    left to ``group_violations``."""
     tbl = tuple(tuple(row) for row in table)
+    n = len(labels)
+    for i in range(max(n, len(tbl))):
+        width = len(tbl[i]) if i < len(tbl) else "no"
+        if i >= n or width != n:
+            raise ValueError(f"{name}: row {i} has {width} entries; "
+                             f"{n} labels need {n} rows of {n}")
     identity = None
-    for i in range(len(labels)):
-        if all(tbl[i][j] == j and tbl[j][i] == j for j in range(len(labels))):
+    for i in range(n):
+        if all(tbl[i][j] == j and tbl[j][i] == j for j in range(n)):
             identity = i
             break
     if identity is None:
@@ -255,34 +263,55 @@ def generating_set(g: FiniteGroup) -> list[int]:
     return gens
 
 
-def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    """All subgroups, sorted by size then membership tuple."""
+class TooManySubgroups(ValueError):
+    """More subgroups than the caller's limit."""
+
+
+def _joins(g: FiniteGroup, pieces, join, limit: int | None = None) -> list[frozenset[int]]:
+    """The trivial group and every join(sub, piece) of one found before it
+    with a piece it misses, sorted by size then membership tuple.  With a
+    limit, raises TooManySubgroups once more than limit are found, which
+    is checked after the joins of each one found."""
     found = {frozenset([g.identity])}
     frontier = list(found)
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for x in range(g.order):
-                if x not in sub:
-                    bigger = closure(g, sub | {x})
-                    if bigger not in found:
-                        found.add(bigger)
-                        nxt.append(bigger)
-        frontier = nxt
+    for sub in frontier:   # grows while it is walked: breadth first
+        for k in pieces:
+            if not k <= sub and (bigger := join(sub, k)) not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+        if limit is not None and len(found) > limit:
+            raise TooManySubgroups(f"{g.name}: more than {limit} subgroups")
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def is_normal_subgroup(g: FiniteGroup, sub: frozenset[int]) -> bool:
-    for a in range(g.order):
-        ai = g.inverse(a)
-        for h in sub:
-            if g.table[g.table[a][h]][ai] not in sub:
-                return False
-    return True
+def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
+    """All subgroups: the joins of elements."""
+    return _joins(g, [frozenset([x]) for x in range(g.order)], lambda sub, k: closure(g, sub | k))
 
 
-def normal_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    return [s for s in subgroups(g) if is_normal_subgroup(g, s)]
+def normal_subgroups(g: FiniteGroup, limit: int | None = None) -> list[frozenset[int]]:
+    """All normal subgroups, the joins of conjugacy classes, with no test
+    of the subgroups that are not normal.
+
+    A normal subgroup M is a union of classes, and a normal N joined with a
+    class K generates N<K>, normal again; so adding M's classes one at a
+    time reaches M.  With a limit, raises TooManySubgroups as ``_joins``
+    does.
+    """
+    t, e = g.table, g.identity
+    inv = [row.index(e) for row in t]
+
+    def join(sub, k):
+        # N<K> is a union of cosets xN, reached from N by right factors in K
+        out, reps = set(sub), [e]
+        for x in reps:
+            for y in k:
+                if (z := t[x][y]) not in out:
+                    out.update(t[z][h] for h in sub)
+                    reps.append(z)
+        return frozenset(out)
+    classes = {frozenset(t[t[a][x]][inv[a]] for a in range(g.order)) for x in range(g.order)}
+    return _joins(g, classes, join, limit)
 
 
 def commutator_subgroup(g: FiniteGroup) -> frozenset[int]:

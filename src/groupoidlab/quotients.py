@@ -200,47 +200,51 @@ def abelianize_groupoid(G: FiniteGroupoid) -> Abelianization:
                           g_ab=qr.quotient, class_map=qr.class_map)
 
 
-def enumerate_normal_subgroupoids(G: FiniteGroupoid) -> list[NormalSubgroupoid]:
-    """All normal subgroupoids, by fiberwise normal subgroups plus conjugation.
+def component_normal_subgroupoids(
+        G: FiniteGroupoid, limit: int | None = None,
+) -> list[tuple[FiniteGroupoid, tuple[int, ...], list[NormalSubgroupoid]]]:
+    """For each component C, in ``core.unit_components`` order: the
+    restriction G_C, the index in G of each of its arrows, and every normal
+    subgroupoid of G_C.  Each is a normal subgroup at the least unit,
+    transported by conjugation (Higgins, *Categories and Groupoids*, 1971),
+    in the order of ``groups.normal_subgroups``.
 
-    Any normal subgroupoid meets each isotropy fiber in a normal subgroup, and
-    the conjugation condition only couples fibers inside a connected
-    component, so candidates are filtered component by component before
-    taking the global product.
+    In G_C, with least unit x, fix arrows a_y: x -> y.  A normal subgroup N
+    of G(x) transports to the union of the a_y N a_y^-1.
+    - Well defined: any arrow x -> y is a_y k with k in G(x), and
+      a_y k N k^-1 a_y^-1 = a_y N a_y^-1 as N is normal.
+    - Normal: an arrow c: y -> z conjugates a_y N a_y^-1 to
+      (c a_y) N (c a_y)^-1 = a_z N a_z^-1, as c a_y is an arrow x -> z.
+    - Complete: a normal H meets G(x) in a normal N, and conjugation by
+      a_y and a_y^-1 maps H(x) and H(y) into each other, so H(y) =
+      a_y N a_y^-1.
+    With a limit, raises ``groups.TooManySubgroups`` once the sum of each
+    component's arrow count times its normal subgroupoid count, the arrows
+    the quotients by them take in, would exceed limit.
     """
-    per_unit: dict[int, list[frozenset[int]]] = {}
-    for x in sorted(G.units):
-        g, arrows = fiber_group(G, x)
-        per_unit[x] = [frozenset(arrows[i] for i in sub) for sub in groups.normal_subgroups(g)]
-
-    components = core.unit_components(G)
-    component_choices: list[list[dict[int, frozenset[int]]]] = []
-    for comp_units in components:
-        units = sorted(comp_units)
-        arrows = [a for a in G.arrows() if G.src[a] in comp_units]
-        valid = []
-        for combo in itertools.product(*(per_unit[x] for x in units)):
-            choice = dict(zip(units, combo))
-            ok = True
-            for a in arrows:
-                x, y = G.src[a], G.rng[a]
-                ai = G.inv[a]
-                for h in choice[x]:
-                    if G.comp[(G.comp[(a, h)], ai)] not in choice[y]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                valid.append(choice)
-        component_choices.append(valid)
-
     out = []
-    for assignment in itertools.product(*component_choices):
-        carrier: set[int] = set()
-        for choice in assignment:
-            for sub in choice.values():
-                carrier.update(sub)
-        out.append(NormalSubgroupoid(G, frozenset(carrier)))
+    for units in core.unit_components(G):
+        GC = core.restrict(G, units)
+        x = min(GC.units)
+        g, fiber = fiber_group(GC, x)
+        moves = {GC.rng[a]: a for a in GC.arrows() if GC.src[a] == x}.values()
+        normals = groups.normal_subgroups(g, None if limit is None else limit // GC.n)
+        if limit is not None:
+            limit -= len(normals) * GC.n
+        out.append((GC, tuple(core.restricted_arrows(G, units)), [
+            NormalSubgroupoid(GC, frozenset(GC.comp[(GC.comp[(a, fiber[h])], GC.inv[a])]
+                                            for a in moves for h in sub))
+            for sub in normals]))
+    return out
+
+
+def enumerate_normal_subgroupoids(G: FiniteGroupoid) -> list[NormalSubgroupoid]:
+    """All normal subgroupoids, sorted by size then membership.  Conjugation
+    stays inside a component, so they are the unions of one normal
+    subgroupoid of each component (``component_normal_subgroupoids``)."""
+    per_component = [[frozenset(inclusion[a] for a in H.members) for H in normals]
+                     for _, inclusion, normals in component_normal_subgroupoids(G)]
+    out = [NormalSubgroupoid(G, frozenset().union(*choice))
+           for choice in itertools.product(*per_component)]
     out.sort(key=lambda h: (len(h.members), tuple(sorted(h.members))))
     return out

@@ -6,6 +6,7 @@ of the partition that ``AlgebraHom.kernel`` reads.
 
 import itertools
 
+from groupoidlab import core, groups, quotients
 from groupoidlab.abelian import Character
 from groupoidlab.algebra import AlgebraHom, CharacterFunctional, convolve, delta, involute
 from groupoidlab.core import FiniteGroupoid
@@ -129,3 +130,36 @@ def associativity_violations(g: FiniteGroup) -> list[tuple[int, int, int]]:
     t = g.table
     return [(i, j, k) for i, j, k in itertools.product(range(g.order), repeat=3)
             if t[t[i][j]][k] != t[i][t[j][k]]]
+
+
+def normal_subgroups_by_filter(g: FiniteGroup) -> list[frozenset[int]]:
+    """Every subgroup that each conjugate of each element keeps, in the
+    order of ``groups.normal_subgroups``."""
+    return [s for s in groups.subgroups(g)
+            if all(g.table[g.table[a][h]][g.inverse(a)] in s for a in range(g.order) for h in s)]
+
+
+def normal_subgroupoids_by_filter(G: FiniteGroupoid) -> list[quotients.NormalSubgroupoid]:
+    """Every normal subgroupoid, by filtering the product of the fibers'
+    normal subgroups, component by component, for conjugation closure; in
+    the order of ``quotients.enumerate_normal_subgroupoids``."""
+    per_unit: dict[int, list[frozenset[int]]] = {}
+    for x in sorted(G.units):
+        g, arrows = quotients.fiber_group(G, x)
+        per_unit[x] = [frozenset(arrows[i] for i in sub) for sub in normal_subgroups_by_filter(g)]
+
+    component_choices = []
+    for comp_units in core.unit_components(G):
+        units = sorted(comp_units)
+        arrows = [a for a in G.arrows() if G.src[a] in comp_units]
+        component_choices.append([
+            choice for choice in (dict(zip(units, combo))
+                                  for combo in itertools.product(*(per_unit[x] for x in units)))
+            if all(G.comp[(G.comp[(a, h)], G.inv[a])] in choice[G.rng[a]]
+                   for a in arrows for h in choice[G.src[a]])])
+
+    out = [quotients.NormalSubgroupoid(G, frozenset().union(*(
+               sub for choice in assignment for sub in choice.values())))
+           for assignment in itertools.product(*component_choices)]
+    out.sort(key=lambda h: (len(h.members), tuple(sorted(h.members))))
+    return out

@@ -1,6 +1,8 @@
 """The verification suite: reports, witnesses, and failure detection."""
 
 import dataclasses
+import math
+from collections import Counter
 
 from groupoidlab import abelian, algebra, checks, core, generators, quotients
 from groupoidlab.linalg import BinomialSpan
@@ -68,6 +70,82 @@ class TestReports:
                             lambda G, qr: algebra.AlgebraHom(G, qr.quotient, (None,) * G.n))
         witnesses = checks._check_quotient_family(s3)
         assert witnesses[0]["check"] == "kernel-diagonal"
+
+    def test_quotient_family_covers_every_carrier_of_the_corpus(self, monkeypatch):
+        # one quotient per carrier of each component's restriction covers
+        # the product of their counts: every normal subgroupoid of G
+        hosts = []
+        original = quotients.quotient
+        monkeypatch.setattr(quotients, "quotient",
+                            lambda K, H: hosts.append(K) or original(K, H))
+        component_quotients = carriers = 0
+        for seed in range(200):
+            G = generators.random_groupoid(seed, checks.corpus_budget(seed))
+            hosts.clear()
+            assert checks._check_quotient_family(G) is None
+            per_component = Counter(map(id, hosts))   # hosts keeps each alive
+            assert len(per_component) == len(core.unit_components(G))
+            covered = math.prod(per_component.values())
+            assert covered == len(quotients.enumerate_normal_subgroupoids(G))
+            component_quotients += len(hosts)
+            carriers += covered
+        assert (component_quotients, carriers) == (1701, 12048)
+
+    def test_quotient_family_catches_a_fault_past_24_arrows(self, monkeypatch):
+        # a carrier of a component of a 57-60 arrow instance that is neither
+        # that component's units nor its isotropy
+        G, target = next(
+            (G, H) for G in (generators.random_groupoid(s, 60) for s in range(30))
+            if len(core.unit_components(G)) > 1
+            for GC, _, normals in quotients.component_normal_subgroupoids(G)
+            for H in normals
+            if H.members not in (GC.units, core.isotropy(GC).members))
+        assert G.n > 24 and checks._check_quotient_family(G) is None
+        labels = {target.host.labels[h] for h in target.members}
+        original = quotients.quotient
+
+        def corrupted(K, H):
+            # send one arrow outside the carrier to its source's unit class
+            qr = original(K, H)
+            if {K.labels[h] for h in H.members} != labels:
+                return qr
+            a = next(a for a in K.arrows() if a not in H.members)
+            class_map = list(qr.class_map)
+            class_map[a] = qr.class_map[K.src[a]]
+            return dataclasses.replace(qr, class_map=tuple(class_map))
+
+        monkeypatch.setattr(quotients, "quotient", corrupted)
+        [witness] = checks._check_quotient_family(G)
+        assert witness["check"] == "exactness"
+        # the witness is a carrier of G: the other components add their units
+        carrier = labels | {G.labels[x] for x in G.units
+                            if G.labels[x] not in target.host.labels}
+        assert set(witness["carrier"]) == carrier
+        assert len(witness["preimage"]) == len(carrier) + 1
+        assert quotients.is_normal(G, [G.label_index(label) for label in witness["carrier"]])
+
+    def test_quotient_of_a_union_is_the_union_of_component_quotients(self):
+        # the product argument of _check_quotient_family, on the code itself:
+        # quotient(G, union) holds each quotient(G_C, H_C) by class labels
+        for seed in range(200):
+            G = generators.random_groupoid(seed, checks.corpus_budget(seed))
+            parts = quotients.component_normal_subgroupoids(G)
+            for pick in (0, 1, -1):
+                chosen = [(GC, inclusion, normals[pick % len(normals)])
+                          for GC, inclusion, normals in parts]
+                whole = quotients.quotient(G, set().union(*(
+                    {inclusion[a] for a in H.members} for _, inclusion, H in chosen)))
+                Q = whole.quotient
+                sizes = 0
+                for GC, inclusion, H in chosen:
+                    qr = quotients.quotient(GC, H)
+                    QC, sizes = qr.quotient, sizes + qr.quotient.n
+                    into_Q = [Q.label_index(label) for label in QC.labels]
+                    assert [into_Q[c] for c in qr.class_map] == [
+                        whole.class_map[a] for a in inclusion]
+                    assert all(Q.comp[(into_Q[p], into_Q[q])] == into_Q[r]
+                               for (p, q), r in QC.comp.items())
+                assert sizes == Q.n
 
     def test_regressions_pass(self):
         assert all(r.ok for r in checks.regression_checks())

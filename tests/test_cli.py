@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import groupoidlab
-from groupoidlab import checks, cli, generators
+from groupoidlab import checks, cli, document, generators, groups, quotients
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # The directory holding the imported package, so that a child interpreter
@@ -143,6 +143,15 @@ class TestQuotientCommand:
         assert len(data["quotient"]["elements"]) == 2
         assert data["class_map"]["t@p"] != data["class_map"]["e@p"]
 
+    def test_normality_is_decided_once(self, capsys, monkeypatch):
+        calls = []
+        is_normal = quotients.is_normal
+        monkeypatch.setattr(quotients, "is_normal",
+                            lambda G, H: calls.append(H) or is_normal(G, H))
+        code, data = run(["quotient", "--kind", "s3", "--by", "e@p;s@p;s2@p"], capsys)
+        assert code == 0 and data["exact"] is True
+        assert len(calls) == 1
+
     def test_non_normal_carrier_exits_one(self, capsys):
         code, data = run(["quotient", "--kind", "s3", "--by", "e@p;t@p"], capsys)
         assert code == 1
@@ -224,6 +233,39 @@ class TestCheckCommand:
         assert data["status"] == "fail"
         axioms = next(c for c in data["checks"] if c["name"] == "axioms")
         assert axioms["status"] == "fail" and axioms["witness"]
+
+    def test_too_much_quotient_work_exits_two(self, tmp_path, monkeypatch, capsys):
+        # C2^7 has 29,212 normal subgroups: 128 x 29,212 arrows to quotient
+        c2_7 = groups.cyclic(2)
+        for _ in range(6):
+            c2_7 = groups.direct_product(c2_7, groups.cyclic(2))
+        path = tmp_path / "c2_7.json"
+        path.write_text(json.dumps(document.encode_groupoid(
+            generators.group_bundle([("p", c2_7)]))))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the checks ran")
+
+        monkeypatch.setattr(checks, "file_report", refuse)
+        code, data = run(["check", "--input", str(path)], capsys)
+        assert code == 2 and "error" in data
+        monkeypatch.undo()
+        G = generators.klein_cross()
+        work = sum(GC.n * len(normals)
+                   for GC, _, normals in quotients.component_normal_subgroupoids(G))
+        for limit, expected in ((work, 0), (work - 1, 2)):
+            monkeypatch.setattr(cli, "MAX_FAMILY_ARROWS", limit)
+            code, _ = run(["check", "--kind", "klein-cross"], capsys)
+            assert code == expected, limit
+
+    def test_document_that_is_no_groupoid_is_still_checked(self, tmp_path, capsys):
+        # the quotient-work count cannot read it, and leaves it to the checks
+        _, doc = run(["generate", "--kind", "s3"], capsys)
+        doc["comp"] = doc["comp"][1:]
+        path = tmp_path / "holed.json"
+        path.write_text(json.dumps(doc))
+        code, data = run(["check", "--input", str(path)], capsys)
+        assert code == 1 and data["status"] == "fail"
 
 
 class TestPlumbing:

@@ -45,6 +45,19 @@ class TestLibrary:
         with pytest.raises(ValueError, match="identity"):
             groups.finite_group("broken", ["e", "a"], [[0, 0], [0, 0]])
 
+    @pytest.mark.parametrize("table, row", [
+        ([[0, 1], [1]], "row 1 has 1 entries"),
+        ([[0, 1, 1], [1, 0]], "row 0 has 3 entries"),
+        ([[0, 1]], "row 1 has no entries"),
+        ([[0, 1], [1, 0], [0, 1]], "row 2 has 2 entries"),
+    ])
+    def test_ragged_table_names_the_bad_row(self, table, row):
+        message = f"^A: {row}; 2 labels need 2 rows of 2$"
+        for build in (lambda: groups.finite_group("A", ["e", "a"], table),
+                      lambda: abelian.finite_abelian_group(["e", "a"], table)):
+            with pytest.raises(ValueError, match=message):
+                build()
+
     def test_violations_flag_missing_inverses(self):
         # has an identity but the second row is not a permutation
         g = groups.finite_group("broken", ["e", "a"], [[0, 1], [1, 1]])
@@ -157,6 +170,23 @@ class TestSubgroups:
         assert len(q8_subs) == 6
         # every subgroup of this group is normal despite non-commutativity
         assert len(groups.normal_subgroups(groups.quaternion8())) == 6
+
+    def test_class_joins_match_the_filtered_subgroups(self):
+        lib = groups.library()
+        products = [groups.direct_product(a, b) for a in lib for b in lib
+                    if a.order * b.order <= 24]
+        for g in lib + products:
+            assert groups.normal_subgroups(g) == oracle.normal_subgroups_by_filter(g), g
+
+    def test_limit_stops_the_enumeration(self):
+        c2_5 = groups.cyclic(2)
+        for _ in range(4):
+            c2_5 = groups.direct_product(c2_5, groups.cyclic(2))
+        assert len(groups.normal_subgroups(c2_5, limit=374)) == 374
+        with pytest.raises(groups.TooManySubgroups, match="more than 373 subgroups"):
+            groups.normal_subgroups(c2_5, limit=373)
+        with pytest.raises(groups.TooManySubgroups):   # the trivial group counts
+            groups.normal_subgroups(groups.cyclic(1), limit=0)
 
     def test_commutator_subgroups(self):
         s3 = groups.sym3()

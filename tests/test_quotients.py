@@ -1,5 +1,6 @@
 """Normal subgroupoids, quotients, and fixed-point abelianization."""
 
+import oracle
 import pytest
 
 from groupoidlab import checks, core, generators, groups, quotients
@@ -60,6 +61,14 @@ class TestEnumeration:
     def test_every_enumerated_carrier_is_normal(self, klein_cross):
         for H in quotients.enumerate_normal_subgroupoids(klein_cross):
             assert quotients.is_normal(klein_cross, H.members)
+
+    def test_transport_matches_the_filtered_product(self, klein_cross, s3, s3_a3, pair2):
+        # the reference filters every per-unit choice of normal subgroups
+        corpus = [generators.random_groupoid(seed, checks.corpus_budget(seed))
+                  for seed in range(200)]
+        for G in corpus + [klein_cross, s3, s3_a3, pair2]:
+            assert (quotients.enumerate_normal_subgroupoids(G)
+                    == oracle.normal_subgroupoids_by_filter(G))
 
     def test_extremes_always_present(self, s3_a3):
         carriers = {H.members for H in quotients.enumerate_normal_subgroupoids(s3_a3)}

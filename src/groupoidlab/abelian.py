@@ -256,9 +256,7 @@ def abelian_fiber(G: core.FiniteGroupoid, x: int) -> tuple[FiniteAbelianGroup, t
 
 def dual_bundle(G: core.FiniteGroupoid) -> DualBundle:
     """Unit-by-unit character dual of an abelian group bundle."""
-    if not core.is_group_bundle(G):
-        bad = next(g for g in G.arrows() if G.src[g] != G.rng[g])
-        raise ValueError(f"not a group bundle: arrow {G.labels[bad]} moves its source")
+    core.require_group_bundle(G)
     base = tuple(sorted(G.units))
     fiber_arrows = {}
     fiber_groups = {}

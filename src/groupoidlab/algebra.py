@@ -21,7 +21,7 @@ from typing import Iterable
 
 from . import abelian, core, quotients
 from .abelian import Character, FiniteAbelianGroup
-from .core import ElementSubset, FiniteGroupoid
+from .core import FiniteGroupoid
 from .linalg import QI0, QI1, BinomialSpan, Qi, as_qi, vec_iadd_scaled
 
 
@@ -181,8 +181,9 @@ def compose_homs(outer: AlgebraHom, inner: AlgebraHom) -> AlgebraHom:
     return AlgebraHom(domain=inner.domain, codomain=outer.codomain, arrow_map=arrow_map)
 
 
-def restriction_hom(G: FiniteGroupoid, F: ElementSubset | Iterable[int]) -> AlgebraHom:
+def restriction_hom(G: FiniteGroupoid, F: Iterable[int]) -> AlgebraHom:
     """Restriction of functions to the subgroupoid over an invariant unit set."""
+    F = core.arrow_set(G, F)
     index = {g: i for i, g in enumerate(core.restricted_arrows(G, F))}
     return AlgebraHom(G, core.restrict(G, F), tuple(map(index.get, G.arrows())))
 
@@ -193,7 +194,7 @@ def quotient_hom_from_result(G: FiniteGroupoid, qr: quotients.QuotientResult) ->
 
 
 def quotient_hom(G: FiniteGroupoid,
-                 H: quotients.NormalSubgroupoid | ElementSubset | Iterable[int]) -> AlgebraHom:
+                 H: quotients.NormalSubgroupoid | Iterable[int]) -> AlgebraHom:
     """Pushforward along the quotient map: sums a function over each class."""
     return quotient_hom_from_result(G, quotients.quotient(G, H))
 

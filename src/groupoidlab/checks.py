@@ -84,7 +84,7 @@ def _carrier_labels(G: FiniteGroupoid, members) -> list[str]:
     return [G.labels[g] for g in sorted(members)]
 
 
-def _check_quotient_family(G: FiniteGroupoid):
+def _check_quotient_family(G: FiniteGroupoid, components=None):
     """Exactness, kernel-diagonal triviality, and the injectivity criterion
     for every normal subgroupoid, component by component.
 
@@ -94,9 +94,12 @@ def _check_quotient_family(G: FiniteGroupoid):
     unite and kernels add up.  So each identity holds for the union iff it
     holds for every H_C, and the sum of the per-component counts of
     quotients checks their product of carriers.  A witness names H_C joined
-    with the other components' units, a failing carrier of G.
+    with the other components' units, a failing carrier of G.  components
+    is ``component_normal_subgroupoids(G)`` when the caller already has it.
     """
-    for GC, inclusion, normals in quotients.component_normal_subgroupoids(G):
+    if components is None:
+        components = quotients.component_normal_subgroupoids(G)
+    for GC, inclusion, normals in components:
         others = G.units - {inclusion[x] for x in GC.units}
 
         def in_G(members):
@@ -158,7 +161,7 @@ def _check_fiber_duality(ab: quotients.Abelianization):
     return None
 
 
-def instance_checks(G: FiniteGroupoid, instance: str) -> list[CheckResult]:
+def instance_checks(G: FiniteGroupoid, instance: str, components=None) -> list[CheckResult]:
     # Each, like ab().dual, is built once, inside the first check that needs
     # it: a crash while building fails that check and, not being cached, each
     # later one too.
@@ -166,7 +169,7 @@ def instance_checks(G: FiniteGroupoid, instance: str) -> list[CheckResult]:
     ideal = functools.cache(lambda: algebra.commutator_ideal(G))
     return [
         _run("axioms", instance, lambda: _check_axioms(G)),
-        _run("quotient-family", instance, lambda: _check_quotient_family(G)),
+        _run("quotient-family", instance, lambda: _check_quotient_family(G, components)),
         _run("character-count", instance, lambda: _check_character_count(ab(), ideal())),
         _run("pi-kernel", instance, lambda: _check_pi_kernel(ab(), ideal())),
         _run("gelfand", instance, lambda: _check_gelfand(ab())),
@@ -345,5 +348,5 @@ def corpus_report(seed: int, count: int, cap: int = 60, jobs: int = 1) -> CheckR
     return report
 
 
-def file_report(G: FiniteGroupoid, instance: str) -> CheckReport:
-    return CheckReport(results=instance_checks(G, instance))
+def file_report(G: FiniteGroupoid, instance: str, components=None) -> CheckReport:
+    return CheckReport(results=instance_checks(G, instance, components))

@@ -175,7 +175,7 @@ def _cmd_generate(args) -> int:
 
 def _carrier(G: core.FiniteGroupoid, spec: str) -> frozenset[int]:
     if spec == "isotropy":
-        return frozenset(core.isotropy(G).members)
+        return core.isotropy(G)
     if spec == "units":
         return frozenset(G.units)
     members = set()
@@ -274,15 +274,15 @@ def _cmd_check(args) -> int:
         # suite runs on whatever decodes — only parse errors stop it
         G = _load(args, validate_axioms=False)
         try:
-            quotients.component_normal_subgroupoids(G, limit=MAX_FAMILY_ARROWS)
+            components = quotients.component_normal_subgroupoids(G, limit=MAX_FAMILY_ARROWS)
         except groups.TooManySubgroups as exc:
             raise CliError(EXIT_INPUT, {
                 "error": "the quotients by every normal subgroupoid of each component "
                          f"take in more than the limit of {MAX_FAMILY_ARROWS} arrows"}) from exc
         except Exception:   # a table that is no groupoid: the checks say where
-            pass
-        name = args.input or args.kind
-        report = checks.file_report(G, instance=name)
+            components = None
+        report = checks.file_report(G, instance=args.input or args.kind,
+                                    components=components)
     _emit(report.to_json(), args.output)
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 

@@ -10,7 +10,7 @@ decidable table properties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -43,41 +43,14 @@ class FiniteGroupoid:
         return f"FiniteGroupoid(n={self.n}, units={len(self.units)})"
 
 
-@dataclass(frozen=True)
-class ElementSubset:
-    """A subset of a groupoid's arrows, remembering its host."""
-
-    host: FiniteGroupoid
-    members: frozenset[int]
-
-    def __contains__(self, g: int) -> bool:
-        return g in self.members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __repr__(self) -> str:
-        return f"ElementSubset({sorted(self.members)})"
-
-
-def subset(host: FiniteGroupoid, members: Iterable[int]) -> ElementSubset:
-    ms = frozenset(members)
-    bad = [g for g in ms if not (0 <= g < host.n)]
+def arrow_set(G: FiniteGroupoid, arrows: Iterable[int]) -> frozenset[int]:
+    """A carrier as a frozenset of arrow indices; raises ValueError for an
+    index outside 0..n-1, which would otherwise wrap or miss silently."""
+    out = frozenset(arrows)
+    bad = [g for g in out if not 0 <= g < G.n]
     if bad:
-        raise ValueError(f"subset members out of range: {sorted(bad)}")
-    return ElementSubset(host, ms)
-
-
-def _members(host: FiniteGroupoid, s: ElementSubset | Iterable[int]) -> frozenset[int]:
-    """Accept either an ElementSubset of this host or a raw index iterable."""
-    if isinstance(s, ElementSubset):
-        if s.host is not host and s.host != host:
-            raise ValueError("subset belongs to a different groupoid")
-        return s.members
-    return subset(host, s).members
+        raise ValueError(f"arrow indices out of range: {sorted(bad)}")
+    return out
 
 
 # --- validation ---------------------------------------------------------
@@ -183,32 +156,29 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
 
 # --- structural subsets --------------------------------------------------
 
-def isotropy(G: FiniteGroupoid) -> ElementSubset:
+def isotropy(G: FiniteGroupoid) -> frozenset[int]:
     """Arrows with equal source and range.
 
     In the finite-discrete setting every such arrow is isolated, so this set
     is already open; no interior needs to be taken.
     """
-    return subset(G, (g for g in G.arrows() if G.src[g] == G.rng[g]))
+    return frozenset(g for g in G.arrows() if G.src[g] == G.rng[g])
 
 
-def fixed_points(G: FiniteGroupoid) -> ElementSubset:
+def fixed_points(G: FiniteGroupoid) -> frozenset[int]:
     """Units x such that every arrow out of x comes back to x."""
     fixed = set(G.units)
     for g in G.arrows():
         if G.src[g] != G.rng[g]:
             fixed.discard(G.src[g])
             fixed.discard(G.rng[g])
-    return subset(G, fixed)
+    return frozenset(fixed)
 
 
-def invariance_witness(G: FiniteGroupoid, F: ElementSubset | Iterable[int]) -> int | None:
+def invariance_witness(G: FiniteGroupoid, F: Iterable[int]) -> int | None:
     """Return an arrow leaving F (src in F, rng outside), or None if F is invariant."""
-    mf = _members(G, F)
-    for g in G.arrows():
-        if G.src[g] in mf and G.rng[g] not in mf:
-            return g
-    return None
+    mf = arrow_set(G, F)
+    return next((g for g in G.arrows() if G.src[g] in mf and G.rng[g] not in mf), None)
 
 
 class NotInvariantError(ValueError):
@@ -219,9 +189,9 @@ class NotInvariantError(ValueError):
         self.witness = witness
 
 
-def restricted_arrows(G: FiniteGroupoid, F: ElementSubset | Iterable[int]) -> list[int]:
+def restricted_arrows(G: FiniteGroupoid, F: Iterable[int]) -> list[int]:
     """Arrows of the restriction to F, in ascending host order."""
-    mf = _members(G, F)
+    mf = arrow_set(G, F)
     bad = [x for x in mf if x not in G.units]
     if bad:
         raise ValueError(f"restriction set contains non-units: {sorted(bad)}")
@@ -231,7 +201,7 @@ def restricted_arrows(G: FiniteGroupoid, F: ElementSubset | Iterable[int]) -> li
     return [g for g in G.arrows() if G.src[g] in mf]
 
 
-def restrict(G: FiniteGroupoid, F: ElementSubset | Iterable[int]) -> FiniteGroupoid:
+def restrict(G: FiniteGroupoid, F: Iterable[int]) -> FiniteGroupoid:
     """Full subgroupoid over an invariant set of units F.
 
     Arrow order and labels are inherited from the host; rejects non-invariant
@@ -254,7 +224,7 @@ def restrict(G: FiniteGroupoid, F: ElementSubset | Iterable[int]) -> FiniteGroup
 
 def is_effective(G: FiniteGroupoid) -> bool:
     """True when the only arrows fixing their source are the units."""
-    return isotropy(G).members == G.units
+    return isotropy(G) == G.units
 
 
 def is_group_bundle(G: FiniteGroupoid) -> bool:
@@ -262,12 +232,19 @@ def is_group_bundle(G: FiniteGroupoid) -> bool:
     return len(isotropy(G)) == G.n
 
 
-def is_bisection(G: FiniteGroupoid, U: ElementSubset | Iterable[int]) -> bool:
+def is_bisection(G: FiniteGroupoid, U: Iterable[int]) -> bool:
     """True when src and rng are both injective on U."""
-    mu = _members(G, U)
+    mu = arrow_set(G, U)
     srcs = {G.src[g] for g in mu}
     rngs = {G.rng[g] for g in mu}
     return len(srcs) == len(mu) and len(rngs) == len(mu)
+
+
+def require_group_bundle(G: FiniteGroupoid) -> None:
+    """Raise ValueError naming the first arrow that moves its source, if any."""
+    bad = next((g for g in G.arrows() if G.src[g] != G.rng[g]), None)
+    if bad is not None:
+        raise ValueError(f"not a group bundle: arrow {G.labels[bad]} moves its source")
 
 
 def unit_components(G: FiniteGroupoid) -> list[frozenset[int]]:

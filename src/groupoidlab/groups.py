@@ -46,11 +46,9 @@ def finite_group(name: str, labels: list[str], table: list[list[int]]) -> Finite
     left to ``group_violations``."""
     tbl = tuple(tuple(row) for row in table)
     n = len(labels)
-    for i in range(max(n, len(tbl))):
-        width = len(tbl[i]) if i < len(tbl) else "no"
-        if i >= n or width != n:
-            raise ValueError(f"{name}: row {i} has {width} entries; "
-                             f"{n} labels need {n} rows of {n}")
+    bad = _shape_violations(name, n, tbl)
+    if bad:
+        raise ValueError(bad[0])
     identity = None
     for i in range(n):
         if all(tbl[i][j] == j and tbl[j][i] == j for j in range(n)):
@@ -61,23 +59,37 @@ def finite_group(name: str, labels: list[str], table: list[list[int]]) -> Finite
     return FiniteGroup(name=name, labels=tuple(labels), table=tbl, identity=identity)
 
 
-def group_violations(g: FiniteGroup) -> list[str]:
-    """Group-axiom check, exact on any table: entry range, associativity, inverses.
+def _shape_violations(name: str, n: int, table: tuple) -> list[str]:
+    """One message per row of table that is missing, extra or not n wide."""
+    out = []
+    for i in range(max(n, len(table))):
+        width = len(table[i]) if i < len(table) else "no"
+        if i >= n or width != n:
+            out.append(f"{name}: row {i} has {width} entries; "
+                       f"{n} labels need {n} rows of {n}")
+    return out
 
-    Entries are range-checked first, because the associativity test indexes
-    the table by them.  Associativity is decided by Light's test (Clifford &
-    Preston, *The Algebraic Theory of Semigroups* I, 1961, section 1.2) in
-    O(n^2 k) instead of O(n^3): (x*a)*y == x*(a*y) for all x, y and each
-    middle element a in the identity and ``generating_set(g)``.  The middle
-    elements that pass form a submagma, since if a and b pass then
+
+def group_violations(g: FiniteGroup) -> list[str]:
+    """Group-axiom check, exact on any table: row shape, entry range,
+    associativity, inverses.
+
+    Rows are shape-checked and entries range-checked first, because the
+    later checks index the table by them, and a table built with the
+    dataclass constructor has had neither checked.  Associativity is decided
+    by Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups*
+    I, 1961, section 1.2) in O(n^2 k) instead of O(n^3): (x*a)*y == x*(a*y)
+    for all x, y and each middle element a in the identity and
+    ``generating_set(g)``.  The middle elements that pass form a submagma, since if a and b pass then
         (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y).
     That submagma holds the identity and the generators, so it holds their
     ``closure``, which ``generating_set`` makes the whole table: every middle
     element passes.
     """
     n = g.order
-    out = [f"entry ({i},{j}) out of range"
-           for i in range(n) for j in range(n) if not 0 <= g.table[i][j] < n]
+    out = _shape_violations(g.name, n, g.table) or [
+        f"entry ({i},{j}) out of range"
+        for i in range(n) for j in range(n) if not 0 <= g.table[i][j] < n]
     if out:
         return out
     witness = _light_witness(g)

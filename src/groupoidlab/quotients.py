@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import abelian, core, groups
-from .core import ElementSubset, FiniteGroupoid
+from .core import FiniteGroupoid
 
 
 def fiber_group(G: FiniteGroupoid, x: int) -> tuple[groups.FiniteGroup, tuple[int, ...]]:
@@ -36,9 +36,9 @@ class NormalityCheck:
         return self.ok
 
 
-def is_normal(G: FiniteGroupoid, H: ElementSubset | Iterable[int]) -> NormalityCheck:
+def is_normal(G: FiniteGroupoid, H: Iterable[int]) -> NormalityCheck:
     """Check the normal-subgroupoid conditions, with a counterexample on failure."""
-    members = core._members(G, H)
+    members = core.arrow_set(G, H)
     for x in sorted(G.units):
         if x not in members:
             return NormalityCheck(False, "missing-unit",
@@ -73,22 +73,19 @@ def is_normal(G: FiniteGroupoid, H: ElementSubset | Iterable[int]) -> NormalityC
 
 @dataclass(frozen=True)
 class NormalSubgroupoid:
+    """A carrier known to be normal in host, so ``quotient`` need not check it."""
+
     host: FiniteGroupoid
     members: frozenset[int]
 
-    def __contains__(self, g: int) -> bool:
-        return g in self.members
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def normal_subgroupoid(G: FiniteGroupoid, H: ElementSubset | Iterable[int]) -> NormalSubgroupoid:
+def normal_subgroupoid(G: FiniteGroupoid, H: Iterable[int]) -> NormalSubgroupoid:
     """Validated constructor; raises with the failing condition and witness."""
-    check = is_normal(G, H)
+    members = core.arrow_set(G, H)
+    check = is_normal(G, members)
     if not check:
         raise ValueError(f"not a normal subgroupoid ({check.kind}): {check.message}")
-    return NormalSubgroupoid(G, core._members(G, H))
+    return NormalSubgroupoid(G, members)
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ class QuotientResult:
     class_map: tuple[int, ...]     # host arrow -> quotient arrow
 
 
-def quotient(G: FiniteGroupoid, H: NormalSubgroupoid | ElementSubset | Iterable[int]) -> QuotientResult:
+def quotient(G: FiniteGroupoid, H: NormalSubgroupoid | Iterable[int]) -> QuotientResult:
     """Quotient by a normal subgroupoid.
 
     Arrows a, b are identified when src(a) == src(b) and a.b^-1 lies in H;
@@ -151,9 +148,7 @@ def interior_isotropy(G: FiniteGroupoid) -> NormalSubgroupoid:
 
 def commutator_subgroupoid(G: FiniteGroupoid) -> NormalSubgroupoid:
     """Fiberwise commutator subgroups of a group bundle, as a normal subgroupoid."""
-    if not core.is_group_bundle(G):
-        bad = next(g for g in G.arrows() if G.src[g] != G.rng[g])
-        raise ValueError(f"not a group bundle: arrow {G.labels[bad]} moves its source")
+    core.require_group_bundle(G)
     carrier = set()
     for x in sorted(G.units):
         g, arrows = fiber_group(G, x)

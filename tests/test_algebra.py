@@ -257,7 +257,7 @@ class TestCharacters:
         # commutators, and take the characters of that one fiber
         for G in [G for _, G in corpus40] + [klein_cross, s3_a3, pair2]:
             expected = []
-            for x in sorted(core.fixed_points(G).members):
+            for x in sorted(core.fixed_points(G)):
                 kept = core.restricted_arrows(G, [x])
                 gx = core.restrict(G, [x])
                 qr = quotients.quotient(gx, quotients.commutator_subgroupoid(gx))

@@ -99,7 +99,7 @@ class TestReports:
             if len(core.unit_components(G)) > 1
             for GC, _, normals in quotients.component_normal_subgroupoids(G)
             for H in normals
-            if H.members not in (GC.units, core.isotropy(GC).members))
+            if H.members not in (GC.units, core.isotropy(GC)))
         assert G.n > 24 and checks._check_quotient_family(G) is None
         labels = {target.host.labels[h] for h in target.members}
         original = quotients.quotient

@@ -194,6 +194,9 @@ class TestAlgebraCommands:
     def test_dual_rejects_non_bundle_with_exit_one(self, capsys):
         code, data = run(["dual", "--kind", "pair:2"], capsys)
         assert code == 1 and "error" in data
+        G = generators.pair_groupoid(2)
+        moving = next(g for g in G.arrows() if G.src[g] != G.rng[g])
+        assert data["error"] == f"not a group bundle: arrow {G.labels[moving]} moves its source"
 
 
 class TestCheckCommand:
@@ -257,6 +260,25 @@ class TestCheckCommand:
             monkeypatch.setattr(cli, "MAX_FAMILY_ARROWS", limit)
             code, _ = run(["check", "--kind", "klein-cross"], capsys)
             assert code == expected, limit
+
+    def test_check_enumerates_the_normal_subgroupoids_once(self, tmp_path, monkeypatch, capsys):
+        # the bounded count is the list the quotient-family check reads
+        enumerate_ = quotients.component_normal_subgroupoids
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("limit"))
+            return enumerate_(*args, **kwargs)
+
+        monkeypatch.setattr(quotients, "component_normal_subgroupoids", counted)
+        _, doc = run(["generate", "--kind", "klein-cross"], capsys)
+        path = tmp_path / "klein.json"
+        path.write_text(json.dumps(doc))
+        for source in (["--input", str(path)], ["--kind", "klein-cross"], ["--kind", "s3"]):
+            calls.clear()
+            code, data = run(["check", *source], capsys)
+            assert code == 0 and data["status"] == "pass", source
+            assert calls == [cli.MAX_FAMILY_ARROWS], source
 
     def test_document_that_is_no_groupoid_is_still_checked(self, tmp_path, capsys):
         # the quotient-work count cannot read it, and leaves it to the checks

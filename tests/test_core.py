@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from groupoidlab import core, generators
+from groupoidlab import core, generators, quotients
 
 
 def _kinds(violations):
@@ -90,12 +90,12 @@ class TestValidate:
 class TestSubsets:
     def test_klein_cross_isotropy_has_twelve_arrows(self, klein_cross):
         iso = core.isotropy(klein_cross)
-        assert len(iso.members) == 12
-        labels = {klein_cross.labels[g] for g in iso.members}
+        assert len(iso) == 12
+        labels = {klein_cross.labels[g] for g in iso}
         assert {"(e,c)", "(s,c)", "(t,c)", "(st,c)", "(s,y+)", "(t,x+)"} <= labels
 
     def test_pair_groupoid_isotropy_is_units(self, pair2):
-        assert core.isotropy(pair2).members == frozenset(pair2.units)
+        assert core.isotropy(pair2) == frozenset(pair2.units)
         assert core.is_effective(pair2)
 
     def test_klein_cross_is_not_effective(self, klein_cross):
@@ -103,9 +103,9 @@ class TestSubsets:
 
     def test_fixed_points(self, klein_cross, s3_a3, pair2):
         fp = core.fixed_points(klein_cross)
-        assert {klein_cross.labels[x] for x in fp.members} == {"(e,c)"}
-        assert core.fixed_points(s3_a3).members == frozenset(s3_a3.units)
-        assert core.fixed_points(pair2).members == frozenset()
+        assert {klein_cross.labels[x] for x in fp} == {"(e,c)"}
+        assert core.fixed_points(s3_a3) == frozenset(s3_a3.units)
+        assert core.fixed_points(pair2) == frozenset()
 
     def test_group_bundle_detection(self, s3_a3, klein_cross):
         assert core.is_group_bundle(s3_a3)
@@ -125,6 +125,19 @@ class TestSubsets:
         off = [g for g in pair2.arrows() if g not in pair2.units]
         assert core.is_bisection(pair2, off)           # the flip
         assert not core.is_bisection(pair2, [units[0], off[0]] + [off[1]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda G, F: quotients.is_normal(G, F),
+    lambda G, F: core.restrict(G, F),
+    lambda G, F: quotients.quotient(G, F),
+    lambda G, F: core.is_bisection(G, F),
+], ids=["is_normal", "restrict", "quotient", "is_bisection"])
+def test_carrier_index_out_of_range_is_refused(klein_cross, call):
+    # -1 would otherwise read the last arrow, and n would miss every table
+    for bad in (klein_cross.n, -1):
+        with pytest.raises(ValueError, match=rf"out of range: \[{bad}\]"):
+            call(klein_cross, set(klein_cross.units) | {bad})
 
 
 class TestRestriction:

@@ -22,7 +22,7 @@ class TestTransformationGroupoid:
 
     def test_fixed_points_match_the_action(self, klein_cross):
         fixed = core.fixed_points(klein_cross)
-        assert {klein_cross.labels[x] for x in fixed.members} == {"(e,c)"}
+        assert {klein_cross.labels[x] for x in fixed} == {"(e,c)"}
 
     def test_invalid_action_rejected(self):
         with pytest.raises(ValueError):

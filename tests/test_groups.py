@@ -58,6 +58,13 @@ class TestLibrary:
             with pytest.raises(ValueError, match=message):
                 build()
 
+    def test_violations_name_a_ragged_row_of_a_direct_table(self):
+        # the dataclass constructor skips finite_group's shape check
+        for table, width in ((((0, 1), (1,)), 1), (((0, 1), (1, 0, 1)), 3)):
+            g = groups.FiniteGroup("A", ("e", "a"), table, 0)
+            assert groups.group_violations(g) == [
+                f"A: row 1 has {width} entries; 2 labels need 2 rows of 2"]
+
     def test_violations_flag_missing_inverses(self):
         # has an identity but the second row is not a permutation
         g = groups.finite_group("broken", ["e", "a"], [[0, 1], [1, 1]])

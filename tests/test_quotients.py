@@ -3,7 +3,7 @@
 import oracle
 import pytest
 
-from groupoidlab import checks, core, generators, groups, quotients
+from groupoidlab import abelian, checks, core, generators, groups, quotients
 
 
 def _labels(G, members):
@@ -73,7 +73,7 @@ class TestEnumeration:
     def test_extremes_always_present(self, s3_a3):
         carriers = {H.members for H in quotients.enumerate_normal_subgroupoids(s3_a3)}
         assert frozenset(s3_a3.units) in carriers
-        assert core.isotropy(s3_a3).members in carriers
+        assert core.isotropy(s3_a3) in carriers
 
 
 class TestQuotient:
@@ -136,6 +136,14 @@ class TestCommutatorAndAbelianization:
         G = generators.group_bundle([("u", groups.klein())])
         comm = quotients.commutator_subgroupoid(G)
         assert comm.members == frozenset(G.units)
+
+    def test_one_group_bundle_guard(self, pair2):
+        moving = next(g for g in pair2.arrows() if pair2.src[g] != pair2.rng[g])
+        message = f"not a group bundle: arrow {pair2.labels[moving]} moves its source"
+        for build in (quotients.commutator_subgroupoid, abelian.dual_bundle):
+            with pytest.raises(ValueError) as err:
+                build(pair2)
+            assert str(err.value) == message
 
     def test_klein_cross_abelianization(self, klein_cross):
         ab = quotients.abelianize_groupoid(klein_cross)

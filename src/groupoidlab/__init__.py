@@ -2,8 +2,9 @@
 
 Exact computational algebra for finite groupoids: axiom validation, quotients
 by normal subgroupoids, fixed-point abelianization, character duals of abelian
-group bundles, and convolution *-algebras over Gaussian rationals, together
-with a machine-verification suite for the structural identities relating them.
+group bundles, and the induced maps and ideals of their convolution
+*-algebras, together with a machine-verification suite for the structural
+identities relating them.
 """
 
 from .abelian import (
@@ -20,23 +21,15 @@ from .abelian import (
     invariant_factors,
 )
 from .algebra import (
-    AlgebraElement,
     AlgebraHom,
     CharacterFunctional,
     GelfandMatrix,
     abelianization_dim,
     abelianized_fiber,
     commutator_ideal,
-    convolve,
-    delta,
     enumerate_characters,
-    from_coeffs,
     gelfand_transform,
-    involute,
     pi_hom,
-    quotient_hom,
-    restriction_hom,
-    unit_element,
 )
 from .checks import (
     CheckReport,
@@ -53,9 +46,6 @@ from .core import (
     NotInvariantError,
     disjoint_union,
     fixed_points,
-    is_bisection,
-    is_effective,
-    is_group_bundle,
     isotropy,
     restrict,
     unit_components,
@@ -63,9 +53,7 @@ from .core import (
 )
 from .document import (
     DocumentError,
-    decode_element,
     decode_groupoid,
-    encode_element,
     encode_groupoid,
 )
 from .generators import (
@@ -88,7 +76,6 @@ from .quotients import (
     abelianize_groupoid,
     commutator_subgroupoid,
     enumerate_normal_subgroupoids,
-    interior_isotropy,
     is_normal,
     normal_subgroupoid,
     quotient,
@@ -99,27 +86,24 @@ from .snf import SmithNormalForm, smith_normal_form
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "AlgebraHom", "AxiomViolation", "Abelianization",
-    "BinomialSpan", "Character", "CharacterFunctional", "CheckReport", "CheckResult",
+    "AlgebraHom", "AxiomViolation", "Abelianization", "BinomialSpan",
+    "Character", "CharacterFunctional", "CheckReport", "CheckResult",
     "CyclicDecomposition", "DocumentError", "DualBundle",
     "FiniteAbelianGroup", "FiniteGroup", "FiniteGroupoid", "GelfandMatrix",
     "NormalSubgroupoid", "NotInvariantError", "Qi", "QuotientResult",
-    "SmithNormalForm",
-    "abelian_fiber", "abelianization_dim", "abelianize_groupoid",
-    "abelianized", "abelianized_fiber", "char_group_structure", "characters",
-    "commutator_ideal", "commutator_subgroupoid", "convolve", "corpus_report",
-    "cyclic", "decode_element", "decode_groupoid", "delta", "dihedral4",
-    "disjoint_union", "dual_bundle", "duality_family_check",
-    "encode_element", "encode_groupoid", "enumerate_characters",
+    "SmithNormalForm", "abelian_fiber", "abelianization_dim",
+    "abelianize_groupoid", "abelianized", "abelianized_fiber",
+    "char_group_structure", "characters", "commutator_ideal",
+    "commutator_subgroupoid", "corpus_report", "cyclic", "decode_groupoid",
+    "dihedral4", "disjoint_union", "dual_bundle", "duality_family_check",
+    "encode_groupoid", "enumerate_characters",
     "enumerate_normal_subgroupoids", "file_report", "finite_abelian_group",
-    "finite_group", "fixed_points", "from_coeffs", "gelfand_transform",
-    "group_action", "group_bundle", "instance_checks", "interior_isotropy",
-    "invariant_factors", "involute", "is_bisection", "is_effective",
-    "is_group_bundle", "is_normal", "isotropy", "klein",
-    "klein_cross", "normal_subgroupoid", "pair_groupoid",
-    "pi_hom", "quaternion8", "quotient", "quotient_hom",
+    "finite_group", "fixed_points", "gelfand_transform", "group_action",
+    "group_bundle", "instance_checks", "invariant_factors", "is_normal",
+    "isotropy", "klein", "klein_cross", "normal_subgroupoid",
+    "pair_groupoid", "pi_hom", "quaternion8", "quotient",
     "quotient_preimage_of_units", "random_groupoid", "regression_checks",
-    "restrict", "restriction_hom", "s3_a3_bundle", "s3_point",
-    "smith_normal_form", "sym3", "transformation_groupoid",
-    "trivial_groupoid", "unit_components", "unit_element", "validate",
+    "restrict", "s3_a3_bundle", "s3_point", "smith_normal_form", "sym3",
+    "transformation_groupoid", "trivial_groupoid", "unit_components",
+    "validate",
 ]

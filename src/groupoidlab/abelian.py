@@ -2,15 +2,12 @@
 
 Character values are roots of unity and are handled purely as exponents
 modulo the group exponent, so everything here is exact integer arithmetic.
-Numeric evaluation happens only when a caller asks for a complex value.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -150,17 +147,6 @@ class Character:
     @property
     def modulus(self) -> int:
         return self.host.exponent
-
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.exps)
-
-    def value_fraction(self, a: int) -> Fraction:
-        """Exponent of the value at element a, as a fraction of a full turn."""
-        return Fraction(self.exps[a] % self.modulus, self.modulus)
-
-    def value_complex(self, a: int) -> complex:
-        return cmath.exp(2j * cmath.pi * self.value_fraction(a))
 
 
 def characters(a: FiniteAbelianGroup) -> list[Character]:

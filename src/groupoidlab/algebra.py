@@ -1,4 +1,5 @@
-"""The convolution *-algebra of a finite groupoid, over exact Gaussian rationals.
+"""The convolution *-algebra of a finite groupoid, through arrow maps and
+partitions.
 
 Basis deltas multiply by composition (delta_a * delta_b = delta_{a.b} when
 composable, zero otherwise) and the involution is conjugate-transpose along
@@ -6,132 +7,20 @@ inversion.  Induced maps — restriction to an invariant unit set, pushforward
 along a quotient, and their composite pi onto the abelianization — send each
 delta to one delta or to zero, so they are stored as maps of arrows, and their
 kernels and the commutator ideal are partitions of arrows (BinomialSpan), with
-no elimination and no floating point.  Characters evaluate as root-of-unity
-exponents; complex numbers appear only when a caller asks for a numeric
-value.
+no elimination.  Characters are root-of-unity exponents.  No function here
+builds a general element or a complex number: the general-element algebra over
+Gaussian rationals is the tests' reference (tests/oracle.py).
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
-from . import abelian, core, quotients
+from . import abelian, quotients
 from .abelian import Character, FiniteAbelianGroup
 from .core import FiniteGroupoid
-from .linalg import QI0, QI1, BinomialSpan, Qi, as_qi, vec_iadd_scaled
-
-
-@dataclass
-class AlgebraElement:
-    """A function on arrows with Gaussian-rational values, sparsely stored."""
-
-    host: FiniteGroupoid
-    coeffs: dict[int, Qi]
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElement) and self.host == other.host
-                and self.coeffs.keys() == other.coeffs.keys()
-                and all(self.coeffs[k] == other.coeffs[k] for k in self.coeffs))
-
-    def __add__(self, other):
-        self._same_host(other)
-        out = dict(self.coeffs)
-        vec_iadd_scaled(out, other.coeffs, QI1)
-        return AlgebraElement(self.host, out)
-
-    def __sub__(self, other):
-        self._same_host(other)
-        out = dict(self.coeffs)
-        vec_iadd_scaled(out, other.coeffs, Qi(-1))
-        return AlgebraElement(self.host, out)
-
-    def __neg__(self):
-        return AlgebraElement(self.host, {k: -v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return convolve(self, other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
-
-    def scaled(self, c) -> AlgebraElement:
-        c = as_qi(c)
-        if not c:
-            return AlgebraElement(self.host, {})
-        return AlgebraElement(self.host, {k: c * v for k, v in self.coeffs.items()})
-
-    def star(self) -> AlgebraElement:
-        return involute(self)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def value(self, g: int) -> Qi:
-        return self.coeffs.get(g, QI0)
-
-    def _same_host(self, other):
-        if self.host != other.host:
-            raise ValueError("elements of different groupoid algebras")
-
-    def __repr__(self):
-        terms = [f"{v}*d[{self.host.labels[k]}]" for k, v in sorted(self.coeffs.items())]
-        return " + ".join(terms) if terms else "0"
-
-
-def from_coeffs(G: FiniteGroupoid, coeffs: dict) -> AlgebraElement:
-    out = {}
-    for k, v in coeffs.items():
-        q = as_qi(v)
-        if q:
-            if not (0 <= k < G.n):
-                raise ValueError(f"coefficient index {k} out of range")
-            out[k] = q
-    return AlgebraElement(G, out)
-
-
-def zero(G: FiniteGroupoid) -> AlgebraElement:
-    return AlgebraElement(G, {})
-
-
-def delta(G: FiniteGroupoid, g: int) -> AlgebraElement:
-    if not (0 <= g < G.n):
-        raise ValueError(f"arrow index {g} out of range")
-    return AlgebraElement(G, {g: QI1})
-
-
-def unit_element(G: FiniteGroupoid) -> AlgebraElement:
-    """The multiplicative unit: the sum of the unit deltas."""
-    return AlgebraElement(G, {x: QI1 for x in G.units})
-
-
-def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    """(f*g)(c) sums f(a) g(b) over factorizations c = a.b."""
-    f._same_host(g)
-    G = f.host
-    comp = G.comp
-    out: dict[int, Qi] = {}
-    for a, ca in f.coeffs.items():
-        for b, cb in g.coeffs.items():
-            c = comp.get((a, b))
-            if c is not None:
-                s = out.get(c, QI0) + ca * cb
-                if s:
-                    out[c] = s
-                else:
-                    del out[c]
-    return AlgebraElement(G, out)
-
-
-def involute(f: AlgebraElement) -> AlgebraElement:
-    """f*(g) = conj(f(g^-1)); an antimultiplicative involution."""
-    G = f.host
-    return AlgebraElement(G, {G.inv[k]: v.conjugate() for k, v in f.coeffs.items()})
+from .linalg import BinomialSpan
 
 
 # --- induced homomorphisms ------------------------------------------------
@@ -149,16 +38,6 @@ class AlgebraHom:
     codomain: FiniteGroupoid
     arrow_map: tuple[int | None, ...]
 
-    def apply(self, f: AlgebraElement) -> AlgebraElement:
-        if f.host != self.domain:
-            raise ValueError("element not in the domain algebra")
-        acc: dict[int, Qi] = {}
-        for k, c in f.coeffs.items():
-            t = self.arrow_map[k]
-            if t is not None:
-                vec_iadd_scaled(acc, {t: QI1}, c)
-        return AlgebraElement(self.codomain, acc)
-
     def kernel(self) -> BinomialSpan:
         """The partition of arrow_map: arrows with the same image are joined
         and arrows sent to zero are killed."""
@@ -174,29 +53,9 @@ class AlgebraHom:
         return span
 
 
-def compose_homs(outer: AlgebraHom, inner: AlgebraHom) -> AlgebraHom:
-    if inner.codomain != outer.domain:
-        raise ValueError("homomorphisms do not compose")
-    arrow_map = tuple(None if t is None else outer.arrow_map[t] for t in inner.arrow_map)
-    return AlgebraHom(domain=inner.domain, codomain=outer.codomain, arrow_map=arrow_map)
-
-
-def restriction_hom(G: FiniteGroupoid, F: Iterable[int]) -> AlgebraHom:
-    """Restriction of functions to the subgroupoid over an invariant unit set."""
-    F = core.arrow_set(G, F)
-    index = {g: i for i, g in enumerate(core.restricted_arrows(G, F))}
-    return AlgebraHom(G, core.restrict(G, F), tuple(map(index.get, G.arrows())))
-
-
 def quotient_hom_from_result(G: FiniteGroupoid, qr: quotients.QuotientResult) -> AlgebraHom:
-    """Pushforward along an already-computed quotient map."""
+    """Pushforward along the quotient map of qr: sums a function over each class."""
     return AlgebraHom(G, qr.quotient, qr.class_map)
-
-
-def quotient_hom(G: FiniteGroupoid,
-                 H: quotients.NormalSubgroupoid | Iterable[int]) -> AlgebraHom:
-    """Pushforward along the quotient map: sums a function over each class."""
-    return quotient_hom_from_result(G, quotients.quotient(G, H))
 
 
 # --- the commutator ideal -------------------------------------------------
@@ -280,21 +139,6 @@ class CharacterFunctional:
     def support(self) -> frozenset[int]:
         return frozenset(self.exponents)
 
-    def value_fraction(self, g: int) -> Fraction | None:
-        """Exponent of the value at arrow g as a fraction of a turn; None = 0."""
-        e = self.exponents.get(g)
-        return None if e is None else Fraction(e % self.modulus, self.modulus)
-
-    def value_complex(self, g: int) -> complex:
-        e = self.value_fraction(g)
-        return 0j if e is None else cmath.exp(2j * cmath.pi * e)
-
-    def evaluate(self, f: AlgebraElement) -> complex:
-        if f.host != self.host:
-            raise ValueError("element of a different groupoid algebra")
-        return sum((c.to_complex() * self.value_complex(g) for g, c in f.coeffs.items()),
-                   start=0j)
-
 
 def enumerate_characters(ab: quotients.Abelianization) -> list[CharacterFunctional]:
     """All one-dimensional representations of ab.host's algebra: its fixed
@@ -328,7 +172,7 @@ class GelfandMatrix:
     Row r corresponds to pairs[r] = (unit, character); columns follow arrow
     order.  entries[r][g] is the exponent e of the value exp(2 pi i e / N),
     N = pairs[r][1].modulus, or None where the value is zero, so the matrix
-    is exact; to_complex() gives the numeric matrix.
+    is exact.
     """
 
     host: FiniteGroupoid
@@ -338,10 +182,6 @@ class GelfandMatrix:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    def to_complex(self) -> list[list[complex]]:
-        return [[0j if e is None else cmath.exp(2j * cmath.pi * e / chi.modulus) for e in row]
-                for (_, chi), row in zip(self.pairs, self.entries)]
 
 
 def gelfand_transform(bundle: abelian.DualBundle) -> GelfandMatrix:

@@ -1,9 +1,10 @@
 """Machine verification of the structural identities, instance by instance.
 
-Each check pairs an oracle computed one way (enumeration, group theory) with
-the same quantity computed another way (exact linear algebra), so a pass is
-two independent computations agreeing — not a tautology.  Reports are plain
-data, ready for JSON.
+Each check pairs a quantity computed one way (enumeration, group theory)
+with the same quantity computed another way (quotient class maps, partitions
+of arrows spanning kernels and the commutator ideal, character exponents), so
+a pass is two independent computations agreeing — not a tautology.  Reports
+are plain data, ready for JSON.
 """
 
 from __future__ import annotations

@@ -19,10 +19,12 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
-# The largest model the CLI builds, in arrows: pair:64.  Every table is held
-# in memory and, with MAX_FAMILY_ARROWS, the checks grow polynomially with
-# the arrow count, so a larger size is refused before anything is built
-# instead of ending in a MemoryError.
+# The most arrows of a groupoid the CLI takes, as many as pair:64.  Every
+# table is held in memory, validation probes every pair of arrows, and the
+# axiom and transform checks grow up to the cube of a component's arrow count
+# (MAX_FAMILY_ARROWS bounds the quotients apart).  So a larger --kind or
+# --budget is refused before any table is built, and a larger document before
+# it is validated, instead of running for minutes or ending in a MemoryError.
 MAX_ARROWS = 4096
 
 # The most arrows that check quotients on one document: it quotients each
@@ -132,6 +134,7 @@ def _load(args, validate_axioms: bool = True) -> core.FiniteGroupoid:
             G = document.decode_groupoid(_read_document(args.input))
         except document.DocumentError as exc:
             raise CliError(EXIT_INPUT, {"error": str(exc)}) from exc
+        _within_limit(G.n, f"document {args.input!r}")
     elif getattr(args, "kind", None):
         G = _model(args.kind, args.seed, args.budget)
     else:

@@ -33,9 +33,6 @@ class FiniteGroupoid:
     def arrows(self) -> range:
         return range(self.n)
 
-    def is_unit(self, g: int) -> bool:
-        return g in self.units
-
     def label_index(self, label: str) -> int:
         return self.labels.index(label)
 
@@ -207,7 +204,11 @@ def restrict(G: FiniteGroupoid, F: Iterable[int]) -> FiniteGroupoid:
     Arrow order and labels are inherited from the host; rejects non-invariant
     F with the witness arrow in the error.
     """
-    kept = restricted_arrows(G, F)
+    return _restriction(G, restricted_arrows(G, F))
+
+
+def _restriction(G: FiniteGroupoid, kept: list[int]) -> FiniteGroupoid:
+    """The full subgroupoid on kept, the list ``restricted_arrows`` returns."""
     index = {g: i for i, g in enumerate(kept)}
     comp = {(index[a], index[b]): index[c]
             for (a, b), c in G.comp.items() if a in index and b in index}
@@ -220,24 +221,6 @@ def restrict(G: FiniteGroupoid, F: Iterable[int]) -> FiniteGroupoid:
         inv=tuple(index[G.inv[g]] for g in kept),
         labels=tuple(G.labels[g] for g in kept),
     )
-
-
-def is_effective(G: FiniteGroupoid) -> bool:
-    """True when the only arrows fixing their source are the units."""
-    return isotropy(G) == G.units
-
-
-def is_group_bundle(G: FiniteGroupoid) -> bool:
-    """True when every arrow has equal source and range."""
-    return len(isotropy(G)) == G.n
-
-
-def is_bisection(G: FiniteGroupoid, U: Iterable[int]) -> bool:
-    """True when src and rng are both injective on U."""
-    mu = arrow_set(G, U)
-    srcs = {G.src[g] for g in mu}
-    rngs = {G.rng[g] for g in mu}
-    return len(srcs) == len(mu) and len(rngs) == len(mu)
 
 
 def require_group_bundle(G: FiniteGroupoid) -> None:

@@ -1,4 +1,4 @@
-"""JSON interchange for groupoids and algebra elements.
+"""JSON interchange for groupoids.
 
 The document schema is strict: exactly the expected fields, string labels
 unique across elements, and every referenced label declared.  Decoding never
@@ -8,12 +8,9 @@ the tables are total and well-shaped, so decode(encode(G)) == G.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any
 
 from .core import FiniteGroupoid
-from .linalg import Qi
-from . import algebra
 
 SCHEMA_VERSION = "1"
 
@@ -90,25 +87,3 @@ def decode_groupoid(doc: Any) -> FiniteGroupoid:
     return FiniteGroupoid(n=len(elements), units=frozenset(unit_idx), src=src,
                           rng=rng, comp=comp, inv=inv, labels=tuple(elements))
 
-
-# --- algebra elements -----------------------------------------------------
-
-def encode_element(f: algebra.AlgebraElement) -> dict:
-    """Sparse map label -> [re_num, re_den, im_num, im_den]."""
-    lab = f.host.labels
-    return {lab[g]: [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
-            for g, c in sorted(f.coeffs.items())}
-
-
-def decode_element(G: FiniteGroupoid, data: Any) -> algebra.AlgebraElement:
-    _expect(isinstance(data, dict), "algebra element must be an object")
-    index = {lab: i for i, lab in enumerate(G.labels)}
-    coeffs = {}
-    for lab, quad in data.items():
-        _expect(lab in index, f"unknown label {lab!r}")
-        _expect(isinstance(quad, list) and len(quad) == 4
-                and all(type(x) is int for x in quad),   # bool is an int subclass
-                f"coefficient for {lab!r} must be [re_num, re_den, im_num, im_den]")
-        _expect(quad[1] != 0 and quad[3] != 0, f"coefficient for {lab!r} has a zero denominator")
-        coeffs[index[lab]] = Qi(Fraction(quad[0], quad[1]), Fraction(quad[2], quad[3]))
-    return algebra.from_coeffs(G, coeffs)

@@ -51,11 +51,6 @@ def group_action(group: FiniteGroup, points, act) -> GroupAction:
     return a
 
 
-def trivial_action(group: FiniteGroup, points) -> GroupAction:
-    pts = tuple(points)
-    return group_action(group, pts, [range(len(pts)) for _ in range(group.order)])
-
-
 def transformation_groupoid(a: GroupAction) -> FiniteGroupoid:
     """Arrows (g, x) from x to g.x, composing as (g1, g2.x) . (g2, x) = (g1 g2, x)."""
     g, m = a.group, len(a.points)

@@ -11,8 +11,9 @@ These are the package's kernels and ideals.
 The Echelon accumulator keeps a reduced row basis (monic pivots, pivot
 columns eliminated everywhere else), so its stored rows are canonical for the
 subspace they span.  Echelon, kernel_basis and same_span are general
-elimination, independent of the partition: the tests use them as the
-reference that BinomialSpan and the kernels are compared against.
+elimination, independent of the partition, and no check calls them: with the
+general-element algebra in tests/oracle.py, they are the reference that the
+tests compare BinomialSpan and the kernels against.
 """
 
 from __future__ import annotations
@@ -68,9 +69,6 @@ class Qi:
 
     def conjugate(self):
         return Qi(self.re, -self.im)
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
 
     def __repr__(self):
         if not self.im:

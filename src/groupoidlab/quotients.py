@@ -137,15 +137,6 @@ def quotient_preimage_of_units(G: FiniteGroupoid, result: QuotientResult) -> fro
     return frozenset(a for a in G.arrows() if result.class_map[a] in qunits)
 
 
-def interior_isotropy(G: FiniteGroupoid) -> NormalSubgroupoid:
-    """The isotropy as a normal subgroupoid.
-
-    All arrows are isolated points here, so the isotropy is its own interior
-    and is always normal.
-    """
-    return normal_subgroupoid(G, core.isotropy(G))
-
-
 def commutator_subgroupoid(G: FiniteGroupoid) -> NormalSubgroupoid:
     """Fiberwise commutator subgroups of a group bundle, as a normal subgroupoid."""
     core.require_group_bundle(G)
@@ -186,12 +177,11 @@ class Abelianization:
 
 def abelianize_groupoid(G: FiniteGroupoid) -> Abelianization:
     """Restrict to fixed points, then quotient by fiberwise commutators."""
-    fixed = core.fixed_points(G)
-    inclusion = tuple(core.restricted_arrows(G, fixed))
-    gf = core.restrict(G, fixed)
+    inclusion = core.restricted_arrows(G, core.fixed_points(G))
+    gf = core._restriction(G, inclusion)
     comm = commutator_subgroupoid(gf)
     qr = quotient(gf, comm)
-    return Abelianization(host=G, g_fix=gf, inclusion=inclusion, commutator=comm,
+    return Abelianization(host=G, g_fix=gf, inclusion=tuple(inclusion), commutator=comm,
                           g_ab=qr.quotient, class_map=qr.class_map)
 
 
@@ -219,14 +209,15 @@ def component_normal_subgroupoids(
     """
     out = []
     for units in core.unit_components(G):
-        GC = core.restrict(G, units)
+        inclusion = core.restricted_arrows(G, units)
+        GC = core._restriction(G, inclusion)
         x = min(GC.units)
         g, fiber = fiber_group(GC, x)
         moves = {GC.rng[a]: a for a in GC.arrows() if GC.src[a] == x}.values()
         normals = groups.normal_subgroups(g, None if limit is None else limit // GC.n)
         if limit is not None:
             limit -= len(normals) * GC.n
-        out.append((GC, tuple(core.restricted_arrows(G, units)), [
+        out.append((GC, tuple(inclusion), [
             NormalSubgroupoid(GC, frozenset(GC.comp[(GC.comp[(a, fiber[h])], GC.inv[a])]
                                             for a in moves for h in sub))
             for sub in normals]))

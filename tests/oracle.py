@@ -1,22 +1,188 @@
-"""Exhaustive checkers that only the tests call, each testing an identity from
-its definition by brute force.  The hom checkers read a hom only through
-``apply(delta(...))``, never through its arrow map, so they stay independent
-of the partition that ``AlgebraHom.kernel`` reads.
+"""References and exhaustive checkers that only the tests call.
+
+The general-element convolution algebra over exact Gaussian rationals, and
+the complex values of characters and of the bundle transform, are the
+reference for the package's arrow maps, partitions and integer exponents.
+Each checker tests an identity from its definition by brute force.  The hom
+checkers read a hom only through ``apply(h, delta(...))``, never through its
+arrow map, so they stay independent of the partition ``AlgebraHom.kernel``
+reads.
 """
 
+import cmath
 import itertools
+from dataclasses import dataclass
+from typing import Iterable
 
 from groupoidlab import core, groups, quotients
 from groupoidlab.abelian import Character
-from groupoidlab.algebra import AlgebraHom, CharacterFunctional, convolve, delta, involute
+from groupoidlab.algebra import AlgebraHom, CharacterFunctional, GelfandMatrix
 from groupoidlab.core import FiniteGroupoid
 from groupoidlab.groups import FiniteGroup
-from groupoidlab.linalg import QI1, BinomialSpan, Echelon
+from groupoidlab.linalg import QI0, QI1, BinomialSpan, Echelon, Qi, as_qi, vec_iadd_scaled
+
+
+# --- the reference algebra ------------------------------------------------
+
+@dataclass
+class AlgebraElement:
+    """A function on arrows with Gaussian-rational values, sparsely stored."""
+
+    host: FiniteGroupoid
+    coeffs: dict[int, Qi]
+
+    def __add__(self, other):
+        self._same_host(other)
+        out = dict(self.coeffs)
+        vec_iadd_scaled(out, other.coeffs, QI1)
+        return AlgebraElement(self.host, out)
+
+    def __sub__(self, other):
+        self._same_host(other)
+        out = dict(self.coeffs)
+        vec_iadd_scaled(out, other.coeffs, Qi(-1))
+        return AlgebraElement(self.host, out)
+
+    def __mul__(self, other):
+        return convolve(self, other)
+
+    def scaled(self, c) -> "AlgebraElement":
+        c = as_qi(c)
+        if not c:
+            return AlgebraElement(self.host, {})
+        return AlgebraElement(self.host, {k: c * v for k, v in self.coeffs.items()})
+
+    def star(self) -> "AlgebraElement":
+        return involute(self)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _same_host(self, other):
+        if self.host != other.host:
+            raise ValueError("elements of different groupoid algebras")
+
+
+def from_coeffs(G: FiniteGroupoid, coeffs: dict) -> AlgebraElement:
+    out = {}
+    for k, v in coeffs.items():
+        q = as_qi(v)
+        if q:
+            if not (0 <= k < G.n):
+                raise ValueError(f"coefficient index {k} out of range")
+            out[k] = q
+    return AlgebraElement(G, out)
+
+
+def zero(G: FiniteGroupoid) -> AlgebraElement:
+    return AlgebraElement(G, {})
+
+
+def delta(G: FiniteGroupoid, g: int) -> AlgebraElement:
+    if not (0 <= g < G.n):
+        raise ValueError(f"arrow index {g} out of range")
+    return AlgebraElement(G, {g: QI1})
+
+
+def unit_element(G: FiniteGroupoid) -> AlgebraElement:
+    """The multiplicative unit: the sum of the unit deltas."""
+    return AlgebraElement(G, {x: QI1 for x in G.units})
+
+
+def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
+    """(f*g)(c) sums f(a) g(b) over factorizations c = a.b."""
+    f._same_host(g)
+    G = f.host
+    comp = G.comp
+    out: dict[int, Qi] = {}
+    for a, ca in f.coeffs.items():
+        for b, cb in g.coeffs.items():
+            c = comp.get((a, b))
+            if c is not None:
+                s = out.get(c, QI0) + ca * cb
+                if s:
+                    out[c] = s
+                else:
+                    del out[c]
+    return AlgebraElement(G, out)
+
+
+def involute(f: AlgebraElement) -> AlgebraElement:
+    """f*(g) = conj(f(g^-1)); an antimultiplicative involution."""
+    G = f.host
+    return AlgebraElement(G, {G.inv[k]: v.conjugate() for k, v in f.coeffs.items()})
+
+
+def apply(h: AlgebraHom, f: AlgebraElement) -> AlgebraElement:
+    """The image of f: each coefficient moves to its arrow's image, or vanishes."""
+    if f.host != h.domain:
+        raise ValueError("element not in the domain algebra")
+    acc: dict[int, Qi] = {}
+    for k, c in f.coeffs.items():
+        t = h.arrow_map[k]
+        if t is not None:
+            vec_iadd_scaled(acc, {t: QI1}, c)
+    return AlgebraElement(h.codomain, acc)
+
+
+def compose_homs(outer: AlgebraHom, inner: AlgebraHom) -> AlgebraHom:
+    if inner.codomain != outer.domain:
+        raise ValueError("homomorphisms do not compose")
+    arrow_map = tuple(None if t is None else outer.arrow_map[t] for t in inner.arrow_map)
+    return AlgebraHom(domain=inner.domain, codomain=outer.codomain, arrow_map=arrow_map)
+
+
+def restriction_hom(G: FiniteGroupoid, F: Iterable[int]) -> AlgebraHom:
+    """Restriction of functions to the subgroupoid over an invariant unit set."""
+    index = {g: i for i, g in enumerate(core.restricted_arrows(G, F))}
+    return AlgebraHom(G, core.restrict(G, F), tuple(map(index.get, G.arrows())))
+
+
+# --- numeric values ---------------------------------------------------------
+
+def root_of_unity(e: int, m: int) -> complex:
+    """exp(2 pi i e / m)."""
+    return cmath.exp(2j * cmath.pi * (e % m) / m)
+
+
+def qi_complex(q: Qi) -> complex:
+    return complex(q.re) + 1j * complex(q.im)
+
+
+def character_value(chi: Character, a: int) -> complex:
+    """The value of chi at element a of its group."""
+    return root_of_unity(chi.exps[a], chi.modulus)
+
+
+def evaluate(phi: CharacterFunctional, f: AlgebraElement) -> complex:
+    """phi(f): phi is a root of unity on each delta of its support, 0 elsewhere."""
+    if f.host != phi.host:
+        raise ValueError("element of a different groupoid algebra")
+    return sum((qi_complex(c) * root_of_unity(phi.exponents[g], phi.modulus)
+                for g, c in f.coeffs.items() if g in phi.exponents), start=0j)
+
+
+def gelfand_complex(gm: GelfandMatrix) -> list[list[complex]]:
+    """The transform as a numeric matrix."""
+    return [[0j if e is None else root_of_unity(e, chi.modulus) for e in row]
+            for (_, chi), row in zip(gm.pairs, gm.entries)]
+
+
+# --- exhaustive checkers ----------------------------------------------------
+
+def is_effective(G: FiniteGroupoid) -> bool:
+    """True when the only arrows fixing their source are the units."""
+    return core.isotropy(G) == G.units
+
+
+def is_group_bundle(G: FiniteGroupoid) -> bool:
+    """True when every arrow has equal source and range."""
+    return len(core.isotropy(G)) == G.n
 
 
 def hom_images(h: AlgebraHom) -> list:
     """The image of each basis delta, in arrow order."""
-    return [h.apply(delta(h.domain, g)) for g in h.domain.arrows()]
+    return [apply(h, delta(h.domain, g)) for g in h.domain.arrows()]
 
 
 def hom_multiplicativity_violations(h: AlgebraHom, limit: int = 1) -> list[tuple[int, int]]:
@@ -25,7 +191,7 @@ def hom_multiplicativity_violations(h: AlgebraHom, limit: int = 1) -> list[tuple
     out = []
     for a in h.domain.arrows():
         for b in h.domain.arrows():
-            lhs = h.apply(convolve(delta(h.domain, a), delta(h.domain, b)))
+            lhs = apply(h, convolve(delta(h.domain, a), delta(h.domain, b)))
             if lhs != convolve(images[a], images[b]):
                 out.append((a, b))
                 if len(out) >= limit:
@@ -37,7 +203,7 @@ def hom_star_violations(h: AlgebraHom, limit: int = 1) -> list[int]:
     images = hom_images(h)
     out = []
     for a in h.domain.arrows():
-        if h.apply(involute(delta(h.domain, a))) != involute(images[a]):
+        if apply(h, involute(delta(h.domain, a))) != involute(images[a]):
             out.append(a)
             if len(out) >= limit:
                 return out

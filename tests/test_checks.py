@@ -27,7 +27,7 @@ class TestReports:
     def test_failing_check_carries_a_witness(self, klein_cross):
         comp = dict(klein_cross.comp)
         pair = next((a, b) for (a, b) in comp
-                    if not klein_cross.is_unit(a) and not klein_cross.is_unit(b))
+                    if a not in klein_cross.units and b not in klein_cross.units)
         del comp[pair]
         broken = dataclasses.replace(klein_cross, comp=comp)
         report = checks.file_report(broken, "broken")

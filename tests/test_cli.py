@@ -1,16 +1,21 @@
 """Command-line interface: exit codes, payload shapes, file handling."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groupoidlab
-from groupoidlab import checks, cli, document, generators, groups, quotients
+from groupoidlab import checks, cli, core, document, generators, groups, quotients
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # The directory holding the imported package, so that a child interpreter
@@ -92,14 +97,19 @@ class TestGenerateAndValidate:
         code, data = run(["generate", "--kind", "group:M11"], capsys)
         assert code == 2
 
-    def test_bad_size_exits_two(self, monkeypatch, capsys):
+    def test_bad_size_exits_two(self, tmp_path, monkeypatch, capsys):
         # a size over cli.MAX_ARROWS or a count over cli.MAX_COUNT is refused
-        # before any table is built
+        # before any table is built, a document that large before validation
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(document.encode_groupoid(
+            generators.trivial_groupoid(cli.MAX_ARROWS + 1))))
+
         def refuse(*args, **kwargs):
             raise AssertionError("a model was built")
 
         for module, name in ((generators, "pair_groupoid"), (generators, "trivial_groupoid"),
-                             (generators, "random_groupoid"), (checks, "corpus_report")):
+                             (generators, "random_groupoid"), (checks, "corpus_report"),
+                             (core, "validate")):
             monkeypatch.setattr(module, name, refuse)
         code, _ = run(["generate", "--kind", "pair:0"], capsys)
         assert code == 2
@@ -118,7 +128,9 @@ class TestGenerateAndValidate:
                      ["check", "--corpus", "--count", str(cli.MAX_COUNT + 1)],
                      ["check", "--corpus", "--count", "100000000"],
                      ["check", "--corpus", "--count", "1", "--jobs", "0"],
-                     ["check", "--corpus", "--count", "1", "--jobs", "-5"]):
+                     ["check", "--corpus", "--count", "1", "--jobs", "-5"],
+                     ["validate", "--input", str(big)],
+                     ["check", "--input", str(big)]):
             code, data = run(args, capsys)
             assert code == 2 and "error" in data, args
 
@@ -288,6 +300,68 @@ class TestCheckCommand:
         path.write_text(json.dumps(doc))
         code, data = run(["check", "--input", str(path)], capsys)
         assert code == 1 and data["status"] == "fail"
+
+
+# Arbitrary JSON values, for the fields and entries a mutation replaces.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4)
+
+
+def _position(draw, holder):
+    """A (container, key) pair in holder[0], reached by descending one level
+    at a time: always into a top-level field, then on with even odds."""
+    container, key = holder, 0
+    while (isinstance(container[key], (dict, list)) and container[key]
+           and (container is holder or draw(st.booleans()))):
+        node = container[key]
+        container, key = node, draw(st.sampled_from(
+            list(node) if isinstance(node, dict) else range(len(node))))
+    return container, key
+
+
+def _swapped(node, swap: dict):
+    """node with each string, value or key, renamed by swap."""
+    if isinstance(node, list):
+        return [_swapped(x, swap) for x in node]
+    if isinstance(node, dict):
+        return {swap.get(k, k): _swapped(v, swap) for k, v in node.items()}
+    return swap.get(node, node) if isinstance(node, str) else node
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid document after one or two mutations at drawn positions:
+    arbitrary JSON in place of a value, an entry dropped, or two labels
+    exchanged throughout a value."""
+    G = draw(st.sampled_from([generators.klein_cross(), generators.s3_point()]))
+    holder = [document.encode_groupoid(G)]
+    for _ in range(draw(st.integers(1, 2))):
+        container, key = _position(draw, holder)
+        how = draw(st.sampled_from(["replace", "drop", "swap"]))
+        if how == "replace" or container is holder:
+            container[key] = draw(_JSON)
+        elif how == "drop":
+            del container[key]
+        else:
+            a, b = draw(st.lists(st.sampled_from(G.labels), min_size=2, max_size=2, unique=True))
+            container[key] = _swapped(container[key], {a: b, b: a})
+    return holder[0]
+
+
+class TestContract:
+    @settings(max_examples=100, deadline=None)
+    @given(_mutated_documents())
+    def test_any_document_exits_zero_one_or_two_with_json(self, doc):
+        text = json.dumps(doc)
+        for command in ("validate", "quotient", "abelianize", "dual", "characters", "check"):
+            out = io.StringIO()
+            with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+                    contextlib.redirect_stdout(out):
+                code = cli.main([command, "--input", "-"])
+            assert code in (cli.EXIT_OK, cli.EXIT_SEMANTIC, cli.EXIT_INPUT), command
+            assert isinstance(json.loads(out.getvalue()), dict), command
 
 
 class TestPlumbing:

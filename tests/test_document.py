@@ -1,12 +1,10 @@
 """The JSON interchange format: strict decoding, faithful round-trips."""
 
 import json
-from fractions import Fraction
 
 import pytest
 
-from groupoidlab import algebra, document, generators
-from groupoidlab.linalg import Qi
+from groupoidlab import document, generators
 
 
 def _doc(G=None):
@@ -107,35 +105,3 @@ class TestStrictDecoding:
         G = document.decode_groupoid(doc)
         assert core.validate(G) != []
 
-
-class TestElementCodec:
-    def test_round_trip(self, s3):
-        f = algebra.from_coeffs(s3, {
-            0: Qi(Fraction(1, 2), Fraction(-3, 7)),
-            2: Qi(-2, 0),
-            5: Qi(0, 1),
-        })
-        data = document.encode_element(f)
-        assert document.decode_element(s3, data) == f
-
-    def test_encoded_form_is_integer_quads(self, s3):
-        f = algebra.from_coeffs(s3, {1: Qi(Fraction(3, 4))})
-        data = document.encode_element(f)
-        assert data == {s3.labels[1]: [3, 4, 0, 1]}
-
-    def test_rejects_unknown_label(self, s3):
-        with pytest.raises(document.DocumentError, match="unknown label"):
-            document.decode_element(s3, {"nope": [1, 1, 0, 1]})
-
-    def test_rejects_bad_quad(self, s3):
-        with pytest.raises(document.DocumentError):
-            document.decode_element(s3, {s3.labels[0]: [1, 1]})
-        with pytest.raises(document.DocumentError):
-            document.decode_element(s3, {s3.labels[0]: [1.5, 1, 0, 1]})
-        for quad in ([1, 0, 0, 1], [1, 1, 2, 0], [True, 1, 0, 1], [1, 1, 0, False]):
-            with pytest.raises(document.DocumentError):
-                document.decode_element(s3, {s3.labels[0]: quad})
-
-    def test_zero_coefficients_are_dropped(self, s3):
-        f = document.decode_element(s3, {s3.labels[0]: [0, 1, 0, 1]})
-        assert f.is_zero()

@@ -93,7 +93,7 @@ class TestQuotient:
         # center keeps only its unit: 4 + 4 + 1
         qr = quotients.quotient(klein_cross, core.isotropy(klein_cross))
         assert qr.quotient.n == 9
-        assert core.is_effective(qr.quotient)
+        assert oracle.is_effective(qr.quotient)
 
     def test_klein_cross_by_central_fiber(self, klein_cross):
         # the central Klein four-group plus all units: only the center
@@ -102,7 +102,7 @@ class TestQuotient:
                    if klein_cross.labels[g].endswith(",c)")} | set(klein_cross.units)
         qr = quotients.quotient(klein_cross, carrier)
         assert qr.quotient.n == 17
-        assert not core.is_effective(qr.quotient)
+        assert not oracle.is_effective(qr.quotient)
 
     def test_class_map_is_a_surjection_onto_quotient(self, s3_a3):
         for H in quotients.enumerate_normal_subgroupoids(s3_a3):
@@ -149,7 +149,7 @@ class TestCommutatorAndAbelianization:
         ab = quotients.abelianize_groupoid(klein_cross)
         assert ab.g_fix.n == 4
         assert ab.g_ab.n == 4
-        assert core.is_group_bundle(ab.g_ab)
+        assert oracle.is_group_bundle(ab.g_ab)
         assert core.validate(ab.g_ab) == []
 
     def test_s3_a3_abelianization(self, s3_a3):
@@ -165,7 +165,7 @@ class TestCommutatorAndAbelianization:
     def test_abelianization_has_commutative_fibers(self, corpus40):
         for _, G in corpus40[:20]:
             ab = quotients.abelianize_groupoid(G)
-            assert core.is_group_bundle(ab.g_ab)
+            assert oracle.is_group_bundle(ab.g_ab)
             for (a, b), c in ab.g_ab.comp.items():
                 assert ab.g_ab.comp[(b, a)] == c
 
@@ -173,7 +173,7 @@ class TestCommutatorAndAbelianization:
         bundles = 0
         for seed in range(200):
             G = generators.random_groupoid(seed, checks.corpus_budget(seed))
-            if not core.is_group_bundle(G) or not all(
+            if not oracle.is_group_bundle(G) or not all(
                     groups.is_abelian(quotients.fiber_group(G, x)[0]) for x in G.units):
                 continue
             bundles += 1

@@ -9,6 +9,7 @@ input), 2 when the input cannot be parsed or the invocation is malformed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,11 +21,13 @@ EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
 # The most arrows of a groupoid the CLI takes, as many as pair:64.  Every
-# table is held in memory, validation probes every pair of arrows, and the
-# axiom and transform checks grow up to the cube of a component's arrow count
-# (MAX_FAMILY_ARROWS bounds the quotients apart).  So a larger --kind or
-# --budget is refused before any table is built, and a larger document before
-# it is validated, instead of running for minutes or ending in a MemoryError.
+# table is held in memory.  Validation reads each comp entry a few times and
+# tests associativity by Light's test, |units| + |S| middles for a generating
+# set S, about 0.2 s on pair:64; the transform check still grows with the
+# cube of a fiber's order (MAX_FAMILY_ARROWS bounds the quotients apart).  So
+# a larger --kind or --budget is refused before any table is built, and a
+# larger document before it is validated, instead of running for minutes or
+# ending in a MemoryError.
 MAX_ARROWS = 4096
 
 # The most arrows that check quotients on one document: it quotients each
@@ -292,6 +295,15 @@ def _cmd_check(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors keep the JSON contract: exit 2
+    with a payload on stdout, not usage text on stderr.  Subparsers are built
+    from the same class."""
+
+    def error(self, message: str):
+        raise CliError(EXIT_INPUT, {"error": message, "usage": self.format_usage().strip()})
+
+
 def _add_source(p: argparse.ArgumentParser, require_kind: bool = False) -> None:
     if not require_kind:
         p.add_argument("--input", metavar="FILE",
@@ -305,8 +317,11 @@ def _add_source(p: argparse.ArgumentParser, require_kind: bool = False) -> None:
                    help=f"size budget for --kind random, at most {MAX_ARROWS} arrows")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built once per process: parse_args fills a fresh
+    Namespace on every call, so no request leaves state for the next."""
+    parser = _Parser(
         prog="groupoidlab",
         description="Finite groupoid workbench: quotients, abelianizations, "
                     "character duals, and exact convolution algebras.")
@@ -361,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         _emit(exc.payload, getattr(args, "output", None))

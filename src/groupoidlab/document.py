@@ -54,21 +54,25 @@ def decode_groupoid(doc: Any) -> FiniteGroupoid:
     _expect(len(set(elements)) == len(elements), "element labels must be unique")
     index = {lab: i for i, lab in enumerate(elements)}
 
-    def look(label: Any, where: str) -> int:
-        _expect(isinstance(label, str) and label in index,
-                f"{where}: unknown label {label!r}")
-        return index[label]
+    def resolve(labels: list, where: str) -> list[int]:
+        # The keys are the declared labels, all str, so one successful lookup
+        # per label is the whole check.
+        try:
+            return [index[lab] for lab in labels]
+        except (KeyError, TypeError):   # undeclared, or unhashable
+            bad = next(lab for lab in labels if not (isinstance(lab, str) and lab in index))
+            raise DocumentError(f"{where}: unknown label {bad!r}") from None
 
     units = doc["units"]
     _expect(isinstance(units, list), "units must be a list")
-    unit_idx = [look(u, "units") for u in units]
+    unit_idx = resolve(units, "units")
     _expect(len(set(unit_idx)) == len(unit_idx), "duplicate units")
 
     def total_map(name: str) -> tuple[int, ...]:
         m = doc[name]
         _expect(isinstance(m, dict), f"{name} must be an object")
         _expect(set(m) == set(elements), f"{name} must be defined on exactly the elements")
-        return tuple(look(m[lab], name) for lab in elements)
+        return tuple(resolve([m[lab] for lab in elements], name))
 
     src = total_map("src")
     rng = total_map("rng")
@@ -78,12 +82,16 @@ def decode_groupoid(doc: Any) -> FiniteGroupoid:
     _expect(isinstance(comp_entries, list), "comp must be a list of triples")
     comp: dict[tuple[int, int], int] = {}
     for entry in comp_entries:
-        _expect(isinstance(entry, list) and len(entry) == 3,
-                f"comp entries must be [a, b, ab] triples, got {entry!r}")
-        a, b, c = (look(x, "comp") for x in entry)
-        _expect((a, b) not in comp, f"duplicate comp entry for {entry[:2]!r}")
+        # raise directly: _expect would format its message for every entry
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise DocumentError(f"comp entries must be [a, b, ab] triples, got {entry!r}")
+        try:
+            a, b, c = index[entry[0]], index[entry[1]], index[entry[2]]
+        except (KeyError, TypeError):
+            a, b, c = resolve(entry, "comp")
+        if (a, b) in comp:
+            raise DocumentError(f"duplicate comp entry for {entry[:2]!r}")
         comp[(a, b)] = c
 
     return FiniteGroupoid(n=len(elements), units=frozenset(unit_idx), src=src,
                           rng=rng, comp=comp, inv=inv, labels=tuple(elements))
-

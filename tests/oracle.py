@@ -291,6 +291,17 @@ def character_violations(chi: Character) -> list[str]:
     return out
 
 
+def groupoid_associativity_violations(G: FiniteGroupoid) -> list[tuple[int, int, int]]:
+    """Every triple (a, b, c) with (ab)c != a(bc), by the cubic loop over
+    the composable pairs (a, b) and each c composable with b.  Needs a
+    compatible table: every product lands between the right units."""
+    by_rng: dict[int, list[int]] = {}
+    for g in G.arrows():
+        by_rng.setdefault(G.rng[g], []).append(g)
+    return [(a, b, c) for (a, b), ab in G.comp.items() for c in by_rng.get(G.src[b], ())
+            if G.comp[(ab, c)] != G.comp[(a, G.comp[(b, c)])]]
+
+
 def associativity_violations(g: FiniteGroup) -> list[tuple[int, int, int]]:
     """Every triple (i, j, k) with (i*j)*k != i*(j*k), by the cubic loop."""
     t = g.table

@@ -38,6 +38,29 @@ def run(args, capsys):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def spawn(args):
+    """The CLI run on args in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
+    return subprocess.run([sys.executable, "-m", "groupoidlab.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def run_fresh(args):
+    """Like run, in a fresh interpreter: (exit code, payload)."""
+    out = spawn(args)
+    return out.returncode, (json.loads(out.stdout) if out.stdout.strip() else None)
+
+
+def _timeless(payload):
+    """payload without its timings, the one part that differs run to run."""
+    if isinstance(payload, list):
+        return [_timeless(x) for x in payload]
+    if isinstance(payload, dict):
+        return {k: _timeless(v) for k, v in payload.items()
+                if k not in ("seconds", "total_seconds")}
+    return payload
+
+
 class TestGenerateAndValidate:
     def test_generate_then_validate(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -422,6 +445,38 @@ class TestPlumbing:
         assert json.loads(out.stdout)["status"] == "pass"
 
     def test_usage_error_exits_two(self):
-        out = subprocess.run([sys.executable, "-m", "groupoidlab.cli", "frobnicate"],
-                             capture_output=True, text=True)
-        assert out.returncode == 2
+        for args in (["frobnicate"], ["validate", "--bogus"], [], ["check", "--count", "x"]):
+            code, data = run_fresh(args)
+            assert code == cli.EXIT_INPUT, args
+            assert data["error"] and data["usage"].startswith("usage: groupoidlab"), args
+
+    def test_help_is_text_with_exit_zero(self):
+        out = spawn(["check", "--help"])
+        assert out.returncode == 0
+        assert out.stdout.startswith("usage: groupoidlab check")
+
+
+class TestParser:
+    def test_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_serves_a_request_after_a_usage_error(self, capsys):
+        code, data = run(["check", "--count", "x"], capsys)
+        assert code == cli.EXIT_INPUT and "--count" in data["error"]
+        code, data = run(["validate", "--kind", "s3"], capsys)
+        assert code == cli.EXIT_OK and data["valid"] is True
+
+    def test_keeps_no_state_between_requests(self, capsys):
+        # in one process, each request after the first answers as it does
+        # in a fresh interpreter: no option of one request reaches the next
+        payloads = {}
+        for args in (["quotient", "--kind", "klein-cross", "--by", "units"],
+                     ["quotient", "--kind", "klein-cross"],
+                     ["check", "--corpus", "--count", "1"],
+                     ["check", "--kind", "s3"]):
+            code, data = run(args, capsys)
+            fresh_code, fresh_data = run_fresh(args)
+            assert (code, _timeless(data)) == (fresh_code, _timeless(fresh_data)), args
+            payloads[" ".join(args)] = data
+        assert len(payloads["quotient --kind klein-cross"]["by"]) == 12   # the isotropy
+        assert {c["instance"] for c in payloads["check --kind s3"]["checks"]} == {"s3"}

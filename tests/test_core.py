@@ -4,8 +4,10 @@ import dataclasses
 
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupoidlab import core, generators, quotients
+from groupoidlab import core, generators, groups, quotients
 
 
 def _kinds(violations):
@@ -34,7 +36,23 @@ class TestValidate:
                     if a not in klein_cross.units and b not in klein_cross.units)
         del comp[pair]
         bad = dataclasses.replace(klein_cross, comp=comp)
-        assert _kinds(core.validate(bad)) == {core.MALFORMED}
+        assert [(v.kind, v.message, v.witness) for v in core.validate(bad)] == [
+            (core.MALFORMED, "comp undefined on composable pair", pair)]
+
+    def test_missing_pair_is_listed_beside_a_stray_entry(self, klein_cross):
+        # one composable pair too few and one stray entry too many: the entry
+        # count is right, and the missing pair is still listed
+        G = klein_cross
+        a = next(g for g in G.arrows() if G.src[g] != G.rng[g])
+        pair = next((x, y) for (x, y) in G.comp if x not in G.units and y not in G.units)
+        comp = dict(G.comp)
+        del comp[pair]
+        comp[(a, a)] = a
+        bad = dataclasses.replace(G, comp=comp)
+        assert len(bad.comp) == len(G.comp)
+        assert [(v.message, v.witness) for v in core.validate(bad)] == [
+            ("comp defined on non-composable pair", (a, a)),
+            ("comp undefined on composable pair", pair)]
 
     def test_non_composable_entry_is_malformed(self, klein_cross):
         G = klein_cross
@@ -86,6 +104,58 @@ class TestValidate:
         inv[s] = s   # s has order three, so it is not its own inverse
         bad = dataclasses.replace(G, inv=tuple(inv))
         assert core.INVERSE_LAW in _kinds(core.validate(bad))
+
+
+def _same_ends(G, g):
+    return [h for h in G.arrows() if G.src[h] == G.src[g] and G.rng[h] == G.rng[g]]
+
+
+@st.composite
+def _bent_tables(draw):
+    """A library or random groupoid with one to three products replaced by
+    another arrow between the same units.  The table stays compatible, so
+    validation reaches associativity, and is often not associative."""
+    G = draw(st.one_of(
+        st.sampled_from([generators.klein_cross(), generators.s3_a3_bundle(),
+                         generators.group_bundle([("p", groups.LIBRARY_BUILDERS["Q8"]())])]),
+        st.builds(generators.random_groupoid, st.integers(0, 10**6), st.integers(1, 40))))
+    comp = dict(G.comp)
+    pairs = sorted(comp)
+    for _ in range(draw(st.integers(1, 3))):
+        pair = draw(st.sampled_from(pairs))
+        comp[pair] = draw(st.sampled_from(_same_ends(G, comp[pair])))
+    return dataclasses.replace(G, comp=comp)
+
+
+class TestLightsTest:
+    @settings(max_examples=150, deadline=None)
+    @given(_bent_tables())
+    def test_agrees_with_the_cubic_oracle(self, G):
+        found = core.validate(G)
+        assert _kinds(found) <= {core.IDENTITY_LAW, core.ASSOCIATIVITY, core.INVERSE_LAW}
+        triples = [v.witness for v in found if v.kind == core.ASSOCIATIVITY]
+        every = oracle.groupoid_associativity_violations(G)
+        assert bool(triples) == bool(every)
+        assert set(triples) <= set(every)
+
+    def test_fault_at_an_untested_middle_is_found(self):
+        # C5 on one unit: the right powers of g reach every arrow, so S = [g]
+        # and only e and g are tested as middles.  Bending g2.g2 from g4 to g
+        # keeps the identity and inverse laws and breaks associativity at
+        # middles outside {e, g}; Light's test still finds a failure at g.
+        G = generators.group_bundle([("p", groups.cyclic(5))])
+        e, g, g2 = (G.label_index(f"{x}@p") for x in ("e", "g", "g2"))
+        comp = dict(G.comp)
+        comp[(g2, g2)] = g
+        bad = dataclasses.replace(G, comp=comp)
+        assert core._light_generators(bad) == [g]
+        every = oracle.groupoid_associativity_violations(bad)
+        assert {b for _, b, _ in every} - {e, g}
+        found = core.validate(bad)
+        assert _kinds(found) == {core.ASSOCIATIVITY}
+        triples = [v.witness for v in found]
+        assert {b for _, b, _ in triples} <= {e, g}
+        assert set(triples) <= set(every)
 
 
 class TestSubsets:

@@ -105,3 +105,53 @@ class TestStrictDecoding:
         G = document.decode_groupoid(doc)
         assert core.validate(G) != []
 
+
+
+# A bad label in each place a document names one, and the message that
+# names it: the same with or without the one-lookup path in front.
+_BAD_LABELS = [
+    (3, "unknown label 3"),
+    (None, "unknown label None"),
+    (True, "unknown label True"),
+    (["x"], "unknown label ['x']"),
+    ({"k": 1}, "unknown label {'k': 1}"),
+    ("ghost", "unknown label 'ghost'"),
+]
+
+
+def _put_units(doc, bad):
+    doc["units"].append(bad)
+
+
+def _put_map(name):
+    def put(doc, bad):
+        doc[name][doc["elements"][2]] = bad
+    return put
+
+
+def _put_comp(pos):
+    def put(doc, bad):
+        doc["comp"][4][pos] = bad
+    return put
+
+
+@pytest.mark.parametrize("bad, message", _BAD_LABELS, ids=[repr(b) for b, _ in _BAD_LABELS])
+@pytest.mark.parametrize("where, put", [
+    ("units", _put_units), ("src", _put_map("src")), ("rng", _put_map("rng")),
+    ("inv", _put_map("inv")), ("comp", _put_comp(0)), ("comp", _put_comp(1)),
+    ("comp", _put_comp(2)),
+], ids=["units", "src", "rng", "inv", "comp-a", "comp-b", "comp-ab"])
+def test_bad_label_message(where, put, bad, message):
+    doc = _doc()
+    put(doc, bad)
+    with pytest.raises(document.DocumentError) as err:
+        document.decode_groupoid(doc)
+    assert str(err.value) == f"{where}: {message}"
+
+
+def test_first_bad_label_of_a_comp_triple_is_named():
+    doc = _doc()
+    doc["comp"][7] = [doc["elements"][0], ["x"], "ghost"]
+    with pytest.raises(document.DocumentError) as err:
+        document.decode_groupoid(doc)
+    assert str(err.value) == "comp: unknown label ['x']"

@@ -10,6 +10,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, itemgetter
 
 from . import core, groups
 from .groups import FiniteGroup
@@ -42,11 +43,12 @@ def abelianized(g: FiniteGroup, name: str | None = None) -> FiniteAbelianGroup:
     return finite_abelian_group(g.labels, g.table, name or g.name)
 
 
-def _power(a: FiniteAbelianGroup, g: int, e: int) -> int:
-    e %= a.order_of(g)
-    out = a.identity
-    for _ in range(e):
-        out = a.table[out][g]
+def _powers(a: FiniteAbelianGroup, g: int) -> list[int]:
+    """g^0, g^1, ..., g^(k-1) for k the order of g, so that g^e is
+    ``_powers(a, g)[e % k]`` for any integer e."""
+    out = [a.identity]
+    while (x := a.table[out[-1]][g]) != a.identity:
+        out.append(x)
     return out
 
 
@@ -103,16 +105,17 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
     s = smith_normal_form(relations, width=k)
     assert all(d > 0 for d in s.diagonal), "relation lattice must have full rank"
 
+    gen_powers = [_powers(a, g) for g in gens]
     factors = []
-    generators = []
+    powers = []   # powers[j][e] = generators[j] ** e
     for j, d in enumerate(s.diagonal):
         if d > 1:
             t = a.identity
-            for i, e in enumerate(s.vinv[j]):
-                t = a.table[t][_power(a, gens[i], e)]
-            assert a.order_of(t) == d
+            for pw, e in zip(gen_powers, s.vinv[j]):
+                t = a.table[t][pw[e % len(pw)]]
             factors.append(d)
-            generators.append(t)
+            powers.append(_powers(a, t))
+            assert len(powers[-1]) == d
 
     total = 1
     for d in factors:
@@ -122,12 +125,12 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
     coords = [None] * n
     for residues in itertools.product(*(range(d) for d in factors)):
         x = a.identity
-        for t, e in zip(generators, residues):
-            x = a.table[x][_power(a, t, e)]
+        for pw, e in zip(powers, residues):
+            x = a.table[x][pw[e]]
         assert coords[x] is None
         coords[x] = residues
     return CyclicDecomposition(group=a, factors=tuple(factors),
-                               generators=tuple(generators),
+                               generators=tuple(pw[1] for pw in powers),
                                coords=tuple(coords))
 
 
@@ -150,16 +153,29 @@ class Character:
 
 
 def characters(a: FiniteAbelianGroup) -> list[Character]:
-    """All characters, ordered by factor residues (trivial character first)."""
+    """All characters, ordered by factor residues (trivial character first).
+
+    Character r sends x to sum_j r_j * coords[x][j] * (N / n_j) mod N, for
+    N the exponent and n_j the invariant factors.  It is built from its
+    predecessor in residue order, the character whose last nonzero residue
+    is one less, by adding basis character j's exponents: one addition
+    mod N per value instead of a k-term sum.
+    """
     dec = invariant_factors(a)
     nn = a.exponent
-    out = []
-    for residues in itertools.product(*(range(d) for d in dec.factors)):
-        exps = tuple(
-            sum(r * c * (nn // d) for r, c, d in zip(residues, dec.coords[x], dec.factors)) % nn
-            for x in range(a.order))
-        out.append(Character(host=a, exps=exps, factor_residues=residues))
-    return out
+    wrap = tuple(range(nn)) * 2   # wrap[s] = s % nn for 0 <= s < 2 nn
+    chars = [((), (0,) * a.order)]
+    for j, d in enumerate(dec.factors):
+        basis = tuple(c[j] * (nn // d) for c in dec.coords)
+        grown = []
+        for residues, exps in chars:
+            for r in range(d):
+                if r:
+                    exps = tuple(map(wrap.__getitem__, map(add, exps, basis)))
+                grown.append((residues + (r,), exps))
+        chars = grown
+    return [Character(host=a, exps=exps, factor_residues=residues)
+            for residues, exps in chars]
 
 
 def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
@@ -170,12 +186,21 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     original group.
 
     Each character is first checked to be a homomorphism on the generators,
-    chi(x*g) = chi(x) + chi(g) for every x and each generator g.  The
-    elements g that satisfy this for every x are closed under products and
-    hold the identity, a power of any generator, so the character is a
-    homomorphism everywhere and its values on the generators determine it.
-    Characters are therefore keyed, compared and added by those k values
-    instead of by all n.
+    chi(x*g) = chi(x) + chi(g) for every x and each generator g, one tuple
+    comparison per generator.  The elements g that satisfy this for every x
+    are closed under products and hold the identity, a power of any
+    generator, so the character is a homomorphism everywhere and its values
+    on the generators determine it.  Characters are therefore keyed,
+    compared and added by those k values instead of by all n.
+
+    The table row of key a lists the index of a + b for every key b.  Only
+    the rows of the zero key and of each key that the rows before it do not
+    reach are looked up in the key index.  Every other row is a + g, for a
+    row a already filled and a looked-up key g, and is composed as
+    row_a[row_g[j]]: exact, since key addition in (Z/N)^k is associative.
+    The closure check still covers every pair.  The keys g with g + K in K
+    are closed under addition, as (g + h) + K = g + (h + K) is in g + K, in
+    K; they include every looked-up key, so they include every key.
     """
     if not fiber:
         raise ValueError("empty character list")
@@ -183,33 +208,53 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     if any(chi.host != host for chi in fiber):
         raise ValueError("characters of different groups")
     nn = host.exponent
+    wrap = tuple(range(nn)) * 2   # wrap[s] = s % nn for 0 <= s < 2 nn
     gens = groups.generating_set(host)
-    columns = [(g, [row[g] for row in host.table]) for g in gens]   # x -> x*g
+    # products[g](values) reads the value at x*g for every x
+    products = [(g, itemgetter(*(row[g] for row in host.table))) for g in gens]
+    keys = []
     for i, chi in enumerate(fiber):
-        e = chi.exps
-        for g, column in columns:
-            if any((e[xg] - e[x] - e[g]) % nn for x, xg in enumerate(column)):
+        e = tuple(map(nn.__rmod__, chi.exps))
+        add_to = itemgetter(*e)   # add_to(wrap[c:c + nn]) is every chi(x) + c mod nn
+        for g, at_products in products:
+            if at_products(e) != add_to(wrap[e[g]:e[g] + nn]):
                 raise ValueError(f"character {i} is not a homomorphism at generator {g}")
-    keys = [tuple(chi.exps[g] % nn for g in gens) for chi in fiber]
+        keys.append(tuple(e[g] for g in gens))
     index = {key: i for i, key in enumerate(keys)}
     if len(index) != len(fiber) or len(fiber) != host.order:
         raise ValueError("character list is not the complete dual")
-    table = []
-    for x in keys:
-        row = []
-        for y in keys:
-            s = tuple((u + v) % nn for u, v in zip(x, y))
-            if s not in index:
-                raise ValueError("character list is not closed under products")
-            row.append(index[s])
-        table.append(row)
+
+    def looked_up(i: int) -> tuple[int, ...]:
+        try:
+            return tuple(index[tuple(map(wrap.__getitem__, map(add, keys[i], y)))]
+                         for y in keys)
+        except KeyError:
+            raise ValueError("character list is not closed under products") from None
+
+    zero = index.get((0,) * len(gens))
+    if zero is None:   # a finite set of keys closed under addition holds 0
+        raise ValueError("character list is not closed under products")
+    rows: list[tuple[int, ...] | None] = [None] * len(keys)
+    rows[zero] = looked_up(zero)
+    filled, looked = [zero], []
+    for i in range(len(rows)):
+        if rows[i] is None:
+            rows[i] = looked_up(i)
+            filled.append(i)
+            looked.append(i)
+            for a in filled:   # grows while it is walked
+                row_a = rows[a]
+                for g in looked:
+                    if rows[b := rows[g][a]] is None:
+                        rows[b] = tuple(map(row_a.__getitem__, rows[g]))
+                        filled.append(b)
     # Built directly, not through finite_abelian_group: the table is addition
     # of keys mod nn, so it is associative and commutative, and the
     # completeness and closure checks above make it a subgroup.  The order of
     # a character is nn / gcd(nn, its values on the generators).
     return FiniteAbelianGroup(
         name=f"dual({host.name})", labels=tuple(f"chi{i}" for i in range(len(fiber))),
-        table=tuple(map(tuple, table)), identity=index[(0,) * len(gens)],
+        table=tuple(rows), identity=zero,
         exponent=lcm(*(nn // gcd(nn, *key) for key in index)))
 
 

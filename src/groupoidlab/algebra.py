@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from . import abelian, quotients
+from . import abelian, groups, quotients
 from .abelian import Character, FiniteAbelianGroup
 from .core import FiniteGroupoid
 from .linalg import BinomialSpan
@@ -213,8 +213,13 @@ def gelfand_violations(gm: GelfandMatrix) -> dict | None:
     Checks, in integer exponent arithmetic, that there are as many rows as
     arrows and that each row r at unit x
       - is nonzero exactly on the fiber A_x, the arrows with source x;
-      - is multiplicative there: e[a] + e[b] = e[a.b] modulo its modulus;
+      - is multiplicative there: e[a] + e[b] = e[a.b] modulo its modulus,
+        for every a in A_x and each b in x and a generating set of A_x;
       - differs from every other row at x.
+    The b that pass for every a are closed under products and hold x and
+    the generators, so they are all of A_x: the argument of
+    ``abelian.char_group_structure``'s docstring, with the generating set
+    from ``groups.generating_set`` on the fiber's table.
     Arrows of different fibers do not compose and every row vanishes on one
     of them, so the first two make each row a homomorphism from A_x to the
     nonzero complex numbers and the transform send convolution to pointwise
@@ -231,19 +236,23 @@ def gelfand_violations(gm: GelfandMatrix) -> dict | None:
     fibers: dict[int, list[int]] = {}
     for g in G.arrows():
         fibers.setdefault(G.src[g], []).append(g)
+    columns: dict[int, list] = {}   # x -> (b, [a.b for a in A_x]) per tested b
     # rows compared as functions: exponents over a common modulus
     common = lcm(*(chi.modulus for _, chi in gm.pairs))
     seen: dict[tuple, int] = {}
     for r, ((x, chi), e) in enumerate(zip(gm.pairs, gm.entries)):
         fiber = fibers[x]
-        for g in G.arrows():
-            if (e[g] is None) == (G.src[g] == x):
-                return {"reason": "wrong support", "row": r, "unit": G.labels[x],
-                        "arrow": G.labels[g]}
+        if e.count(None) != G.n - len(fiber) or None in map(e.__getitem__, fiber):
+            g = next(g for g in G.arrows() if (e[g] is None) == (G.src[g] == x))
+            return {"reason": "wrong support", "row": r, "unit": G.labels[x],
+                    "arrow": G.labels[g]}
+        if x not in columns:
+            columns[x] = [(b, [G.comp[(a, b)] for a in fiber]) for b in _fiber_middles(G, x)]
         m = chi.modulus
-        for a in fiber:
-            for b in fiber:
-                if (e[a] + e[b] - e[G.comp[(a, b)]]) % m:
+        for b, column in columns[x]:
+            eb = e[b]
+            for a, ab in zip(fiber, column):
+                if (e[a] + eb - e[ab]) % m:
                     return {"reason": "not multiplicative", "row": r,
                             "pair": [G.labels[a], G.labels[b]]}
         key = (x, tuple(e[g] * (common // m) % common for g in fiber))
@@ -251,3 +260,9 @@ def gelfand_violations(gm: GelfandMatrix) -> dict | None:
             return {"reason": "repeated row", "rows": [seen[key], r], "unit": G.labels[x]}
         seen[key] = r
     return None
+
+
+def _fiber_middles(G: FiniteGroupoid, x: int) -> list[int]:
+    """The unit x and a generating set of the isotropy group at x, as arrows."""
+    fiber, arrows = quotients.fiber_group(G, x)
+    return [x, *(arrows[i] for i in groups.generating_set(fiber))]

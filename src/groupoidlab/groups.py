@@ -82,8 +82,10 @@ def group_violations(g: FiniteGroup) -> list[str]:
     for all x, y and each middle element a in the identity and
     ``generating_set(g)``.  The middle elements that pass form a submagma, since if a and b pass then
         (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y).
-    That submagma holds the identity and the generators, so it holds their
-    ``closure``, which ``generating_set`` makes the whole table: every middle
+    That submagma holds the identity and the generators, so it holds every
+    left-nested product ((a1*a2)*...)*ak of generators.  Those products and
+    the identity are what ``closure`` collects, with no associativity
+    assumed, and ``generating_set`` makes that the whole table: every middle
     element passes.
     """
     n = g.order
@@ -248,24 +250,33 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 # --- subgroup machinery --------------------------------------------------
 
 def closure(g: FiniteGroup, seed) -> frozenset[int]:
-    """Subgroup generated by the seed elements."""
-    out = {g.identity} | set(seed)
+    """Subgroup generated by the seed elements: the identity, the seed and
+    every left-nested product ((s1*s2)*...)*sk of seed elements.
+
+    A breadth-first search right-multiplies each element found by the seed
+    alone, in O(|subgroup| * |seed|).  In a finite group those products are
+    the subgroup: each element has finite order, so an inverse is a positive
+    power, and positive words already give every element of the group the
+    seed generates.  On any other table the result is the set of left-nested
+    products, which is what Light's test in ``group_violations`` needs.
+    """
+    t = g.table
+    seed = list(seed)
+    out = {g.identity, *seed}
     frontier = list(out)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(out):
-                for z in (g.table[x][y], g.table[y][x]):
-                    if z not in out:
-                        out.add(z)
-                        nxt.append(z)
-        frontier = nxt
+    for x in frontier:   # grows while it is walked: breadth first
+        tx = t[x]
+        for s in seed:
+            if (z := tx[s]) not in out:
+                out.add(z)
+                frontier.append(z)
     return frozenset(out)
 
 
 def generating_set(g: FiniteGroup) -> list[int]:
     """A generating set, chosen greedily: each element, in order, that the
-    elements chosen before it do not generate."""
+    elements chosen before it do not reach under ``closure``.  Every element
+    is then the identity, a member or a left-nested product of members."""
     gens: list[int] = []
     reached = closure(g, gens)
     for x in range(g.order):
@@ -327,10 +338,6 @@ def normal_subgroups(g: FiniteGroup, limit: int | None = None) -> list[frozenset
 
 
 def commutator_subgroup(g: FiniteGroup) -> frozenset[int]:
-    comms = set()
-    for a in range(g.order):
-        for b in range(g.order):
-            ab = g.table[a][b]
-            ba = g.table[b][a]
-            comms.add(g.table[ab][g.inverse(ba)])
-    return closure(g, comms)
+    t = g.table
+    inv = [row.index(g.identity) for row in t]
+    return closure(g, {t[t[a][b]][inv[t[b][a]]] for a in range(g.order) for b in range(g.order)})

@@ -1,6 +1,6 @@
 import pytest
 
-from groupoidlab import generators
+from groupoidlab import checks, generators
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +28,9 @@ def corpus40():
     """The first forty corpus instances with the standard budget schedule."""
     return [(seed, generators.random_groupoid(seed, 1 + seed % 60))
             for seed in range(40)]
+
+
+@pytest.fixture(scope="session")
+def abelian_family():
+    """The duality family's groups: every abelian group of order <= 64."""
+    return [a for n in range(1, 65) for _, a in checks.abelian_groups_of_order(n)]

@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from groupoidlab import core, groups, quotients
-from groupoidlab.abelian import Character
+from groupoidlab import abelian, core, groups, quotients
+from groupoidlab.abelian import Character, FiniteAbelianGroup
 from groupoidlab.algebra import AlgebraHom, CharacterFunctional, GelfandMatrix
 from groupoidlab.core import FiniteGroupoid
 from groupoidlab.groups import FiniteGroup
@@ -307,6 +307,34 @@ def associativity_violations(g: FiniteGroup) -> list[tuple[int, int, int]]:
     t = g.table
     return [(i, j, k) for i, j, k in itertools.product(range(g.order), repeat=3)
             if t[t[i][j]][k] != t[i][t[j][k]]]
+
+
+def two_sided_closure(g: FiniteGroup, seed) -> frozenset[int]:
+    """The subgroup the seed generates, by multiplying each new element by
+    every element found so far, on both sides, until nothing new appears."""
+    out = {g.identity} | set(seed)
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(out):
+                for z in (g.table[x][y], g.table[y][x]):
+                    if z not in out:
+                        out.add(z)
+                        nxt.append(z)
+        frontier = nxt
+    return frozenset(out)
+
+
+def characters_by_formula(a: FiniteAbelianGroup) -> list[Character]:
+    """Every character of a, in residue order, each value the k-term sum
+    sum_j r_j * coords[x][j] * (N / n_j) mod N over the invariant factors."""
+    dec = abelian.invariant_factors(a)
+    nn = a.exponent
+    return [Character(host=a, factor_residues=residues, exps=tuple(
+                sum(r * c * (nn // d) for r, c, d in zip(residues, dec.coords[x], dec.factors)) % nn
+                for x in range(a.order)))
+            for residues in itertools.product(*(range(d) for d in dec.factors))]
 
 
 def normal_subgroups_by_filter(g: FiniteGroup) -> list[frozenset[int]]:

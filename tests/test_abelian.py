@@ -84,6 +84,10 @@ class TestCharacters:
             for chi in abelian.characters(_product(*orders)):
                 assert oracle.character_violations(chi) == []
 
+    def test_accumulation_matches_the_per_value_formula(self, abelian_family):
+        for a in abelian_family:
+            assert abelian.characters(a) == oracle.characters_by_formula(a), a.name
+
     def test_trivial_character_comes_first(self):
         chars = abelian.characters(_product(2, 4))
         assert not any(chars[0].exps)

@@ -378,6 +378,39 @@ class TestGelfand:
         assert abs(np.linalg.det(np.array(singular, dtype=complex))) < 1e-9
         assert reason(pairs=gm.pairs[1:], entries=gm.entries[1:]) == "not square"
 
+    def test_a_bend_off_the_tested_generators_is_not_multiplicative(self):
+        # multiplicativity is tested only against x and a generating set of
+        # the fiber; a row bent at any other arrow must still fail
+        fiber = groups.cyclic(11)
+        for _ in range(5):
+            fiber = groups.direct_product(fiber, groups.cyclic(2))
+        G = generators.group_bundle([("p", fiber)])
+        gm = algebra.gelfand_transform(abelian.dual_bundle(G))
+        assert G.n == 352 and algebra.gelfand_violations(gm) is None
+        [x] = G.units
+        tested = algebra._fiber_middles(G, x)
+        g = max(set(G.arrows()) - set(tested))
+        m = gm.pairs[1][1].modulus
+
+        def witness(*arrows):
+            bent = [list(row) for row in gm.entries]
+            for h in arrows:
+                bent[1][h] = (bent[1][h] + 1) % m
+            return algebra.gelfand_violations(
+                dataclasses.replace(gm, entries=tuple(map(tuple, bent))))
+        bent = witness(g)
+        assert bent["reason"] == "not multiplicative" and bent["row"] == 1
+        # bent on a whole coset cH of H = <b>, b the first generator: still
+        # multiplicative against x and b, so only another generator catches it
+        b = tested[1]
+        H = [x]
+        while (h := G.comp[(H[-1], b)]) != x:
+            H.append(h)
+        c = next(a for a in G.arrows() if a not in H)
+        coset = witness(*(G.comp[(c, h)] for h in H))
+        assert coset["reason"] == "not multiplicative"
+        assert coset["pair"][1] not in {G.labels[x], G.labels[b]}
+
     def test_rejects_non_bundle(self, klein_cross):
         with pytest.raises(ValueError):
             algebra.gelfand_transform(abelian.dual_bundle(klein_cross))

@@ -154,6 +154,17 @@ class TestReports:
         result = checks.duality_family_check(max_order=24)
         assert result.ok
 
+    def test_duality_family_checks_all_117_groups_of_order_at_most_64(self, monkeypatch):
+        seen = []
+        witness = checks._duality_witness
+
+        def counted(a, chars):
+            seen.append(a.name)
+            return witness(a, chars)
+        monkeypatch.setattr(checks, "_duality_witness", counted)
+        assert checks.duality_family_check().ok
+        assert len(seen) == len(set(seen)) == 117
+
     def test_corpus_report_runs_serial_and_parallel(self):
         serial = checks.corpus_report(seed=0, count=6, jobs=1)
         parallel = checks.corpus_report(seed=0, count=6, jobs=2)

@@ -1,5 +1,6 @@
 """The built-in group library and subgroup machinery."""
 
+import itertools
 import random
 
 import oracle
@@ -211,6 +212,20 @@ class TestSubgroups:
         assert len(groups.closure(s3, [s])) == 3
         assert len(groups.closure(s3, [s, t])) == 6
         assert groups.closure(s3, []) == frozenset({s3.identity})
+
+    def test_closure_matches_the_two_sided_closure_on_the_library(self):
+        for g in groups.library():
+            for size in range(4):
+                for seed in itertools.combinations(range(g.order), size):
+                    assert groups.closure(g, seed) == oracle.two_sided_closure(g, seed), \
+                        (g.name, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_closure_matches_the_two_sided_closure_on_the_family(self, abelian_family, data):
+        a = data.draw(st.sampled_from(abelian_family))
+        seed = data.draw(st.lists(st.integers(0, a.order - 1), max_size=4))
+        assert groups.closure(a, seed) == oracle.two_sided_closure(a, seed)
 
 
 class TestDirectProduct:

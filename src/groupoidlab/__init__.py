@@ -13,7 +13,6 @@ from .abelian import (
     DualBundle,
     FiniteAbelianGroup,
     abelian_fiber,
-    abelianized,
     char_group_structure,
     characters,
     dual_bundle,
@@ -92,7 +91,7 @@ __all__ = [
     "FiniteAbelianGroup", "FiniteGroup", "FiniteGroupoid", "GelfandMatrix",
     "NormalSubgroupoid", "NotInvariantError", "Qi", "QuotientResult",
     "SmithNormalForm", "abelian_fiber", "abelianization_dim",
-    "abelianize_groupoid", "abelianized", "abelianized_fiber",
+    "abelianize_groupoid", "abelianized_fiber",
     "char_group_structure", "characters", "commutator_ideal",
     "commutator_subgroupoid", "corpus_report", "cyclic", "decode_groupoid",
     "dihedral4", "disjoint_union", "dual_bundle", "duality_family_check",

@@ -38,11 +38,6 @@ def finite_abelian_group(labels, table, name: str = "A") -> FiniteAbelianGroup:
                               identity=g.identity, exponent=g.exponent())
 
 
-def abelianized(g: FiniteGroup, name: str | None = None) -> FiniteAbelianGroup:
-    """View an already-commutative FiniteGroup as a FiniteAbelianGroup."""
-    return finite_abelian_group(g.labels, g.table, name or g.name)
-
-
 def _powers(a: FiniteAbelianGroup, g: int) -> list[int]:
     """g^0, g^1, ..., g^(k-1) for k the order of g, so that g^e is
     ``_powers(a, g)[e % k]`` for any integer e."""

@@ -114,7 +114,7 @@ def abelianized_fiber(ab: quotients.Abelianization,
     G = ab.host
     if x not in ab.fixed_points:
         raise ValueError(f"unit {G.labels[x]} is not a fixed point")
-    y = ab.fiber_unit(x)
+    y = ab.fixed_points[x]
     elem_of_arrow = {arrow: i for i, arrow in enumerate(ab.dual.fiber_arrows[y])}
     class_of = {g: elem_of_arrow[ab.class_map[i]]
                 for i, g in enumerate(ab.inclusion) if G.src[g] == x}
@@ -144,9 +144,9 @@ def enumerate_characters(ab: quotients.Abelianization) -> list[CharacterFunction
     """All one-dimensional representations of ab.host's algebra: its fixed
     points paired with the characters of their abelianized fibers."""
     out = []
-    for x in ab.fixed_points:
+    for x, y in ab.fixed_points.items():
         a, class_of = abelianized_fiber(ab, x)
-        for chi in ab.dual.fibers[ab.fiber_unit(x)]:
+        for chi in ab.dual.fibers[y]:
             exponents = {g: chi.exps[cls] % a.exponent for g, cls in class_of.items()}
             out.append(CharacterFunctional(host=ab.host, unit=x, chi=chi,
                                            exponents=exponents, modulus=a.exponent))

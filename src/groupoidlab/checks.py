@@ -154,8 +154,7 @@ def _duality_witness(a: abelian.FiniteAbelianGroup, chars) -> dict | None:
 
 
 def _check_fiber_duality(ab: quotients.Abelianization):
-    for x in ab.fixed_points:
-        y = ab.fiber_unit(x)
+    for x, y in ab.fixed_points.items():
         witness = _duality_witness(ab.dual.fiber_groups[y], ab.dual.fibers[y])
         if witness:
             return {"unit": ab.host.labels[x], **witness}
@@ -270,7 +269,11 @@ def abelian_groups_of_order(n: int):
 
     Yields (expected_invariant_factors, group); the expectation comes from
     the prime-power partitions directly, independent of the matrix route.
+    Products of cyclic groups are abelian groups: not validated again, with
+    the exponent read off the table, not the partition.  n must be positive.
     """
+    if n < 1:
+        raise ValueError(f"no group has order {n}")
     primes = _prime_factorization(n)
     partition_lists = [_partitions(e) for _, e in primes]
     for combo in itertools.product(*partition_lists):
@@ -290,7 +293,9 @@ def abelian_groups_of_order(n: int):
         g = groups.cyclic(1)
         for m in cyclic_orders:
             g = groups.direct_product(g, groups.cyclic(m))
-        yield expected, abelian.abelianized(g, name=f"A{n}:" + "x".join(map(str, cyclic_orders)))
+        yield expected, abelian.FiniteAbelianGroup(
+            name=f"A{n}:" + "x".join(map(str, cyclic_orders)), labels=g.labels,
+            table=g.table, identity=g.identity, exponent=g.exponent())
 
 
 def _duality_family(max_order: int = 64):
@@ -305,7 +310,7 @@ def _duality_family(max_order: int = 64):
             if witness:
                 return {"group": a.name, **witness}
             checked += 1
-    if checked < max_order:   # sanity: at least one group per order
+    if checked < max(max_order, 1):   # at least one group, and one per order
         return {"reason": "family enumeration came up short", "checked": checked}
     return None
 

@@ -247,8 +247,12 @@ class NotInvariantError(ValueError):
         self.witness = witness
 
 
-def restricted_arrows(G: FiniteGroupoid, F: Iterable[int]) -> list[int]:
-    """Arrows of the restriction to F, in ascending host order."""
+def restrict(G: FiniteGroupoid, F: Iterable[int]) -> FiniteGroupoid:
+    """Full subgroupoid over an invariant set of units F.
+
+    Arrow order and labels are inherited from the host; rejects non-units,
+    and non-invariant F with the witness arrow in the error.
+    """
     mf = arrow_set(G, F)
     bad = [x for x in mf if x not in G.units]
     if bad:
@@ -256,20 +260,13 @@ def restricted_arrows(G: FiniteGroupoid, F: Iterable[int]) -> list[int]:
     w = invariance_witness(G, mf)
     if w is not None:
         raise NotInvariantError(w, G.labels[w])
-    return [g for g in G.arrows() if G.src[g] in mf]
+    return _restriction(G, mf)[0]
 
 
-def restrict(G: FiniteGroupoid, F: Iterable[int]) -> FiniteGroupoid:
-    """Full subgroupoid over an invariant set of units F.
-
-    Arrow order and labels are inherited from the host; rejects non-invariant
-    F with the witness arrow in the error.
-    """
-    return _restriction(G, restricted_arrows(G, F))
-
-
-def _restriction(G: FiniteGroupoid, kept: list[int]) -> FiniteGroupoid:
-    """The full subgroupoid on kept, the list ``restricted_arrows`` returns."""
+def _restriction(G: FiniteGroupoid, F: frozenset[int]) -> tuple[FiniteGroupoid, tuple[int, ...]]:
+    """The full subgroupoid over F, with the host index of each of its
+    arrows, ascending.  F is an invariant unit set, not checked here."""
+    kept = tuple(g for g in G.arrows() if G.src[g] in F)
     index = {g: i for i, g in enumerate(kept)}
     comp = {(index[a], index[b]): index[c]
             for (a, b), c in G.comp.items() if a in index and b in index}
@@ -281,7 +278,7 @@ def _restriction(G: FiniteGroupoid, kept: list[int]) -> FiniteGroupoid:
         comp=comp,
         inv=tuple(index[G.inv[g]] for g in kept),
         labels=tuple(G.labels[g] for g in kept),
-    )
+    ), kept
 
 
 def require_group_bundle(G: FiniteGroupoid) -> None:

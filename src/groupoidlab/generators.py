@@ -155,7 +155,8 @@ def s3_a3_bundle() -> FiniteGroupoid:
 # --- seeded random corpus -------------------------------------------------
 
 def _coset_action(g: FiniteGroup, sub: frozenset[int]) -> GroupAction:
-    """Left translation on the cosets of a subgroup; points named by minimal reps."""
+    """Left translation on the cosets of a subgroup; points named by minimal
+    reps.  An action, as a(b(xH)) = (ab)(xH), so not checked again."""
     seen = {}
     order = []
     for x in range(g.order):
@@ -163,15 +164,11 @@ def _coset_action(g: FiniteGroup, sub: frozenset[int]) -> GroupAction:
         if rep not in seen:
             seen[rep] = len(order)
             order.append(rep)
-    points = [f"{g.labels[r]}H" for r in order]
-    act = []
-    for a in range(g.order):
-        row = []
-        for r in order:
-            y = g.table[a][r]
-            row.append(seen[min(g.table[y][h] for h in sub)])
-        act.append(row)
-    return group_action(g, points, act)
+    points = tuple(f"{g.labels[r]}H" for r in order)
+    # lists, not nested generators, which would leave reference cycles to collect
+    act = tuple([tuple([seen[min(g.table[g.table[a][r]][h] for h in sub)] for r in order])
+                 for a in range(g.order)])
+    return GroupAction(group=g, points=points, act=act)
 
 
 def random_groupoid(seed: int, size_budget: int = 60) -> FiniteGroupoid:

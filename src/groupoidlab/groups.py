@@ -240,11 +240,14 @@ def library_subgroups() -> tuple[tuple[FiniteGroup, tuple[frozenset[int], ...]],
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    labels = [f"({la},{lb})" for la in a.labels for lb in b.labels]
+    """a x b, with (i, j) at index i * |b| + j.  Built directly, not through
+    ``finite_group``: a product of groups is a group, with identity
+    (a.identity, b.identity)."""
+    labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
     nb = b.order
-    table = [[a.table[i // nb][j // nb] * nb + b.table[i % nb][j % nb]
-              for j in range(a.order * nb)] for i in range(a.order * nb)]
-    return finite_group(f"{a.name}x{b.name}", labels, table)
+    table = tuple(tuple(a.table[i // nb][j // nb] * nb + b.table[i % nb][j % nb]
+                        for j in range(a.order * nb)) for i in range(a.order * nb))
+    return FiniteGroup(f"{a.name}x{b.name}", labels, table, a.identity * nb + b.identity)
 
 
 # --- subgroup machinery --------------------------------------------------

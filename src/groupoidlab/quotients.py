@@ -138,13 +138,15 @@ def quotient_preimage_of_units(G: FiniteGroupoid, result: QuotientResult) -> fro
 
 
 def commutator_subgroupoid(G: FiniteGroupoid) -> NormalSubgroupoid:
-    """Fiberwise commutator subgroups of a group bundle, as a normal subgroupoid."""
+    """Fiberwise commutator subgroups of a group bundle, as a normal subgroupoid.
+    Normal without ``is_normal``: each arrow of a group bundle lies in one
+    fiber, and a commutator subgroup is normal."""
     core.require_group_bundle(G)
     carrier = set()
     for x in sorted(G.units):
         g, arrows = fiber_group(G, x)
         carrier.update(arrows[i] for i in groups.commutator_subgroup(g))
-    return normal_subgroupoid(G, carrier)
+    return NormalSubgroupoid(G, frozenset(carrier))
 
 
 @dataclass(frozen=True)
@@ -159,14 +161,11 @@ class Abelianization:
     g_ab: FiniteGroupoid
     class_map: tuple[int, ...]     # g_fix arrow -> g_ab arrow
 
-    @property
-    def fixed_points(self) -> list[int]:
-        """The host's fixed points, ascending: the units of g_fix."""
-        return sorted(self.inclusion[u] for u in self.g_fix.units)
-
-    def fiber_unit(self, x: int) -> int:
-        """The unit of g_ab that the fixed point x of the host maps to."""
-        return self.class_map[self.inclusion.index(x)]
+    @cached_property
+    def fixed_points(self) -> dict[int, int]:
+        """The host's fixed points, ascending, each with the unit of g_ab it
+        maps to; inclusion is ascending, so g_fix's units are in that order."""
+        return {self.inclusion[u]: self.class_map[u] for u in sorted(self.g_fix.units)}
 
     @cached_property
     def dual(self) -> abelian.DualBundle:
@@ -176,12 +175,12 @@ class Abelianization:
 
 
 def abelianize_groupoid(G: FiniteGroupoid) -> Abelianization:
-    """Restrict to fixed points, then quotient by fiberwise commutators."""
-    inclusion = core.restricted_arrows(G, core.fixed_points(G))
-    gf = core._restriction(G, inclusion)
+    """Restrict to fixed points (invariant: no arrow leaves one), then
+    quotient by fiberwise commutators."""
+    gf, inclusion = core._restriction(G, core.fixed_points(G))
     comm = commutator_subgroupoid(gf)
     qr = quotient(gf, comm)
-    return Abelianization(host=G, g_fix=gf, inclusion=tuple(inclusion), commutator=comm,
+    return Abelianization(host=G, g_fix=gf, inclusion=inclusion, commutator=comm,
                           g_ab=qr.quotient, class_map=qr.class_map)
 
 
@@ -208,16 +207,15 @@ def component_normal_subgroupoids(
     the quotients by them take in, would exceed limit.
     """
     out = []
-    for units in core.unit_components(G):
-        inclusion = core.restricted_arrows(G, units)
-        GC = core._restriction(G, inclusion)
+    for units in core.unit_components(G):   # invariant: no arrow leaves a component
+        GC, inclusion = core._restriction(G, units)
         x = min(GC.units)
         g, fiber = fiber_group(GC, x)
         moves = {GC.rng[a]: a for a in GC.arrows() if GC.src[a] == x}.values()
         normals = groups.normal_subgroups(g, None if limit is None else limit // GC.n)
         if limit is not None:
             limit -= len(normals) * GC.n
-        out.append((GC, tuple(inclusion), [
+        out.append((GC, inclusion, [
             NormalSubgroupoid(GC, frozenset(GC.comp[(GC.comp[(a, fiber[h])], GC.inv[a])]
                                             for a in moves for h in sub))
             for sub in normals]))

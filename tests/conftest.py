@@ -31,6 +31,13 @@ def corpus40():
 
 
 @pytest.fixture(scope="session")
+def corpus200():
+    """The 200 instances of check --corpus --seed 0 --count 200."""
+    return [(seed, generators.random_groupoid(seed, checks.corpus_budget(seed)))
+            for seed in range(200)]
+
+
+@pytest.fixture(scope="session")
 def abelian_family():
     """The duality family's groups: every abelian group of order <= 64."""
     return [a for n in range(1, 65) for _, a in checks.abelian_groups_of_order(n)]

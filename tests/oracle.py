@@ -133,8 +133,10 @@ def compose_homs(outer: AlgebraHom, inner: AlgebraHom) -> AlgebraHom:
 
 
 def restriction_hom(G: FiniteGroupoid, F: Iterable[int]) -> AlgebraHom:
-    """Restriction of functions to the subgroupoid over an invariant unit set."""
-    index = {g: i for i, g in enumerate(core.restricted_arrows(G, F))}
+    """Restriction of functions to the subgroupoid over an invariant unit set,
+    whose arrows are the host's arrows out of F, in host order."""
+    F = frozenset(F)
+    index = {g: i for i, g in enumerate(g for g in G.arrows() if G.src[g] in F)}
     return AlgebraHom(G, core.restrict(G, F), tuple(map(index.get, G.arrows())))
 
 

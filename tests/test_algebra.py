@@ -262,8 +262,8 @@ class TestCharacters:
         for G in [G for _, G in corpus40] + [klein_cross, s3_a3, pair2]:
             expected = []
             for x in sorted(core.fixed_points(G)):
-                kept = core.restricted_arrows(G, [x])
                 gx = core.restrict(G, [x])
+                kept = [g for g in G.arrows() if G.src[g] == x]
                 qr = quotients.quotient(gx, quotients.commutator_subgroupoid(gx))
                 a, arrows = abelian.abelian_fiber(qr.quotient, next(iter(qr.quotient.units)))
                 elem = {arrow: i for i, arrow in enumerate(arrows)}

@@ -4,7 +4,9 @@ import dataclasses
 import math
 from collections import Counter
 
-from groupoidlab import abelian, algebra, checks, core, generators, quotients
+import pytest
+
+from groupoidlab import abelian, algebra, checks, core, generators, groups, quotients
 from groupoidlab.linalg import BinomialSpan
 
 
@@ -165,6 +167,11 @@ class TestReports:
         assert checks.duality_family_check().ok
         assert len(seen) == len(set(seen)) == 117
 
+    def test_a_family_that_checks_no_group_fails(self):
+        result = checks.duality_family_check(0)
+        assert not result.ok
+        assert result.witness == {"reason": "family enumeration came up short", "checked": 0}
+
     def test_corpus_report_runs_serial_and_parallel(self):
         serial = checks.corpus_report(seed=0, count=6, jobs=1)
         parallel = checks.corpus_report(seed=0, count=6, jobs=2)
@@ -190,6 +197,17 @@ class TestAbelianGroupFamily:
         assert len(list(checks.abelian_groups_of_order(12))) == 2
         assert len(list(checks.abelian_groups_of_order(1))) == 1
         assert len(list(checks.abelian_groups_of_order(30))) == 1
+
+    def test_order_below_one_is_refused(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"no group has order {n}"):
+                list(checks.abelian_groups_of_order(n))
+
+    def test_groups_equal_the_validated_build(self, abelian_family):
+        # abelian_groups_of_order builds its groups without finite_abelian_group
+        for a in abelian_family:
+            assert groups.group_violations(a) == [] and groups.is_abelian(a), a.name
+            assert abelian.finite_abelian_group(a.labels, a.table, a.name) == a
 
     def test_expected_factors_have_divisibility_chains(self):
         for n in (8, 12, 16, 24, 36):
@@ -243,10 +261,9 @@ class TestSharedPerInstanceValues:
             assert checks._check_fiber_duality(ab) is None
             chars = algebra.enumerate_characters(ab)
             assert len(built) == 1 and ab.dual is built[0]
-            for x in ab.fixed_points:
-                y = ab.fiber_unit(x)
+            for x, y in ab.fixed_points.items():
                 assert algebra.abelianized_fiber(ab, x)[0] is ab.dual.fiber_groups[y]
-            assert all(any(phi.chi is chi for chi in ab.dual.fibers[ab.fiber_unit(phi.unit)])
+            assert all(any(phi.chi is chi for chi in ab.dual.fibers[ab.fixed_points[phi.unit]])
                        for phi in chars)
 
     def test_a_failed_dual_fails_each_check_that_reads_it(self, monkeypatch):

@@ -215,6 +215,20 @@ class TestRestriction:
         assert core.validate(sub) == []
         assert sub.n == 8   # Klein group times two points
 
+    def test_restrict_to_a_non_unit_raises(self, klein_cross):
+        arrow = next(g for g in klein_cross.arrows() if g not in klein_cross.units)
+        with pytest.raises(ValueError, match="contains non-units"):
+            core.restrict(klein_cross, [arrow])
+
+    def test_internal_unit_sets_pass_restrict_and_match_the_builder(self, corpus200):
+        # abelianize_groupoid and component_normal_subgroupoids restrict to
+        # these sets through the unchecked builder
+        for seed, G in corpus200:
+            for F in (core.fixed_points(G), *core.unit_components(G)):
+                R, inclusion = core._restriction(G, F)
+                assert core.restrict(G, F) == R, seed
+                assert inclusion == tuple(g for g in G.arrows() if G.src[g] in F)
+
     def test_restrict_to_non_invariant_set_raises(self, klein_cross):
         x_plus = klein_cross.label_index("(e,x+)")
         with pytest.raises(core.NotInvariantError) as err:

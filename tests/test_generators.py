@@ -117,6 +117,16 @@ class _FreshLibrary:
         return g, tuple(groups.subgroups(g))
 
 
+class TestCosetActions:
+    def test_every_library_coset_action_is_an_action(self):
+        # _coset_action builds its GroupAction without action_violations
+        for g, subs in groups.library_subgroups():
+            for sub in subs:
+                a = generators._coset_action(g, sub)
+                assert generators.action_violations(a) == [], (g.name, sorted(sub))
+                assert len(a.points) * len(sub) == g.order
+
+
 class TestLibrarySubgroups:
     def test_equals_a_fresh_computation(self):
         fresh = [(g, tuple(groups.subgroups(g))) for g in groups.library()]

@@ -236,6 +236,18 @@ class TestDirectProduct:
         assert groups.is_abelian(p)
         assert p.exponent() == 6
 
+    def test_library_products_equal_the_validated_build(self):
+        # direct_product builds its group without finite_group; a C2 whose
+        # identity is not element 0 tests the identity it computes
+        lib = groups.library() + [groups.finite_group("C2'", ["g", "e"], [[1, 0], [0, 1]])]
+        for a in lib:
+            for b in lib:
+                if a.order * b.order <= 24:
+                    p = groups.direct_product(a, b)
+                    assert groups.group_violations(p) == [], p.name
+                    assert p == groups.finite_group(p.name, list(p.labels),
+                                                    [list(row) for row in p.table])
+
     def test_product_of_nonabelian_keeps_noncommutativity(self):
         p = groups.direct_product(groups.sym3(), groups.cyclic(2))
         assert groups.group_violations(p) == []

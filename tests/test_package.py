@@ -1,5 +1,6 @@
 """The package's public names and the names the traced benchmark wraps."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -9,7 +10,9 @@ import groupoidlab
 from groupoidlab import abelian, algebra, core, document, generators, linalg, quotients
 
 # Names that left the package: the general-element algebra and its numeric
-# values, now the tests' reference in oracle.py, and functions nothing called.
+# values, now the tests' reference in oracle.py, functions nothing called,
+# and helpers folded into their one caller (restricted_arrows into restrict)
+# or into a value (fiber_unit into Abelianization.fixed_points).
 GONE = (
     "AlgebraElement", "from_coeffs", "zero", "delta", "unit_element", "convolve",
     "involute", "compose_homs", "restriction_hom", "quotient_hom", "encode_element",
@@ -18,7 +21,26 @@ GONE = (
     "CharacterFunctional.value_complex", "CharacterFunctional.evaluate",
     "GelfandMatrix.to_complex", "Character.value_fraction", "Character.value_complex",
     "Character.is_trivial", "Qi.to_complex", "FiniteGroupoid.is_unit", "trivial_action",
+    "abelianized", "restricted_arrows", "Abelianization.fiber_unit",
 )
+
+# Each validator, with the functions that call it.  Tables and carriers are
+# checked where they enter: document decode, CLI input, public constructors
+# and the library's literal tables.  What the package builds from checked
+# parts is a group, an action or a normal subgroupoid by construction and is
+# not checked again; the tests check each such builder on its inputs.
+# group_action is pinned too: it is the validating constructor of actions.
+VALIDATOR_CALLERS = {
+    "finite_group": {"abelian.finite_abelian_group", "groups._from_permutations",
+                     "groups.cyclic", "groups.klein", "groups.quaternion8",
+                     "quotients.fiber_group"},
+    "group_violations": {"abelian.finite_abelian_group"},
+    "finite_abelian_group": {"abelian.abelian_fiber"},
+    "action_violations": {"generators.group_action"},
+    "group_action": {"generators.klein_cross"},
+    "is_normal": {"cli._cmd_quotient", "quotients.normal_subgroupoid"},
+    "normal_subgroupoid": {"quotients.quotient"},
+}
 
 
 def test_every_exported_name_resolves_once():
@@ -61,3 +83,35 @@ def test_no_module_imports_cmath():
     assert [path.name for path in sorted(package.glob("*.py"))
             if re.search(r"^\s*(import|from)\s+cmath\b", path.read_text(encoding="utf-8"),
                          re.MULTILINE)] == []
+
+
+def _owners(tree: ast.Module):
+    """(name, node) for each top-level statement, and for each statement of
+    a top-level class as Class.name; a statement that defines nothing is
+    named by its class, or by "" at module level."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                yield ".".join(filter(None, [top.name, getattr(node, "name", "")])), node
+        else:
+            yield getattr(top, "name", ""), top
+
+
+def _callers(names) -> dict[str, set[str]]:
+    """For each name, the package functions that call it, as module.function
+    or module.Class.method; a nested function or lambda counts as the
+    function around it."""
+    package = Path(groupoidlab.__file__).resolve().parent
+    out = {name: set() for name in names}
+    for path in sorted(package.glob("*.py")):
+        for owner, node in _owners(ast.parse(path.read_text(encoding="utf-8"))):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                    if name in out:
+                        out[name].add(".".join(filter(None, [path.stem, owner])))
+    return out
+
+
+def test_validators_run_only_where_tables_enter():
+    assert _callers(VALIDATOR_CALLERS) == VALIDATOR_CALLERS

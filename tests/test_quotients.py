@@ -3,7 +3,7 @@
 import oracle
 import pytest
 
-from groupoidlab import abelian, checks, core, generators, groups, quotients
+from groupoidlab import abelian, algebra, checks, core, generators, groups, quotients
 
 
 def _labels(G, members):
@@ -161,6 +161,28 @@ class TestCommutatorAndAbelianization:
         ab = quotients.abelianize_groupoid(pair2)
         assert ab.g_fix.n == 0
         assert ab.g_ab.n == 0
+
+    def test_commutator_carrier_of_g_fix_is_normal_on_the_corpus(self, corpus200):
+        # commutator_subgroupoid builds its NormalSubgroupoid without is_normal
+        for seed, G in corpus200:
+            ab = quotients.abelianize_groupoid(G)
+            assert quotients.is_normal(ab.g_fix, ab.commutator.members), seed
+
+    def test_fixed_points_and_fiber_units_on_the_corpus(self, corpus200):
+        # reference: the sort and the tuple.index search that every read
+        # once performed
+        for seed, G in corpus200:
+            ab = quotients.abelianize_groupoid(G)
+            assert list(ab.fixed_points) == sorted(ab.inclusion[u] for u in ab.g_fix.units)
+            assert ab.fixed_points is ab.fixed_points   # computed once
+            for x, y in ab.fixed_points.items():
+                assert y == ab.class_map[ab.inclusion.index(x)], seed
+
+    def test_a_unit_that_is_not_fixed_has_no_abelianized_fiber(self, klein_cross):
+        ab = quotients.abelianize_groupoid(klein_cross)
+        x_plus = klein_cross.label_index("(e,x+)")
+        with pytest.raises(ValueError, match=r"unit \(e,x\+\) is not a fixed point"):
+            algebra.abelianized_fiber(ab, x_plus)
 
     def test_abelianization_has_commutative_fibers(self, corpus40):
         for _, G in corpus40[:20]:

@@ -116,8 +116,7 @@ def abelianized_fiber(ab: quotients.Abelianization,
         raise ValueError(f"unit {G.labels[x]} is not a fixed point")
     y = ab.fixed_points[x]
     elem_of_arrow = {arrow: i for i, arrow in enumerate(ab.dual.fiber_arrows[y])}
-    class_of = {g: elem_of_arrow[ab.class_map[i]]
-                for i, g in enumerate(ab.inclusion) if G.src[g] == x}
+    class_of = {g: elem_of_arrow[ab.arrow_map[g]] for g in G.out_of[x]}
     return ab.dual.fiber_groups[y], class_of
 
 
@@ -159,8 +158,7 @@ def pi_hom(ab: quotients.Abelianization) -> AlgebraHom:
     A delta at a fixed point goes to the delta of its class in ab.g_ab; every
     other delta goes to zero.
     """
-    class_of = {g: ab.class_map[i] for i, g in enumerate(ab.inclusion)}
-    return AlgebraHom(ab.host, ab.g_ab, tuple(map(class_of.get, ab.host.arrows())))
+    return AlgebraHom(ab.host, ab.g_ab, ab.arrow_map)
 
 
 # --- the transform for abelian bundles ------------------------------------
@@ -233,15 +231,12 @@ def gelfand_violations(gm: GelfandMatrix) -> dict | None:
     G = gm.host
     if gm.size != G.n:
         return {"reason": "not square", "rows": gm.size, "dim": G.n}
-    fibers: dict[int, list[int]] = {}
-    for g in G.arrows():
-        fibers.setdefault(G.src[g], []).append(g)
     columns: dict[int, list] = {}   # x -> (b, [a.b for a in A_x]) per tested b
     # rows compared as functions: exponents over a common modulus
     common = lcm(*(chi.modulus for _, chi in gm.pairs))
     seen: dict[tuple, int] = {}
     for r, ((x, chi), e) in enumerate(zip(gm.pairs, gm.entries)):
-        fiber = fibers[x]
+        fiber = G.out_of[x]
         if e.count(None) != G.n - len(fiber) or None in map(e.__getitem__, fiber):
             g = next(g for g in G.arrows() if (e[g] is None) == (G.src[g] == x))
             return {"reason": "wrong support", "row": r, "unit": G.labels[x],

@@ -23,12 +23,12 @@ EXIT_INPUT = 2
 # The most arrows of a groupoid the CLI takes, as many as pair:64.  Every
 # table is held in memory.  Validation reads each comp entry a few times and
 # tests associativity by Light's test, |units| + |S| middles for a generating
-# set S.  On a 2-vCPU VM, check takes 2.6 s on pair:64 (0.5 s validation)
-# and 8 s on trivial:4096 (4.2 s character-count, 1.3 s the transform check
-# on generators); MAX_FAMILY_ARROWS bounds the quotients.  So a larger
-# --kind or --budget is refused before any table is built, and a larger
-# document before it is validated, instead of running for minutes or ending
-# in a MemoryError.
+# set S.  On a 2-vCPU VM, check takes 1.7-1.8 s wall on pair:64 (0.5 s
+# validation, 0.5 s character-count) and 1.5-1.8 s on trivial:4096 (0.5 s
+# the transform check, n rows of n entries); MAX_FAMILY_ARROWS bounds the
+# quotients.  So a larger --kind or --budget is refused before any table is
+# built, and a larger document before it is validated, instead of running
+# for minutes or ending in a MemoryError.
 MAX_ARROWS = 4096
 
 # The most arrows that check quotients on one document: it quotients each
@@ -55,6 +55,10 @@ class CliError(Exception):
         super().__init__(payload.get("error", "error"))
         self.code = code
         self.payload = payload
+
+
+class _Unwritable(CliError):
+    """The --output path cannot be written; its error goes to stdout."""
 
 
 # --- input handling ---------------------------------------------------------
@@ -155,8 +159,11 @@ def _load(args, validate_axioms: bool = True) -> core.FiniteGroupoid:
 def _emit(payload: dict, path: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if path and path != "-":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:   # a missing directory, a directory, no permission
+            raise _Unwritable(EXIT_INPUT, {"error": f"cannot write {path}: {exc}"}) from exc
     else:
         sys.stdout.write(text)
 
@@ -382,8 +389,13 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
-        _emit(exc.payload, getattr(args, "output", None))
-        return exc.code
+        error, output = exc, getattr(args, "output", None)
+    try:
+        _emit(error.payload, None if isinstance(error, _Unwritable) else output)
+    except _Unwritable as unwritable:   # the error cannot go to output either
+        error = unwritable
+        _emit(error.payload, None)
+    return error.code
 
 
 if __name__ == "__main__":

@@ -4,12 +4,18 @@ A groupoid is stored with arrows indexed 0..n-1: a set of unit indices, total
 source/range maps into the units, a partial composition table (defined exactly
 on pairs with src(a) == rng(b)), and a total inversion map.  Everything is
 finite, so the usual axioms become decidable table properties.
+
+Each groupoid carries one index, built at construction: ``out_of``, the
+arrows out of each unit, which every per-unit lookup reads.  It is a field
+outside the constructor, equality and repr, not a ``cached_property``: a
+write to an instance's ``__dict__`` after construction makes each later
+attribute read on it (``G.src``, ``G.comp``) about 3x slower on CPython 3.11.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 
@@ -19,7 +25,8 @@ class FiniteGroupoid:
 
     comp maps a composable pair (a, b) to the arrow for "a after b"; a pair is
     composable exactly when src(a) == rng(b).  labels name arrows for
-    serialization and never affect the algebra.
+    serialization and never affect the algebra.  out_of[x] lists the arrows
+    with source x, ascending, for each source x that occurs.
     """
 
     n: int
@@ -29,6 +36,10 @@ class FiniteGroupoid:
     comp: dict[tuple[int, int], int]
     inv: tuple[int, ...]
     labels: tuple[str, ...]
+    out_of: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "out_of", _arrows_by(self.src))
 
     def arrows(self) -> range:
         return range(self.n)
@@ -98,7 +109,7 @@ def _check_malformed(G: FiniteGroupoid) -> list[AxiomViolation]:
     # iff it has as many entries as there are: at each unit x, the arrows out
     # of x times the arrows into x.  Only a shortfall needs the pairs listed.
     into = Counter(G.rng)
-    if out or len(G.comp) != sum(k * into[x] for x, k in Counter(G.src).items()):
+    if out or len(G.comp) != sum(len(arrows) * into[x] for x, arrows in G.out_of.items()):
         by_rng = _arrows_by(G.rng)
         for a in range(n):
             for b in by_rng.get(G.src[a], ()):
@@ -190,8 +201,7 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
         # well-defined once every product lands between the compatible units
         return out
 
-    comp = G.comp
-    by_src, by_rng = _arrows_by(G.src), _arrows_by(G.rng)
+    comp, by_src, by_rng = G.comp, G.out_of, _arrows_by(G.rng)
     for b in sorted([*G.units, *_light_generators(G)]):
         cs = by_rng.get(G.src[b], ())
         bcs = [comp[(b, c)] for c in cs]
@@ -224,19 +234,15 @@ def isotropy(G: FiniteGroupoid) -> frozenset[int]:
 
 
 def fixed_points(G: FiniteGroupoid) -> frozenset[int]:
-    """Units x such that every arrow out of x comes back to x."""
-    fixed = set(G.units)
-    for g in G.arrows():
-        if G.src[g] != G.rng[g]:
-            fixed.discard(G.src[g])
-            fixed.discard(G.rng[g])
-    return frozenset(fixed)
+    """Units x such that every arrow out of x comes back to x.  G must be a
+    groupoid: an arrow into x from elsewhere has an inverse out of x."""
+    return frozenset(x for x in G.units if all(G.rng[g] == x for g in G.out_of[x]))
 
 
 def invariance_witness(G: FiniteGroupoid, F: Iterable[int]) -> int | None:
-    """Return an arrow leaving F (src in F, rng outside), or None if F is invariant."""
+    """The least arrow leaving F (src in F, rng outside), or None if F is invariant."""
     mf = arrow_set(G, F)
-    return next((g for g in G.arrows() if G.src[g] in mf and G.rng[g] not in mf), None)
+    return min((g for x in mf for g in G.out_of.get(x, ()) if G.rng[g] not in mf), default=None)
 
 
 class NotInvariantError(ValueError):
@@ -264,12 +270,15 @@ def restrict(G: FiniteGroupoid, F: Iterable[int]) -> FiniteGroupoid:
 
 
 def _restriction(G: FiniteGroupoid, F: frozenset[int]) -> tuple[FiniteGroupoid, tuple[int, ...]]:
-    """The full subgroupoid over F, with the host index of each of its
-    arrows, ascending.  F is an invariant unit set, not checked here."""
-    kept = tuple(g for g in G.arrows() if G.src[g] in F)
+    """The full subgroupoid over F, an invariant unit set of the groupoid G
+    (not checked), with the host index of each arrow, ascending.  Reads only
+    the arrows out of F and their products; over every unit it is G."""
+    kept = tuple(sorted(g for x in F for g in G.out_of[x]))
+    if len(kept) == G.n:
+        return G, kept
     index = {g: i for i, g in enumerate(kept)}
-    comp = {(index[a], index[b]): index[c]
-            for (a, b), c in G.comp.items() if a in index and b in index}
+    comp = {(index[a], index[b]): index[G.comp[(a, b)]]
+            for b in kept for a in G.out_of[G.rng[b]]}
     return FiniteGroupoid(
         n=len(kept),
         units=frozenset(index[x] for x in kept if x in G.units),
@@ -289,23 +298,11 @@ def require_group_bundle(G: FiniteGroupoid) -> None:
 
 
 def unit_components(G: FiniteGroupoid) -> list[frozenset[int]]:
-    """Partition of the units into connected components under arrows."""
-    parent = {x: x for x in G.units}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in G.arrows():
-        a, b = find(G.src[g]), find(G.rng[g])
-        if a != b:
-            parent[a] = b
-    comps: dict[int, set[int]] = {}
-    for x in G.units:
-        comps.setdefault(find(x), set()).add(x)
-    return [frozenset(c) for _, c in sorted((min(c), c) for c in comps.values())]
+    """Partition of the units into connected components under arrows, by
+    least unit.  G must be a groupoid: arrows compose and invert, so the
+    component of x is the set of ranges of the arrows out of x."""
+    comps = {min(c): c for c in (frozenset(G.rng[g] for g in G.out_of[x]) for x in G.units)}
+    return [comps[x] for x in sorted(comps)]
 
 
 def isotropy_fiber(G: FiniteGroupoid, x: int) -> tuple[list[int], list[list[int]]]:
@@ -316,7 +313,7 @@ def isotropy_fiber(G: FiniteGroupoid, x: int) -> tuple[list[int], list[list[int]
     """
     if x not in G.units:
         raise ValueError(f"{x} is not a unit")
-    arrows = [g for g in G.arrows() if G.src[g] == x and G.rng[g] == x]
+    arrows = [g for g in G.out_of[x] if G.rng[g] == x]
     index = {g: i for i, g in enumerate(arrows)}
     table = [[index[G.comp[(a, b)]] for b in arrows] for a in arrows]
     return arrows, table

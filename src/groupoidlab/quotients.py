@@ -51,17 +51,15 @@ def is_normal(G: FiniteGroupoid, H: Iterable[int]) -> NormalityCheck:
         if G.inv[h] not in members:
             return NormalityCheck(False, "not-inverse-closed",
                                   f"inverse of {G.labels[h]} missing", (h,))
+    # members are isotropy now: b composes with a iff both are out of src(a)
     for a in sorted(members):
-        for b in sorted(members):
-            if G.src[a] == G.rng[b] and G.comp[(a, b)] not in members:
+        for b in G.out_of[G.src[a]]:
+            if b in members and G.comp[(a, b)] not in members:
                 return NormalityCheck(False, "not-composition-closed",
                                       f"{G.labels[a]} . {G.labels[b]} missing", (a, b))
     for a in G.arrows():
-        x = G.src[a]
         ai = G.inv[a]
-        for h in sorted(members):
-            if G.src[h] != x:
-                continue
+        for h in (h for h in G.out_of[G.src[a]] if h in members):
             c = G.comp[(G.comp[(a, h)], ai)]
             if c not in members:
                 return NormalityCheck(
@@ -106,26 +104,20 @@ def quotient(G: FiniteGroupoid, H: NormalSubgroupoid | Iterable[int]) -> Quotien
     elif H.host != G:
         raise ValueError("normal subgroupoid belongs to a different groupoid")
 
-    h_by_src: dict[int, list[int]] = {}
-    for h in sorted(H.members):
-        h_by_src.setdefault(G.src[h], []).append(h)
-
-    rep_of: list[int] = [0] * G.n
-    for a in G.arrows():
-        rep_of[a] = min(G.comp[(h, a)] for h in h_by_src[G.rng[a]])
+    h_at = {x: [h for h in G.out_of[x] if h in H.members] for x in G.units}
+    rep_of = [min(G.comp[(h, a)] for h in h_at[G.rng[a]]) for a in G.arrows()]
     reps = sorted(set(rep_of))
     new_index = {r: i for i, r in enumerate(reps)}
-    class_map = tuple(new_index[rep_of[a]] for a in G.arrows())
+    class_map = tuple(new_index[r] for r in rep_of)
 
     units = frozenset(class_map[x] for x in G.units)
     src = tuple(class_map[G.src[r]] for r in reps)
     rng = tuple(class_map[G.rng[r]] for r in reps)
     inv = tuple(class_map[G.inv[r]] for r in reps)
-    comp = {}
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            if G.src[a] == G.rng[b]:
-                comp[(i, j)] = class_map[G.comp[(a, b)]]
+    # the composable pairs (i, j) of Q: j among the representatives into src(i)
+    into = core._arrows_by(rng)
+    comp = {(i, j): class_map[G.comp[(a, reps[j])]]
+            for i, a in enumerate(reps) for j in into[src[i]]}
     Q = FiniteGroupoid(n=len(reps), units=units, src=src, rng=rng, comp=comp,
                        inv=inv, labels=tuple(G.labels[r] for r in reps))
     return QuotientResult(quotient=Q, class_map=class_map)
@@ -160,6 +152,7 @@ class Abelianization:
     commutator: NormalSubgroupoid  # of g_fix
     g_ab: FiniteGroupoid
     class_map: tuple[int, ...]     # g_fix arrow -> g_ab arrow
+    arrow_map: tuple[int | None, ...]  # host arrow -> g_ab arrow, None off g_fix
 
     @cached_property
     def fixed_points(self) -> dict[int, int]:
@@ -180,8 +173,10 @@ def abelianize_groupoid(G: FiniteGroupoid) -> Abelianization:
     gf, inclusion = core._restriction(G, core.fixed_points(G))
     comm = commutator_subgroupoid(gf)
     qr = quotient(gf, comm)
+    to_ab = dict(zip(inclusion, qr.class_map))
     return Abelianization(host=G, g_fix=gf, inclusion=inclusion, commutator=comm,
-                          g_ab=qr.quotient, class_map=qr.class_map)
+                          g_ab=qr.quotient, class_map=qr.class_map,
+                          arrow_map=tuple(map(to_ab.get, G.arrows())))
 
 
 def component_normal_subgroupoids(
@@ -211,7 +206,7 @@ def component_normal_subgroupoids(
         GC, inclusion = core._restriction(G, units)
         x = min(GC.units)
         g, fiber = fiber_group(GC, x)
-        moves = {GC.rng[a]: a for a in GC.arrows() if GC.src[a] == x}.values()
+        moves = {GC.rng[a]: a for a in GC.out_of[x]}.values()
         normals = groups.normal_subgroups(g, None if limit is None else limit // GC.n)
         if limit is not None:
             limit -= len(normals) * GC.n

@@ -370,3 +370,70 @@ def normal_subgroupoids_by_filter(G: FiniteGroupoid) -> list[quotients.NormalSub
            for assignment in itertools.product(*component_choices)]
     out.sort(key=lambda h: (len(h.members), tuple(sorted(h.members))))
     return out
+
+
+# --- the scans the per-unit index replaces --------------------------------
+
+def arrows_out_by_scan(G: FiniteGroupoid) -> dict[int, list[int]]:
+    """For each source that occurs, the arrows with that source, ascending,
+    by testing every arrow against each source."""
+    return {x: [g for g in range(len(G.src)) if G.src[g] == x] for x in set(G.src)}
+
+
+def restriction_by_scan(G: FiniteGroupoid, F) -> tuple[FiniteGroupoid, tuple[int, ...]]:
+    """The full subgroupoid over the unit set F, with the host index of each
+    of its arrows, by filtering every arrow and every comp entry of G."""
+    kept = tuple(g for g in G.arrows() if G.src[g] in F)
+    index = {g: i for i, g in enumerate(kept)}
+    return FiniteGroupoid(
+        n=len(kept),
+        units=frozenset(index[x] for x in kept if x in G.units),
+        src=tuple(index[G.src[g]] for g in kept),
+        rng=tuple(index[G.rng[g]] for g in kept),
+        comp={(index[a], index[b]): index[c]
+              for (a, b), c in G.comp.items() if a in index and b in index},
+        inv=tuple(index[G.inv[g]] for g in kept),
+        labels=tuple(G.labels[g] for g in kept),
+    ), kept
+
+
+def unit_components_by_union_find(G: FiniteGroupoid) -> list[frozenset[int]]:
+    """The units joined along every arrow, by union-find, ordered by least
+    unit."""
+    parent = {x: x for x in G.units}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in G.arrows():
+        a, b = find(G.src[g]), find(G.rng[g])
+        if a != b:
+            parent[a] = b
+    comps: dict[int, set[int]] = {}
+    for x in G.units:
+        comps.setdefault(find(x), set()).add(x)
+    return [frozenset(c) for _, c in sorted((min(c), c) for c in comps.values())]
+
+
+def fixed_points_by_scan(G: FiniteGroupoid) -> frozenset[int]:
+    """The units that no arrow joins to another unit, in either direction."""
+    fixed = set(G.units)
+    for g in G.arrows():
+        if G.src[g] != G.rng[g]:
+            fixed.discard(G.src[g])
+            fixed.discard(G.rng[g])
+    return frozenset(fixed)
+
+
+def quotient_comp_by_pairs(G: FiniteGroupoid, qr: quotients.QuotientResult) -> dict:
+    """The comp of the quotient in qr, by testing every ordered pair of class
+    representatives (the least arrow of each class) for composability."""
+    first: dict[int, int] = {}
+    for a in G.arrows():
+        first.setdefault(qr.class_map[a], a)
+    reps = [first[i] for i in range(len(first))]
+    return {(i, j): qr.class_map[G.comp[(a, b)]]
+            for i, a in enumerate(reps) for j, b in enumerate(reps) if G.src[a] == G.rng[b]}

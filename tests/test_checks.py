@@ -275,3 +275,25 @@ class TestSharedPerInstanceValues:
         failed = {r.name: r.witness["message"] for r in results if not r.ok}
         assert failed == {"character-count": "no dual", "gelfand": "no dual",
                           "fiber-duality": "no dual"}
+
+
+class TestPerUnitIndex:
+    def test_table_reads_grow_linearly_with_the_units(self):
+        # trivial_groupoid(n) has n units and n arrows: checks that scan
+        # every arrow once per unit read src and rng on the order of n^2 times
+        def reads(n):
+            count = 0
+
+            class Counted(tuple):
+                def __getitem__(self, i):
+                    nonlocal count
+                    count += 1
+                    return tuple.__getitem__(self, i)
+
+            G = generators.trivial_groupoid(n)
+            G = dataclasses.replace(G, src=Counted(G.src), rng=Counted(G.rng))
+            assert all(r.ok for r in checks.instance_checks(G, f"trivial:{n}"))
+            return count
+
+        small, large = reads(256), reads(512)
+        assert large <= 2.5 * small, (small, large)

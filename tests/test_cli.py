@@ -394,6 +394,13 @@ class TestPlumbing:
         assert code == 0
         assert json.loads(path.read_text())["count"] == 2
 
+    def test_unwritable_output_exits_two_with_the_error_on_stdout(self, tmp_path, capsys):
+        for args in (["validate", "--kind", "s3", "--output", str(tmp_path / "no" / "x.json")],
+                     ["check", "--kind", "s3", "--output", str(tmp_path)]):
+            code, data = run(args, capsys)
+            assert code == cli.EXIT_INPUT and data["error"].startswith("cannot write"), args
+        assert [p.name for p in tmp_path.iterdir()] == []
+
     def test_stdin_input(self):
         gen = subprocess.run(
             [sys.executable, "-m", "groupoidlab.cli", "generate", "--kind", "s3"],

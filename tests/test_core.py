@@ -201,6 +201,46 @@ def test_carrier_index_out_of_range_is_refused(klein_cross, call):
             call(klein_cross, set(klein_cross.units) | {bad})
 
 
+def _named_models():
+    return [(name, build()) for name, build in generators.NAMED_MODELS.items()] + [
+        ("pair:3", generators.pair_groupoid(3)), ("trivial:3", generators.trivial_groupoid(3))]
+
+
+@st.composite
+def _raw_tables(draw):
+    """A table on up to six arrows with entries drawn from -1..n, so some
+    fall out of range, and src, rng and inv of any length: most are no
+    groupoid."""
+    n = draw(st.integers(0, 6))
+    entry = st.integers(-1, n)
+    column = st.lists(entry, max_size=n + 1).map(tuple)
+    return core.FiniteGroupoid(
+        n=n, units=draw(st.frozensets(entry)), src=draw(column), rng=draw(column),
+        comp=draw(st.dictionaries(st.tuples(entry, entry), entry)), inv=draw(column),
+        labels=tuple(map(str, range(n))))
+
+
+class TestIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(_raw_tables())
+    def test_is_the_scan_grouping_on_any_table(self, G):
+        # construction never raises, and validate reads the index on
+        # untrusted documents
+        assert G.out_of == oracle.arrows_out_by_scan(G)
+        assert dataclasses.replace(G).out_of == G.out_of
+        assert isinstance(core.validate(G), list)
+
+    def test_is_outside_equality_and_repr(self, klein_cross):
+        other = dataclasses.replace(klein_cross)
+        other.out_of[0] = []
+        assert other == klein_cross and "out_of" not in repr(other)
+
+    def test_readers_match_their_scans(self, corpus200):
+        for name, G in [*corpus200, *_named_models()]:
+            assert core.fixed_points(G) == oracle.fixed_points_by_scan(G), name
+            assert core.unit_components(G) == oracle.unit_components_by_union_find(G), name
+
+
 class TestRestriction:
     def test_restrict_to_fixed_point(self, klein_cross):
         sub = core.restrict(klein_cross, core.fixed_points(klein_cross))
@@ -222,12 +262,12 @@ class TestRestriction:
 
     def test_internal_unit_sets_pass_restrict_and_match_the_builder(self, corpus200):
         # abelianize_groupoid and component_normal_subgroupoids restrict to
-        # these sets through the unchecked builder
-        for seed, G in corpus200:
+        # these sets through the unchecked builder, which reads the index
+        for name, G in [*corpus200, *_named_models()]:
             for F in (core.fixed_points(G), *core.unit_components(G)):
-                R, inclusion = core._restriction(G, F)
-                assert core.restrict(G, F) == R, seed
-                assert inclusion == tuple(g for g in G.arrows() if G.src[g] in F)
+                expected = oracle.restriction_by_scan(G, F)
+                assert core._restriction(G, F) == expected, name
+                assert core.restrict(G, F) == expected[0], name
 
     def test_restrict_to_non_invariant_set_raises(self, klein_cross):
         x_plus = klein_cross.label_index("(e,x+)")

@@ -122,6 +122,19 @@ class TestQuotient:
                 qr = quotients.quotient(G, H)
                 assert quotients.quotient_preimage_of_units(G, qr) == H.members
 
+    def test_comp_matches_the_pairwise_construction(self, corpus200):
+        # every component quotient and abelianization quotient, entry for
+        # entry and in the same order
+        models = [build() for build in generators.NAMED_MODELS.values()]
+        for G in [G for _, G in corpus200] + models:
+            ab = quotients.abelianize_groupoid(G)
+            for host, H in [(ab.g_fix, ab.commutator)] + [
+                    (GC, H) for GC, _, normals in quotients.component_normal_subgroupoids(G)
+                    for H in normals]:
+                qr = quotients.quotient(host, H)
+                assert (list(qr.quotient.comp.items())
+                        == list(oracle.quotient_comp_by_pairs(host, qr).items()))
+
     def test_rejects_non_normal_carrier(self, s3):
         with pytest.raises(ValueError):
             quotients.quotient(s3, set(s3.units) | {s3.label_index("t@p")})
@@ -177,6 +190,18 @@ class TestCommutatorAndAbelianization:
             assert ab.fixed_points is ab.fixed_points   # computed once
             for x, y in ab.fixed_points.items():
                 assert y == ab.class_map[ab.inclusion.index(x)], seed
+
+    def test_one_host_map_serves_pi_and_the_fibers(self, corpus200):
+        # reference: the scans of the inclusion each reader once performed
+        for seed, G in corpus200:
+            ab = quotients.abelianize_groupoid(G)
+            class_of = {g: ab.class_map[i] for i, g in enumerate(ab.inclusion)}
+            assert ab.arrow_map == tuple(map(class_of.get, G.arrows())), seed
+            assert algebra.pi_hom(ab).arrow_map is ab.arrow_map
+            for x, y in ab.fixed_points.items():
+                elem = {arrow: i for i, arrow in enumerate(ab.dual.fiber_arrows[y])}
+                assert algebra.abelianized_fiber(ab, x)[1] == {
+                    g: elem[class_of[g]] for g in ab.inclusion if G.src[g] == x}, seed
 
     def test_a_unit_that_is_not_fixed_has_no_abelianized_fiber(self, klein_cross):
         ab = quotients.abelianize_groupoid(klein_cross)

@@ -133,14 +133,12 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
 class Character:
     """A homomorphism into the roots of unity, stored as exponents.
 
-    exps[a] = k means the character sends element a to e^(2*pi*i*k/N) where
-    N is the host group's exponent; factor_residues are the coordinates of
-    the character against the invariant-factor decomposition.
+    exps[a] = k, with 0 <= k < N, means the character sends element a to
+    e^(2*pi*i*k/N) where N is the host group's exponent.
     """
 
     host: FiniteAbelianGroup
     exps: tuple[int, ...]
-    factor_residues: tuple[int, ...]
 
     @property
     def modulus(self) -> int:
@@ -159,18 +157,17 @@ def characters(a: FiniteAbelianGroup) -> list[Character]:
     dec = invariant_factors(a)
     nn = a.exponent
     wrap = tuple(range(nn)) * 2   # wrap[s] = s % nn for 0 <= s < 2 nn
-    chars = [((), (0,) * a.order)]
+    chars = [(0,) * a.order]
     for j, d in enumerate(dec.factors):
         basis = tuple(c[j] * (nn // d) for c in dec.coords)
         grown = []
-        for residues, exps in chars:
+        for exps in chars:
             for r in range(d):
                 if r:
                     exps = tuple(map(wrap.__getitem__, map(add, exps, basis)))
-                grown.append((residues + (r,), exps))
+                grown.append(exps)
         chars = grown
-    return [Character(host=a, exps=exps, factor_residues=residues)
-            for residues, exps in chars]
+    return [Character(host=a, exps=exps) for exps in chars]
 
 
 def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
@@ -257,11 +254,14 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class DualBundle:
-    """Per-unit character lists of an abelian group bundle."""
+    """Per-unit character lists of an abelian group bundle.
+
+    Element i of fiber_groups[x] is the arrow host.out_of[x][i], so a
+    character chi of that fiber takes the value of chi.exps[i] there.
+    """
 
     host: core.FiniteGroupoid
     base: tuple[int, ...]                       # unit indices, ascending
-    fiber_arrows: dict[int, tuple[int, ...]]    # unit -> arrows of its fiber
     fiber_groups: dict[int, FiniteAbelianGroup]
     fibers: dict[int, tuple[Character, ...]]
 
@@ -284,13 +284,6 @@ def dual_bundle(G: core.FiniteGroupoid) -> DualBundle:
     """Unit-by-unit character dual of an abelian group bundle."""
     core.require_group_bundle(G)
     base = tuple(sorted(G.units))
-    fiber_arrows = {}
-    fiber_groups = {}
-    fibers = {}
-    for x in base:
-        a, arrows = abelian_fiber(G, x)
-        fiber_arrows[x] = arrows
-        fiber_groups[x] = a
-        fibers[x] = tuple(characters(a))
-    return DualBundle(host=G, base=base, fiber_arrows=fiber_arrows,
-                      fiber_groups=fiber_groups, fibers=fibers)
+    fiber_groups = {x: abelian_fiber(G, x)[0] for x in base}
+    return DualBundle(host=G, base=base, fiber_groups=fiber_groups,
+                      fibers={x: tuple(characters(a)) for x, a in fiber_groups.items()})

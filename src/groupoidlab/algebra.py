@@ -115,7 +115,7 @@ def abelianized_fiber(ab: quotients.Abelianization,
     if x not in ab.fixed_points:
         raise ValueError(f"unit {G.labels[x]} is not a fixed point")
     y = ab.fixed_points[x]
-    elem_of_arrow = {arrow: i for i, arrow in enumerate(ab.dual.fiber_arrows[y])}
+    elem_of_arrow = {arrow: i for i, arrow in enumerate(ab.g_ab.out_of[y])}
     class_of = {g: elem_of_arrow[ab.arrow_map[g]] for g in G.out_of[x]}
     return ab.dual.fiber_groups[y], class_of
 
@@ -146,7 +146,7 @@ def enumerate_characters(ab: quotients.Abelianization) -> list[CharacterFunction
     for x, y in ab.fixed_points.items():
         a, class_of = abelianized_fiber(ab, x)
         for chi in ab.dual.fibers[y]:
-            exponents = {g: chi.exps[cls] % a.exponent for g, cls in class_of.items()}
+            exponents = {g: chi.exps[cls] for g, cls in class_of.items()}
             out.append(CharacterFunctional(host=ab.host, unit=x, chi=chi,
                                            exponents=exponents, modulus=a.exponent))
     return out
@@ -167,19 +167,19 @@ def pi_hom(ab: quotients.Abelianization) -> AlgebraHom:
 class GelfandMatrix:
     """Evaluation of every character functional on every basis delta.
 
-    Row r corresponds to pairs[r] = (unit, character); columns follow arrow
-    order.  entries[r][g] is the exponent e of the value exp(2 pi i e / N),
-    N = pairs[r][1].modulus, or None where the value is zero, so the matrix
-    is exact.
+    Row r is the CharacterFunctional of one character of the fiber at its
+    unit; columns follow arrow order.  A row stores the exponents of its
+    values on its fiber only and is zero on every other arrow, so the
+    block-diagonal matrix holds sum |A_x|^2 exponents, not n^2, and stays
+    exact.
     """
 
     host: FiniteGroupoid
-    pairs: tuple[tuple[int, Character], ...]
-    entries: tuple[tuple[int | None, ...], ...]
+    rows: tuple[CharacterFunctional, ...]
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return len(self.rows)
 
 
 def gelfand_transform(bundle: abelian.DualBundle) -> GelfandMatrix:
@@ -187,21 +187,14 @@ def gelfand_transform(bundle: abelian.DualBundle) -> GelfandMatrix:
 
     Square because the characters of each fiber are as numerous as its
     elements; block-diagonal across units; convolution goes to pointwise
-    multiplication.
+    multiplication.  Element i of the fiber group at x is the arrow
+    host.out_of[x][i].
     """
     G = bundle.host
-    pairs = []
-    entries = []
-    for x in bundle.base:
-        arrows = bundle.fiber_arrows[x]
-        group = bundle.fiber_groups[x]
-        for chi in bundle.fibers[x]:
-            pairs.append((x, chi))
-            row: list[int | None] = [None] * G.n
-            for i, g in enumerate(arrows):
-                row[g] = chi.exps[i] % group.exponent
-            entries.append(tuple(row))
-    return GelfandMatrix(host=G, pairs=tuple(pairs), entries=tuple(entries))
+    return GelfandMatrix(host=G, rows=tuple(
+        CharacterFunctional(host=G, unit=x, chi=chi, exponents=dict(zip(G.out_of[x], chi.exps)),
+                            modulus=chi.modulus)
+        for x in bundle.base for chi in bundle.fibers[x]))
 
 
 def gelfand_violations(gm: GelfandMatrix) -> dict | None:
@@ -210,7 +203,9 @@ def gelfand_violations(gm: GelfandMatrix) -> dict | None:
 
     Checks, in integer exponent arithmetic, that there are as many rows as
     arrows and that each row r at unit x
-      - is nonzero exactly on the fiber A_x, the arrows with source x;
+      - is nonzero exactly on the fiber A_x, the arrows with source x: its
+        keys are A_x, as a stored exponent is a root of unity and an arrow
+        with no key is zero;
       - is multiplicative there: e[a] + e[b] = e[a.b] modulo its modulus,
         for every a in A_x and each b in x and a generating set of A_x;
       - differs from every other row at x.
@@ -233,17 +228,17 @@ def gelfand_violations(gm: GelfandMatrix) -> dict | None:
         return {"reason": "not square", "rows": gm.size, "dim": G.n}
     columns: dict[int, list] = {}   # x -> (b, [a.b for a in A_x]) per tested b
     # rows compared as functions: exponents over a common modulus
-    common = lcm(*(chi.modulus for _, chi in gm.pairs))
+    common = lcm(*(phi.modulus for phi in gm.rows))
     seen: dict[tuple, int] = {}
-    for r, ((x, chi), e) in enumerate(zip(gm.pairs, gm.entries)):
+    for r, phi in enumerate(gm.rows):
+        x, e, m = phi.unit, phi.exponents, phi.modulus
         fiber = G.out_of[x]
-        if e.count(None) != G.n - len(fiber) or None in map(e.__getitem__, fiber):
-            g = next(g for g in G.arrows() if (e[g] is None) == (G.src[g] == x))
+        if e.keys() != set(fiber):
+            g = min(e.keys() ^ set(fiber))
             return {"reason": "wrong support", "row": r, "unit": G.labels[x],
-                    "arrow": G.labels[g]}
+                    "arrow": G.labels[g] if g in range(G.n) else g}
         if x not in columns:
             columns[x] = [(b, [G.comp[(a, b)] for a in fiber]) for b in _fiber_middles(G, x)]
-        m = chi.modulus
         for b, column in columns[x]:
             eb = e[b]
             for a, ab in zip(fiber, column):

@@ -23,9 +23,10 @@ EXIT_INPUT = 2
 # The most arrows of a groupoid the CLI takes, as many as pair:64.  Every
 # table is held in memory.  Validation reads each comp entry a few times and
 # tests associativity by Light's test, |units| + |S| middles for a generating
-# set S.  On a 2-vCPU VM, check takes 1.7-1.8 s wall on pair:64 (0.5 s
-# validation, 0.5 s character-count) and 1.5-1.8 s on trivial:4096 (0.5 s
-# the transform check, n rows of n entries); MAX_FAMILY_ARROWS bounds the
+# set S.  On a 2-vCPU VM, check takes 1.0-1.7 s wall and peaks at 105 MB on
+# pair:64 (0.3-0.5 s validation, 0.3-0.5 s character-count), and takes
+# 0.7-1.2 s and peaks at 36 MB on trivial:4096 (no check above 0.3 s; the
+# transform holds sum |A_x|^2 exponents); MAX_FAMILY_ARROWS bounds the
 # quotients.  So a larger --kind or --budget is refused before any table is
 # built, and a larger document before it is validated, instead of running
 # for minutes or ending in a MemoryError.

@@ -165,9 +165,11 @@ def evaluate(phi: CharacterFunctional, f: AlgebraElement) -> complex:
 
 
 def gelfand_complex(gm: GelfandMatrix) -> list[list[complex]]:
-    """The transform as a numeric matrix."""
-    return [[0j if e is None else root_of_unity(e, chi.modulus) for e in row]
-            for (_, chi), row in zip(gm.pairs, gm.entries)]
+    """The transform as a dense numeric matrix: each row's roots of unity on
+    its fiber, zero on every other arrow."""
+    return [[root_of_unity(phi.exponents[g], phi.modulus) if g in phi.exponents else 0j
+             for g in gm.host.arrows()]
+            for phi in gm.rows]
 
 
 # --- exhaustive checkers ----------------------------------------------------
@@ -333,7 +335,7 @@ def characters_by_formula(a: FiniteAbelianGroup) -> list[Character]:
     sum_j r_j * coords[x][j] * (N / n_j) mod N over the invariant factors."""
     dec = abelian.invariant_factors(a)
     nn = a.exponent
-    return [Character(host=a, factor_residues=residues, exps=tuple(
+    return [Character(host=a, exps=tuple(
                 sum(r * c * (nn // d) for r, c, d in zip(residues, dec.coords[x], dec.factors)) % nn
                 for x in range(a.order)))
             for residues in itertools.product(*(range(d) for d in dec.factors))]

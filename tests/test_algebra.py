@@ -315,8 +315,9 @@ class TestGelfand:
     def test_cyclic_three_gives_the_discrete_fourier_matrix(self):
         G = generators.group_bundle([("p", groups.cyclic(3))])
         gm = algebra.gelfand_transform(abelian.dual_bundle(G))
-        assert [list(row) for row in gm.entries] == [[0, 0, 0], [0, 1, 2], [0, 2, 1]]
-        assert [chi.modulus for _, chi in gm.pairs] == [3, 3, 3]
+        assert [[phi.exponents[g] for g in G.arrows()] for phi in gm.rows] == [
+            [0, 0, 0], [0, 1, 2], [0, 2, 1]]
+        assert [phi.modulus for phi in gm.rows] == [3, 3, 3]
 
     def test_two_fiber_bundle_determinant(self):
         import numpy as np
@@ -329,10 +330,11 @@ class TestGelfand:
     def test_blocks_vanish_between_fibers(self):
         G = generators.group_bundle([("u", groups.cyclic(2)), ("v", groups.klein())])
         gm = algebra.gelfand_transform(abelian.dual_bundle(G))
-        for r, (x, _) in enumerate(gm.pairs):
+        m = oracle.gelfand_complex(gm)
+        for r, phi in enumerate(gm.rows):
             for g in G.arrows():
-                if G.src[g] != x:
-                    assert gm.entries[r][g] is None
+                if G.src[g] != phi.unit:
+                    assert g not in phi.exponents and m[r][g] == 0
 
     def test_exact_multiplicativity(self):
         G = generators.group_bundle([("u", groups.cyclic(4)),
@@ -357,26 +359,28 @@ class TestGelfand:
         G = generators.group_bundle([("u", groups.cyclic(4)), ("v", groups.klein())])
         gm = algebra.gelfand_transform(abelian.dual_bundle(G))
         assert algebra.gelfand_violations(gm) is None
-        rows = [list(row) for row in gm.entries]
-        u_rows = [r for r, (x, _) in enumerate(gm.pairs) if x == gm.pairs[0][0]]
-        v_row = next(r for r, (x, _) in enumerate(gm.pairs) if x != gm.pairs[0][0])
-        g = next(g for g, e in enumerate(rows[1]) if e not in (None, 0))
+        rows = gm.rows
+        u_rows = [r for r, phi in enumerate(rows) if phi.unit == rows[0].unit]
+        v_row = next(r for r, phi in enumerate(rows) if phi.unit != rows[0].unit)
+        g = next(g for g, e in rows[1].exponents.items() if e != 0)
 
-        def reason(**changes):
-            witness = algebra.gelfand_violations(dataclasses.replace(gm, **changes))
+        def rewritten(r, exponents):
+            row = dataclasses.replace(rows[r], exponents=exponents)
+            return dataclasses.replace(gm, rows=rows[:r] + (row,) + rows[r + 1:])
+
+        def reason(faulty):
+            witness = algebra.gelfand_violations(faulty)
             return witness and witness["reason"]
 
-        moved = rows[:u_rows[-1]] + [rows[v_row]] + rows[u_rows[-1] + 1:]
-        assert reason(entries=tuple(map(tuple, moved))) == "wrong support"
-        bent = [list(row) for row in rows]
-        bent[1][g] = (bent[1][g] + 1) % gm.pairs[1][1].modulus
-        assert reason(entries=tuple(map(tuple, bent))) == "not multiplicative"
-        repeated = rows[:2] + [rows[1]] + rows[3:]
-        assert reason(entries=tuple(map(tuple, repeated))) == "repeated row"
-        singular = oracle.gelfand_complex(
-            dataclasses.replace(gm, entries=tuple(map(tuple, repeated))))
+        moved = rewritten(u_rows[-1], rows[v_row].exponents)
+        assert reason(moved) == "wrong support"
+        bent = rewritten(1, {**rows[1].exponents, g: (rows[1].exponents[g] + 1) % rows[1].modulus})
+        assert reason(bent) == "not multiplicative"
+        repeated = rewritten(2, rows[1].exponents)
+        assert reason(repeated) == "repeated row"
+        singular = oracle.gelfand_complex(repeated)
         assert abs(np.linalg.det(np.array(singular, dtype=complex))) < 1e-9
-        assert reason(pairs=gm.pairs[1:], entries=gm.entries[1:]) == "not square"
+        assert reason(dataclasses.replace(gm, rows=rows[1:])) == "not square"
 
     def test_a_bend_off_the_tested_generators_is_not_multiplicative(self):
         # multiplicativity is tested only against x and a generating set of
@@ -390,14 +394,14 @@ class TestGelfand:
         [x] = G.units
         tested = algebra._fiber_middles(G, x)
         g = max(set(G.arrows()) - set(tested))
-        m = gm.pairs[1][1].modulus
+        row = gm.rows[1]
 
         def witness(*arrows):
-            bent = [list(row) for row in gm.entries]
+            bent = dict(row.exponents)
             for h in arrows:
-                bent[1][h] = (bent[1][h] + 1) % m
-            return algebra.gelfand_violations(
-                dataclasses.replace(gm, entries=tuple(map(tuple, bent))))
+                bent[h] = (bent[h] + 1) % row.modulus
+            rows = (gm.rows[0], dataclasses.replace(row, exponents=bent), *gm.rows[2:])
+            return algebra.gelfand_violations(dataclasses.replace(gm, rows=rows))
         bent = witness(g)
         assert bent["reason"] == "not multiplicative" and bent["row"] == 1
         # bent on a whole coset cH of H = <b>, b the first generator: still
@@ -410,6 +414,40 @@ class TestGelfand:
         coset = witness(*(G.comp[(c, h)] for h in H))
         assert coset["reason"] == "not multiplicative"
         assert coset["pair"][1] not in {G.labels[x], G.labels[b]}
+
+    def test_rows_store_only_their_fiber(self, corpus200):
+        # sum |A_x|^2 exponents, where dense rows would hold n each
+        def stored(B):
+            gm = algebra.gelfand_transform(abelian.dual_bundle(B))
+            return (sum(len(phi.exponents) for phi in gm.rows),
+                    sum(len(arrows) ** 2 for arrows in B.out_of.values()))
+
+        bundles = [generators.trivial_groupoid(1024),
+                   generators.group_bundle([("u", groups.cyclic(2)), ("v", groups.klein())])]
+        bundles += [quotients.abelianize_groupoid(G).g_ab for _, G in corpus200]
+        counts = [stored(B) for B in bundles]
+        assert counts[:2] == [(1024, 1024), (20, 20)]
+        assert [c for c in counts if c[0] != c[1]] == []
+
+    @pytest.mark.parametrize("fault", ["missing", "foreign", "beyond", "negative", "two"])
+    def test_sparse_support_faults_name_the_least_differing_index(self, fault):
+        G = generators.group_bundle([("u", groups.cyclic(4)), ("v", groups.klein())])
+        gm = algebra.gelfand_transform(abelian.dual_bundle(G))
+        r, row = next((r, phi) for r, phi in enumerate(gm.rows) if G.labels[phi.unit] == "e@v")
+        fiber = G.out_of[row.unit]
+        other = G.out_of[gm.rows[0].unit][1]
+        dropped = {g: e for g, e in row.exponents.items() if g != fiber[2]}
+        exponents, arrow = {
+            "missing": (dropped, G.labels[fiber[2]]),
+            "foreign": ({**row.exponents, other: 0}, G.labels[other]),
+            "beyond": ({**row.exponents, G.n: 0}, G.n),
+            "negative": ({**row.exponents, -1: 0}, -1),
+            # 2n, not n: a set of small ints iterates in ascending order
+            "two": ({**dropped, 2 * G.n: 0}, G.labels[fiber[2]]),
+        }[fault]
+        rows = gm.rows[:r] + (dataclasses.replace(row, exponents=exponents),) + gm.rows[r + 1:]
+        assert algebra.gelfand_violations(dataclasses.replace(gm, rows=rows)) == {
+            "reason": "wrong support", "row": r, "unit": "e@v", "arrow": arrow}
 
     def test_rejects_non_bundle(self, klein_cross):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The package's public names and the names the traced benchmark wraps."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -115,3 +116,15 @@ def _callers(names) -> dict[str, set[str]]:
 
 def test_validators_run_only_where_tables_enter():
     assert _callers(VALIDATOR_CALLERS) == VALIDATOR_CALLERS
+
+
+def test_one_character_row_type():
+    # GONE's getattr cannot see a dataclass field without a default, so the
+    # removed fields are pinned by the field lists: a transform row is its
+    # fiber's CharacterFunctional, and a fiber's arrows are host.out_of[x]
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(algebra.GelfandMatrix) == ["host", "rows"]
+    assert names(abelian.Character) == ["host", "exps"]
+    assert "fiber_arrows" not in names(abelian.DualBundle)

@@ -199,7 +199,7 @@ class TestCommutatorAndAbelianization:
             assert ab.arrow_map == tuple(map(class_of.get, G.arrows())), seed
             assert algebra.pi_hom(ab).arrow_map is ab.arrow_map
             for x, y in ab.fixed_points.items():
-                elem = {arrow: i for i, arrow in enumerate(ab.dual.fiber_arrows[y])}
+                elem = {arrow: i for i, arrow in enumerate(ab.g_ab.out_of[y])}
                 assert algebra.abelianized_fiber(ab, x)[1] == {
                     g: elem[class_of[g]] for g in ab.inclusion if G.src[g] == x}, seed
 

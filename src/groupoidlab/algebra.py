@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from . import abelian, groups, quotients
+from . import abelian, core, groups, quotients
 from .abelian import Character, FiniteAbelianGroup
 from .core import FiniteGroupoid
 from .linalg import BinomialSpan
@@ -63,12 +63,26 @@ def quotient_hom_from_result(G: FiniteGroupoid, qr: quotients.QuotientResult) ->
 def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
     """The smallest closed two-sided ideal containing all basis commutators.
 
-    Seeds with delta_ab - delta_ba (delta_ab alone where ba is undefined),
-    then shifts each generator that grew the span left and right by every
-    arrow it composes with.  Translation is injective where it is defined, so
-    a shift of e_u - e_v or e_u is again a binomial, a monomial or zero, and
-    the span is closed once every growing generator has been shifted: at most
-    n of them, so O(n^2) shifts.
+    G must be a groupoid.  Let S be the units together with
+    ``core.generating_arrows(G)``: every arrow g is a left-nested product
+    ((u s1) s2)...sk of a unit and members of S, so by associativity
+    delta_g = delta_u * delta_s1 * ... * delta_sk.  Two consequences:
+
+    - A subspace closed under left and right multiplication by every
+      delta_s is closed under every delta_g, and so is a two-sided ideal.
+    - The commutators [delta_s, delta_t] for s, t in S generate the same
+      ideal J as all basis commutators.  By [xy, z] = x[y, z] + [x, z]y,
+      for fixed z the x with [x, z] in J are closed under products; they
+      include S when z is in S, hence every delta_g.  By
+      [x, yz] = [x, y]z + y[x, z] the same holds in the second slot.
+
+    So the closure seeds with delta_st - delta_ts for s, t in S (delta_st
+    alone where ts is undefined), then shifts each generator that grew the
+    span left and right by every member of S it composes with.  Translation
+    is injective where it is defined, so a shift of e_u - e_v or e_u is
+    again a binomial, a monomial or zero, and the span is closed once every
+    growing generator has been shifted: at most n of them, so O(n |S|)
+    shifts, and O(|S|^2) seeds instead of one per comp entry.
     """
     span = BinomialSpan()
     grown: list[tuple[int, ...]] = []   # (u, v) for e_u - e_v, (u,) for e_u
@@ -77,22 +91,34 @@ def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
         if span.union(*arrows) if len(arrows) == 2 else span.kill(*arrows):
             grown.append(arrows)
 
-    comp = G.comp
-    left: dict[int, dict[int, int]] = {}    # left[u][g] = g.u
-    right: dict[int, dict[int, int]] = {}   # right[u][g] = u.g
-    for (a, b), ab in comp.items():
-        left.setdefault(b, {})[a] = ab
-        right.setdefault(a, {})[b] = ab
-        ba = comp.get((b, a))
-        feed((ab,) if ba is None else (ab, ba))
+    comp, src, rng = G.comp, G.src, G.rng
+    S = (*G.units, *core.generating_arrows(G))
+    s_by_src: dict[int, list[int]] = {}
+    s_by_rng: dict[int, list[int]] = {}
+    for s in S:
+        s_by_src.setdefault(src[s], []).append(s)
+        s_by_rng.setdefault(rng[s], []).append(s)
+    for s in S:
+        for t in s_by_rng.get(src[s], ()):   # the t in S with s.t defined
+            st, ts = comp[(s, t)], comp.get((t, s))
+            feed((st,) if ts is None else (st, ts))
+
+    def left(u: int) -> dict[int, int]:    # s -> s.u
+        return {s: comp[(s, u)] for s in s_by_src.get(rng[u], ())}
+
+    def right(u: int) -> dict[int, int]:   # s -> u.s
+        return {s: comp[(u, s)] for s in s_by_rng.get(src[u], ())}
 
     n = G.n
     while grown and span.rank < n:
-        arrows = grown.pop()
+        u, *v = grown.pop()
         for side in (left, right):
-            shifts = [side.get(u, {}) for u in arrows]
-            for g in set().union(*shifts):
-                feed(tuple(by[g] for by in shifts if g in by))
+            at_u, at_v = side(u), side(v[0]) if v else {}
+            for s, su in at_u.items():
+                sv = at_v.pop(s, None)
+                feed((su,) if sv is None else (su, sv))
+            for sv in at_v.values():   # s composes with v but not with u
+                feed((sv,))
 
     return span
 

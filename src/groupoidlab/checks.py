@@ -13,8 +13,10 @@ import functools
 import itertools
 import time
 import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 from . import abelian, algebra, core, generators, groups, quotients
@@ -24,17 +26,26 @@ from .linalg import BinomialSpan
 
 @dataclass
 class CheckResult:
+    """One check's verdict.  A skipped check did not run, because a check it
+    rests on failed: it is not ok, and skipped names the reason."""
+
     name: str
     instance: str
     ok: bool
     seconds: float
     witness: object = None
+    skipped: str | None = None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.ok else "skipped" if self.skipped else "fail"
 
     def to_json(self) -> dict:
-        out = {"name": self.name, "instance": self.instance,
-               "status": "pass" if self.ok else "fail",
+        out = {"name": self.name, "instance": self.instance, "status": self.status,
                "seconds": round(self.seconds, 6)}
-        if not self.ok:
+        if self.skipped:
+            out["reason"] = self.skipped
+        elif not self.ok:
             out["witness"] = self.witness
         return out
 
@@ -48,13 +59,28 @@ class CheckReport:
         return all(r.ok for r in self.results)
 
     def to_json(self) -> dict:
+        counts = Counter(r.status for r in self.results)
         return {
             "status": "pass" if self.ok else "fail",
-            "counts": {"pass": sum(r.ok for r in self.results),
-                       "fail": sum(not r.ok for r in self.results)},
+            # no "skip" key unless a check was skipped
+            "counts": {"pass": counts["pass"], "fail": counts["fail"],
+                       **({"skip": counts["skipped"]} if counts["skipped"] else {})},
             "total_seconds": round(sum(r.seconds for r in self.results), 6),
             "checks": [r.to_json() for r in self.results],
         }
+
+
+_PACKAGE_DIR = Path(__file__).resolve().parent
+
+
+def _location(frame: traceback.FrameSummary) -> str:
+    """file:line of a frame, the same from every checkout or install: the
+    path below the directory holding the package for a frame inside it
+    (groupoidlab/core.py:280), the bare file name for any other."""
+    path = Path(frame.filename).resolve()
+    shown = (path.relative_to(_PACKAGE_DIR.parent).as_posix()
+             if path.is_relative_to(_PACKAGE_DIR) else path.name)
+    return f"{shown}:{frame.lineno}"
 
 
 def _run(name: str, instance: str, fn: Callable[[], object]) -> CheckResult:
@@ -66,7 +92,7 @@ def _run(name: str, instance: str, fn: Callable[[], object]) -> CheckResult:
     except Exception as exc:   # a crash is a failing check, not a crashed report
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         witness = {"error": repr(exc), "type": type(exc).__name__, "message": str(exc),
-                   "location": f"{frame.filename}:{frame.lineno}"}
+                   "location": _location(frame)}
         ok = False
     return CheckResult(name=name, instance=instance, ok=ok,
                        seconds=time.perf_counter() - start, witness=witness)
@@ -161,20 +187,39 @@ def _check_fiber_duality(ab: quotients.Abelianization):
     return None
 
 
-def instance_checks(G: FiniteGroupoid, instance: str, components=None) -> list[CheckResult]:
+def axioms_check(G: FiniteGroupoid, instance: str) -> CheckResult:
+    return _run("axioms", instance, lambda: _check_axioms(G))
+
+
+def instance_checks(G: FiniteGroupoid, instance: str, components=None,
+                    axioms: CheckResult | None = None) -> list[CheckResult]:
+    """The axioms check, then the five checks that rest on it.
+
+    Each of the five reads G as a groupoid (the commutator ideal is closed
+    over a generating set, fixed points and components assume inverses), so
+    on a table that fails axioms they are skipped: a verdict there would
+    rest on preconditions that do not hold.  axioms is
+    ``axioms_check(G, instance)`` when the caller has run it already;
+    components is ``quotients.component_normal_subgroupoids(G)`` likewise.
+    """
+    if axioms is None:
+        axioms = axioms_check(G, instance)
     # Each, like ab().dual, is built once, inside the first check that needs
     # it: a crash while building fails that check and, not being cached, each
     # later one too.
     ab = functools.cache(lambda: quotients.abelianize_groupoid(G))
     ideal = functools.cache(lambda: algebra.commutator_ideal(G))
-    return [
-        _run("axioms", instance, lambda: _check_axioms(G)),
-        _run("quotient-family", instance, lambda: _check_quotient_family(G, components)),
-        _run("character-count", instance, lambda: _check_character_count(ab(), ideal())),
-        _run("pi-kernel", instance, lambda: _check_pi_kernel(ab(), ideal())),
-        _run("gelfand", instance, lambda: _check_gelfand(ab())),
-        _run("fiber-duality", instance, lambda: _check_fiber_duality(ab())),
-    ]
+    dependent = {
+        "quotient-family": lambda: _check_quotient_family(G, components),
+        "character-count": lambda: _check_character_count(ab(), ideal()),
+        "pi-kernel": lambda: _check_pi_kernel(ab(), ideal()),
+        "gelfand": lambda: _check_gelfand(ab()),
+        "fiber-duality": lambda: _check_fiber_duality(ab()),
+    }
+    if not axioms.ok:
+        return [axioms, *(CheckResult(name, instance, ok=False, seconds=0.0,
+                                      skipped="axioms failed") for name in dependent)]
+    return [axioms, *(_run(name, instance, fn) for name, fn in dependent.items())]
 
 
 # --- fixed regressions ------------------------------------------------------
@@ -354,5 +399,6 @@ def corpus_report(seed: int, count: int, cap: int = 60, jobs: int = 1) -> CheckR
     return report
 
 
-def file_report(G: FiniteGroupoid, instance: str, components=None) -> CheckReport:
-    return CheckReport(results=instance_checks(G, instance, components))
+def file_report(G: FiniteGroupoid, instance: str, components=None,
+                axioms: CheckResult | None = None) -> CheckReport:
+    return CheckReport(results=instance_checks(G, instance, components, axioms))

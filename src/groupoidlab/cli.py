@@ -23,13 +23,13 @@ EXIT_INPUT = 2
 # The most arrows of a groupoid the CLI takes, as many as pair:64.  Every
 # table is held in memory.  Validation reads each comp entry a few times and
 # tests associativity by Light's test, |units| + |S| middles for a generating
-# set S.  On a 2-vCPU VM, check takes 1.0-1.7 s wall and peaks at 105 MB on
-# pair:64 (0.3-0.5 s validation, 0.3-0.5 s character-count), and takes
-# 0.7-1.2 s and peaks at 36 MB on trivial:4096 (no check above 0.3 s; the
-# transform holds sum |A_x|^2 exponents); MAX_FAMILY_ARROWS bounds the
-# quotients.  So a larger --kind or --budget is refused before any table is
-# built, and a larger document before it is validated, instead of running
-# for minutes or ending in a MemoryError.
+# set S.  On a 2-vCPU VM, check takes 0.8-1.3 s wall and peaks at 105 MB on
+# pair:64 (0.3-0.6 s validation; the commutator ideal, closed over the same
+# S, under 0.1 s), and takes 0.9-1.2 s and peaks at 36 MB on trivial:4096
+# (no check above 0.3 s; the transform holds sum |A_x|^2 exponents);
+# MAX_FAMILY_ARROWS bounds the quotients.  So a larger --kind or --budget is
+# refused before any table is built, and a larger document before it is
+# validated, instead of running for minutes or ending in a MemoryError.
 MAX_ARROWS = 4096
 
 # The most arrows that check quotients on one document: it quotients each
@@ -286,18 +286,21 @@ def _cmd_check(args) -> int:
                                                os.cpu_count() or 1))
     else:
         # axiom problems surface as a failing check with a witness, so the
-        # suite runs on whatever decodes — only parse errors stop it
+        # suite reports on whatever decodes — only parse errors stop it; the
+        # normal subgroupoids are counted, and the other checks run, only on
+        # a groupoid
         G = _load(args, validate_axioms=False)
-        try:
-            components = quotients.component_normal_subgroupoids(G, limit=MAX_FAMILY_ARROWS)
-        except groups.TooManySubgroups as exc:
-            raise CliError(EXIT_INPUT, {
-                "error": "the quotients by every normal subgroupoid of each component "
-                         f"take in more than the limit of {MAX_FAMILY_ARROWS} arrows"}) from exc
-        except Exception:   # a table that is no groupoid: the checks say where
-            components = None
-        report = checks.file_report(G, instance=args.input or args.kind,
-                                    components=components)
+        instance = args.input or args.kind
+        axioms = checks.axioms_check(G, instance)
+        components = None
+        if axioms.ok:
+            try:
+                components = quotients.component_normal_subgroupoids(G, limit=MAX_FAMILY_ARROWS)
+            except groups.TooManySubgroups as exc:
+                raise CliError(EXIT_INPUT, {
+                    "error": "the quotients by every normal subgroupoid of each component "
+                             f"take in more than the limit of {MAX_FAMILY_ARROWS} arrows"}) from exc
+        report = checks.file_report(G, instance, components, axioms)
     _emit(report.to_json(), args.output)
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 

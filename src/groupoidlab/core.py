@@ -126,12 +126,14 @@ def _arrows_by(table: tuple[int, ...]) -> dict[int, list[int]]:
     return out
 
 
-def _light_generators(G: FiniteGroupoid) -> list[int]:
+def generating_arrows(G: FiniteGroupoid) -> list[int]:
     """A greedy generating set S: each arrow, in order, that right-multiplying
     the units by earlier members of S has not reached.
 
     Every arrow is in S or a left-nested product ((u s1) s2)... of a unit and
     members of S.  Building S reads comp and assumes no associativity.
+    ``validate`` tests associativity on the units and S alone, and
+    ``algebra.commutator_ideal`` closes its ideal over them.
     """
     reached = set(G.units)
     reached_by_src: dict[int, list[int]] = {x: [x] for x in G.units}
@@ -164,7 +166,7 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
     Associativity is decided by Light's test (Clifford & Preston, 1961,
     section 1.2), one level up from groups: (ab)c = a(bc) is tested for
     every composable a and c, but only for middle arrows b among the units
-    and a generating set S (``_light_generators``).  Call b good when
+    and a generating set S (``generating_arrows``).  Call b good when
     (ab)c = a(bc) for all composable a, c.  Good arrows are closed under
     composition: for good b, b' and composable a, c,
     (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c)) = a((bb')c),
@@ -202,7 +204,7 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
         return out
 
     comp, by_src, by_rng = G.comp, G.out_of, _arrows_by(G.rng)
-    for b in sorted([*G.units, *_light_generators(G)]):
+    for b in sorted([*G.units, *generating_arrows(G)]):
         cs = by_rng.get(G.src[b], ())
         bcs = [comp[(b, c)] for c in cs]
         for a in by_src.get(G.rng[b], ()):

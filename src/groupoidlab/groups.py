@@ -245,8 +245,9 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     (a.identity, b.identity)."""
     labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
     nb = b.order
-    table = tuple(tuple(a.table[i // nb][j // nb] * nb + b.table[i % nb][j % nb]
-                        for j in range(a.order * nb)) for i in range(a.order * nb))
+    # row (I, i) is the products (I, i)(J, j) = (IJ, ij), J-major like the columns
+    table = tuple(tuple(x * nb + y for x in row_a for y in row_b)
+                  for row_a in a.table for row_b in b.table)
     return FiniteGroup(f"{a.name}x{b.name}", labels, table, a.identity * nb + b.identity)
 
 

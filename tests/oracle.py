@@ -439,3 +439,41 @@ def quotient_comp_by_pairs(G: FiniteGroupoid, qr: quotients.QuotientResult) -> d
     reps = [first[i] for i in range(len(first))]
     return {(i, j): qr.class_map[G.comp[(a, b)]]
             for i, a in enumerate(reps) for j, b in enumerate(reps) if G.src[a] == G.rng[b]}
+
+
+# --- the all-pairs constructions the generating sets replace ---------------
+
+def commutator_ideal_over_all_pairs(G: FiniteGroupoid) -> BinomialSpan:
+    """The commutator ideal as a partition, seeded with delta_ab - delta_ba
+    (delta_ab alone where ba is undefined) for every comp entry (a, b), each
+    generator that grew the span shifted left and right by every arrow it
+    composes with.  Needs no generating set and no associativity."""
+    span = BinomialSpan()
+    grown: list[tuple[int, ...]] = []
+
+    def feed(arrows: tuple[int, ...]):
+        if span.union(*arrows) if len(arrows) == 2 else span.kill(*arrows):
+            grown.append(arrows)
+
+    comp = G.comp
+    left: dict[int, dict[int, int]] = {}    # left[u][g] = g.u
+    right: dict[int, dict[int, int]] = {}   # right[u][g] = u.g
+    for (a, b), ab in comp.items():
+        left.setdefault(b, {})[a] = ab
+        right.setdefault(a, {})[b] = ab
+        ba = comp.get((b, a))
+        feed((ab,) if ba is None else (ab, ba))
+    while grown and span.rank < G.n:
+        arrows = grown.pop()
+        for side in (left, right):
+            shifts = [side.get(u, {}) for u in arrows]
+            for g in set().union(*shifts):
+                feed(tuple(by[g] for by in shifts if g in by))
+    return span
+
+
+def direct_product_table(a: FiniteGroup, b: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The table of a x b entry by entry, (i, j) at index i * |b| + j."""
+    nb = b.order
+    return tuple(tuple(a.table[i // nb][j // nb] * nb + b.table[i % nb][j % nb]
+                       for j in range(a.order * nb)) for i in range(a.order * nb))

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupoidlab import abelian, algebra, core, generators, groups, quotients
+from groupoidlab import abelian, algebra, checks, core, generators, groups, quotients
 from groupoidlab.linalg import Echelon, Qi, kernel_basis, same_span, vec_iadd_scaled
 
 
@@ -116,6 +118,23 @@ def _echelon_commutator_ideal(G):
     return ech.rows()
 
 
+def _relabelled(G, p):
+    """G with arrow g renumbered p[g]: the same groupoid, its tables permuted."""
+    def moved(table):
+        out = [0] * G.n
+        for g, x in enumerate(table):
+            out[p[g]] = p[x]
+        return tuple(out)
+
+    labels = [""] * G.n
+    for g, label in enumerate(G.labels):
+        labels[p[g]] = label
+    return core.FiniteGroupoid(
+        n=G.n, units=frozenset(p[x] for x in G.units), src=moved(G.src), rng=moved(G.rng),
+        comp={(p[a], p[b]): p[c] for (a, b), c in G.comp.items()}, inv=moved(G.inv),
+        labels=tuple(labels))
+
+
 def _matrix_kernel(h):
     """Reference: kernel_basis on the hom's matrix, one equation per codomain arrow."""
     rows = {}
@@ -159,6 +178,53 @@ class TestCommutatorIdeal:
             reference = _echelon_commutator_ideal(G)
             assert ideal.rank == len(reference)
             assert same_span(ideal.vectors(), reference)
+
+    def test_matches_the_all_pairs_closure(self, corpus200, klein_cross, s3, s3_a3):
+        bundles = [generators.group_bundle([("p", g)]) for g in groups.library()] + [
+            generators.group_bundle([("u", groups.sym3()), ("v", groups.quaternion8()),
+                                     ("w", groups.cyclic(6))])]
+        pairs = [generators.pair_groupoid(m) for m in range(2, 9)]
+        for G in [G for _, G in corpus200] + [klein_cross, s3, s3_a3] + pairs + bundles:
+            ideal = algebra.commutator_ideal(G)
+            reference = oracle.commutator_ideal_over_all_pairs(G)
+            assert ideal.rank == reference.rank
+            assert ideal == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 199), st.data())
+    def test_matches_the_all_pairs_closure_under_relabelling(self, seed, data):
+        # renumbering the arrows changes the greedy generating set, not the ideal
+        G = generators.random_groupoid(seed, checks.corpus_budget(seed))
+        H = _relabelled(G, data.draw(st.permutations(range(G.n))))
+        ideal = algebra.commutator_ideal(H)
+        assert ideal == oracle.commutator_ideal_over_all_pairs(H)
+        assert ideal.rank == algebra.commutator_ideal(G).rank
+
+    def test_reads_comp_over_the_generating_set_only(self):
+        # pair_groupoid(m) has m^3 comp entries; seeding and shifting over
+        # the units and a generating set reads on the order of its m^2 arrows
+        def reads(m):
+            count = 0
+
+            class Counted(dict):
+                def __getitem__(self, key):
+                    nonlocal count
+                    count += 1
+                    return dict.__getitem__(self, key)
+
+                def get(self, key, default=None):
+                    nonlocal count
+                    count += 1
+                    return dict.get(self, key, default)
+
+            G = generators.pair_groupoid(m)
+            G = dataclasses.replace(G, comp=Counted(G.comp))
+            assert algebra.commutator_ideal(G).rank == G.n
+            return count, len(G.comp)
+
+        for m, share in ((16, 2), (32, 4)):
+            count, entries = reads(m)
+            assert count <= entries / share, (m, count, entries)
 
     def test_commutative_algebra_has_zero_ideal(self):
         G = generators.group_bundle([("u", groups.cyclic(4)),

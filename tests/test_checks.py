@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +56,31 @@ class TestReports:
         assert result.witness == {
             "error": "KeyError('no arrow 7')", "type": "KeyError",
             "message": "'no arrow 7'",
-            "location": f"{__file__}:{check.__code__.co_firstlineno + 1}"}
+            "location": f"{Path(__file__).name}:{check.__code__.co_firstlineno + 1}"}
+
+    def test_crash_witness_inside_the_package_names_its_module(self, s3):
+        # the path below the directory holding the package: the same JSON
+        # from every checkout or install
+        result = checks._run("crash", "unit", lambda: core.restrict(s3, [s3.n]))
+        path, line = result.witness["location"].split(":")
+        assert path == "groupoidlab/core.py" and int(line) > 0
+
+    def test_checks_resting_on_axioms_are_skipped_when_it_fails(self, klein_cross):
+        # an arrow whose source is itself, not a unit
+        g = next(g for g in klein_cross.arrows() if g not in klein_cross.units)
+        src = list(klein_cross.src)
+        src[g] = g
+        broken = dataclasses.replace(klein_cross, src=tuple(src))
+        data = checks.file_report(broken, "broken").to_json()
+        assert data["status"] == "fail"
+        assert data["counts"] == {"pass": 0, "fail": 1, "skip": 5}
+        axioms, *rest = data["checks"]
+        assert axioms["name"] == "axioms" and axioms["status"] == "fail" and axioms["witness"]
+        assert [c["name"] for c in rest] == ["quotient-family", "character-count", "pi-kernel",
+                                             "gelfand", "fiber-duality"]
+        assert all(c["status"] == "skipped" and c["reason"] == "axioms failed"
+                   and "witness" not in c for c in rest)
+        assert "skip" not in checks.file_report(klein_cross, "klein").to_json()["counts"]
 
     def test_pi_kernel_check_compares_spans_not_ranks(self, s3):
         ab = quotients.abelianize_groupoid(s3)

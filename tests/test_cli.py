@@ -315,14 +315,23 @@ class TestCheckCommand:
             assert code == 0 and data["status"] == "pass", source
             assert calls == [cli.MAX_FAMILY_ARROWS], source
 
-    def test_document_that_is_no_groupoid_is_still_checked(self, tmp_path, capsys):
-        # the quotient-work count cannot read it, and leaves it to the checks
+    def test_document_that_is_no_groupoid_is_still_checked(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # axioms fails with a witness; the quotient-work count and the
+        # checks resting on a groupoid do not run
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted the normal subgroupoids of a non-groupoid")
+
+        monkeypatch.setattr(quotients, "component_normal_subgroupoids", refuse)
         _, doc = run(["generate", "--kind", "s3"], capsys)
         doc["comp"] = doc["comp"][1:]
         path = tmp_path / "holed.json"
         path.write_text(json.dumps(doc))
         code, data = run(["check", "--input", str(path)], capsys)
         assert code == 1 and data["status"] == "fail"
+        assert data["counts"] == {"pass": 0, "fail": 1, "skip": 5}
+        axioms = data["checks"][0]
+        assert axioms["name"] == "axioms" and axioms["status"] == "fail" and axioms["witness"]
 
 
 # Arbitrary JSON values, for the fields and entries a mutation replaces.
@@ -384,7 +393,13 @@ class TestContract:
                     contextlib.redirect_stdout(out):
                 code = cli.main([command, "--input", "-"])
             assert code in (cli.EXIT_OK, cli.EXIT_SEMANTIC, cli.EXIT_INPUT), command
-            assert isinstance(json.loads(out.getvalue()), dict), command
+            payload = json.loads(out.getvalue())
+            assert isinstance(payload, dict), command
+            if command == "check" and code == cli.EXIT_SEMANTIC:
+                # a verdict needs a groupoid: none passes beside a failed axioms
+                status = {c["name"]: c["status"] for c in payload["checks"]}
+                if status.pop("axioms") == "fail":
+                    assert "pass" not in status.values(), status
 
 
 class TestPlumbing:

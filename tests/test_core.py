@@ -148,7 +148,7 @@ class TestLightsTest:
         comp = dict(G.comp)
         comp[(g2, g2)] = g
         bad = dataclasses.replace(G, comp=comp)
-        assert core._light_generators(bad) == [g]
+        assert core.generating_arrows(bad) == [g]
         every = oracle.groupoid_associativity_violations(bad)
         assert {b for _, b, _ in every} - {e, g}
         found = core.validate(bad)

@@ -248,6 +248,16 @@ class TestDirectProduct:
                     assert p == groups.finite_group(p.name, list(p.labels),
                                                     [list(row) for row in p.table])
 
+    def test_rows_match_the_entrywise_formula(self, abelian_family):
+        # direct_product builds each row from one row of each factor; the
+        # entry-by-entry formula is the reference
+        lib = groups.library()
+        for a, b in [(a, b) for a in lib for b in lib] + [
+                (groups.cyclic(1), f) for f in abelian_family] + [
+                (f, groups.cyclic(2)) for f in abelian_family if f.order <= 32]:
+            assert groups.direct_product(a, b).table == oracle.direct_product_table(a, b), \
+                (a.name, b.name)
+
     def test_product_of_nonabelian_keeps_noncommutativity(self):
         p = groups.direct_product(groups.sym3(), groups.cyclic(2))
         assert groups.group_violations(p) == []

@@ -17,7 +17,9 @@ from .groups import FiniteGroup
 from .snf import smith_normal_form
 
 # Decompositions kept by invariant_factors.  A seed-0 corpus of 200 instances
-# asks for 209 distinct groups; the bound keeps a long run's memory fixed.
+# asks for 209 distinct groups, and the whole check --corpus pass, with the
+# regression checks and the duality family's 117 groups and their duals, for
+# 444; the bound keeps a long run's memory fixed.
 INVARIANT_FACTORS_CACHE_SIZE = 256
 
 
@@ -65,39 +67,42 @@ class CyclicDecomposition:
 def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
     """Decompose a finite abelian group as a product of cyclic groups.
 
-    A small generating set is chosen greedily; the relation lattice among the
-    generators is spanned by the rows w(x) + e_i - w(x * g_i) read off a
-    breadth-first word table, and Smith normal form of that matrix yields the
-    invariant factors and a realizing generator tuple.
+    The generators g_1..g_k are chosen greedily, as ``groups.generating_set``
+    chooses them: g_i is the first element, in order, outside
+    H_{i-1} = <g_1..g_{i-1}>.  Let m_i be the least m >= 1 with g_i^m in
+    H_{i-1}.  Then H_i is the disjoint union of the cosets H_{i-1} g_i^e for
+    0 <= e < m_i, and the word table grows as w(h g_i^e) = w(h) + e e_i.
+    Each generator adds the relation r_i = m_i e_i - w(g_i^{m_i}).
+
+    These k rows span the relation lattice L, the kernel of
+    Z^k -> A, v -> prod g_i^{v_i}.  Each r_i lies in L, since w(h) maps to
+    h for every h.  The rows are lower triangular with diagonal m_i, so
+    their lattice has index prod m_i = |A| in Z^k, which is [Z^k : L] since
+    the g_i generate A; a sublattice of L with the same index is L.  Smith
+    normal form of this k x k matrix therefore gives the invariant factors
+    of Z^k / L = A, and a realizing generator tuple from the rows of Vinv.
     """
     n = a.order
-    gens = groups.generating_set(a)
+    table = a.table
+    gens: list[int] = []
+    words: dict[int, tuple[int, ...]] = {a.identity: ()}   # trailing zeros left off
+    relations: list[tuple[int, ...]] = []
+    for g in range(n):
+        if g in words:
+            continue
+        i = len(gens)
+        below = {h: w + (0,) * (i - len(w)) for h, w in words.items()}   # H_{i-1}
+        y, m = g, 1   # y = g^m
+        while y not in below:
+            for h, w in below.items():
+                words[table[h][y]] = w + (m,)
+            y, m = table[y][g], m + 1
+        relations.append(tuple(-c for c in below[y]) + (m,))
+        gens.append(g)
+    assert len(words) == n
     k = len(gens)
 
-    words: dict[int, tuple[int, ...]] = {a.identity: (0,) * k}
-    queue = [a.identity]
-    while queue:
-        x = queue.pop()
-        for i, g in enumerate(gens):
-            y = a.table[x][g]
-            if y not in words:
-                w = list(words[x])
-                w[i] += 1
-                words[y] = tuple(w)
-                queue.append(y)
-    assert len(words) == n
-
-    relations = []
-    for x in range(n):
-        for i, g in enumerate(gens):
-            row = list(words[x])
-            row[i] += 1
-            target = words[a.table[x][g]]
-            row = [u - v for u, v in zip(row, target)]
-            if any(row):
-                relations.append(row)
-
-    s = smith_normal_form(relations, width=k)
+    s = smith_normal_form([r + (0,) * (k - len(r)) for r in relations], width=k)
     assert all(d > 0 for d in s.diagonal), "relation lattice must have full rank"
 
     gen_powers = [_powers(a, g) for g in gens]
@@ -147,6 +152,10 @@ class Character:
 
 def characters(a: FiniteAbelianGroup) -> list[Character]:
     """All characters, ordered by factor residues (trivial character first).
+
+    Residue r_j is the power of ``invariant_factors(a).generators[j]``, so
+    the order follows those realizing generators: another choice of them
+    lists the same characters in another order.
 
     Character r sends x to sum_j r_j * coords[x][j] * (N / n_j) mod N, for
     N the exponent and n_j the invariant factors.  It is built from its

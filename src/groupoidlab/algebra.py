@@ -76,13 +76,18 @@ def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
       include S when z is in S, hence every delta_g.  By
       [x, yz] = [x, y]z + y[x, z] the same holds in the second slot.
 
-    So the closure seeds with delta_st - delta_ts for s, t in S (delta_st
-    alone where ts is undefined), then shifts each generator that grew the
-    span left and right by every member of S it composes with.  Translation
-    is injective where it is defined, so a shift of e_u - e_v or e_u is
-    again a binomial, a monomial or zero, and the span is closed once every
-    growing generator has been shifted: at most n of them, so O(n |S|)
-    shifts, and O(|S|^2) seeds instead of one per comp entry.
+    So the closure seeds with delta_st - delta_ts for s != t in S (delta_st
+    alone where ts is undefined; [delta_s, delta_s] = 0, which covers every
+    pair of units), then shifts each generator that grew the span left and
+    right by every member of S it composes with.  Both sides are needed: on
+    a group the left shifts alone close to the left ideal C[G](H - 1), for H
+    the subgroup generated by the s^-1 t^-1 s t with s, t in S, and H need
+    not be normal (S4 with S a transposition and a 4-cycle: rank 16, not
+    22).  Translation is injective where it is defined, so a shift of
+    e_u - e_v or e_u is again a binomial, a monomial or zero, and the span
+    is closed once every growing generator has been shifted: at most n of
+    them, so O(n |S|) shifts, and O(|S|^2) seeds instead of one per comp
+    entry.
     """
     span = BinomialSpan()
     grown: list[tuple[int, ...]] = []   # (u, v) for e_u - e_v, (u,) for e_u
@@ -100,8 +105,9 @@ def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
         s_by_rng.setdefault(rng[s], []).append(s)
     for s in S:
         for t in s_by_rng.get(src[s], ()):   # the t in S with s.t defined
-            st, ts = comp[(s, t)], comp.get((t, s))
-            feed((st,) if ts is None else (st, ts))
+            if t != s:
+                st, ts = comp[(s, t)], comp.get((t, s))
+                feed((st,) if ts is None else (st, ts))
 
     def left(u: int) -> dict[int, int]:    # s -> s.u
         return {s: comp[(s, u)] for s in s_by_src.get(rng[u], ())}

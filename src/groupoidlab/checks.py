@@ -167,12 +167,12 @@ def _check_gelfand(ab: quotients.Abelianization):
     return algebra.gelfand_violations(algebra.gelfand_transform(ab.dual))
 
 
-def _duality_witness(a: abelian.FiniteAbelianGroup, chars) -> dict | None:
-    """None when a has one character per element and their group has a's
-    invariant factors; else the counts or the factors that differ."""
+def _duality_witness(dec: abelian.CyclicDecomposition, chars) -> dict | None:
+    """None when dec's group has one character per element and their group
+    has dec's invariant factors; else the counts or the factors that differ."""
+    a, factors = dec.group, dec.factors
     if len(chars) != a.order:
         return {"characters": len(chars), "order": a.order}
-    factors = abelian.invariant_factors(a).factors
     dual_factors = abelian.invariant_factors(abelian.char_group_structure(chars)).factors
     if dual_factors != factors:
         return {"factors": list(factors), "dual_factors": list(dual_factors)}
@@ -181,7 +181,8 @@ def _duality_witness(a: abelian.FiniteAbelianGroup, chars) -> dict | None:
 
 def _check_fiber_duality(ab: quotients.Abelianization):
     for x, y in ab.fixed_points.items():
-        witness = _duality_witness(ab.dual.fiber_groups[y], ab.dual.fibers[y])
+        witness = _duality_witness(abelian.invariant_factors(ab.dual.fiber_groups[y]),
+                                   ab.dual.fibers[y])
         if witness:
             return {"unit": ab.host.labels[x], **witness}
     return None
@@ -351,7 +352,7 @@ def _duality_family(max_order: int = 64):
             if dec.factors != expected:
                 return {"group": a.name, "factors": list(dec.factors),
                         "expected": list(expected)}
-            witness = _duality_witness(a, abelian.characters(a))
+            witness = _duality_witness(dec, abelian.characters(a))
             if witness:
                 return {"group": a.name, **witness}
             checked += 1

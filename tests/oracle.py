@@ -20,6 +20,7 @@ from groupoidlab.algebra import AlgebraHom, CharacterFunctional, GelfandMatrix
 from groupoidlab.core import FiniteGroupoid
 from groupoidlab.groups import FiniteGroup
 from groupoidlab.linalg import QI0, QI1, BinomialSpan, Echelon, Qi, as_qi, vec_iadd_scaled
+from groupoidlab.snf import smith_normal_form
 
 
 # --- the reference algebra ------------------------------------------------
@@ -339,6 +340,27 @@ def characters_by_formula(a: FiniteAbelianGroup) -> list[Character]:
                 sum(r * c * (nn // d) for r, c, d in zip(residues, dec.coords[x], dec.factors)) % nn
                 for x in range(a.order)))
             for residues in itertools.product(*(range(d) for d in dec.factors))]
+
+
+def invariant_factors_by_relations(a: FiniteAbelianGroup) -> tuple[int, ...]:
+    """The invariant factors from Smith normal form of every relation
+    w(x) + e_i - w(x * g_i), one row per element x and generator g_i, read
+    off a breadth-first word table over ``groups.generating_set``."""
+    gens = groups.generating_set(a)
+    k = len(gens)
+    words = {a.identity: (0,) * k}
+    queue = [a.identity]
+    while queue:
+        x = queue.pop()
+        for i, g in enumerate(gens):
+            y = a.table[x][g]
+            if y not in words:
+                words[y] = tuple(c + (j == i) for j, c in enumerate(words[x]))
+                queue.append(y)
+    assert len(words) == a.order
+    relations = [[c + (j == i) - d for j, (c, d) in enumerate(zip(words[x], words[a.table[x][g]]))]
+                 for x in range(a.order) for i, g in enumerate(gens)]
+    return tuple(d for d in smith_normal_form(relations, width=k).diagonal if d != 1)
 
 
 def normal_subgroups_by_filter(g: FiniteGroup) -> list[frozenset[int]]:

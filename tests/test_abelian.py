@@ -1,11 +1,14 @@
 """Cyclic decomposition, characters, and the dual of an abelian bundle."""
 
 import dataclasses
+import functools
 import itertools
 from math import gcd, lcm
 
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidlab import abelian, checks, generators, groups, quotients
 
@@ -19,6 +22,32 @@ def _product(*ns):
     for m in ns[1:]:
         g = groups.direct_product(g, groups.cyclic(m))
     return _ab(g)
+
+
+@functools.cache
+def _family():
+    """The duality family's 117 groups, each with its partition expectation."""
+    return tuple(pair for n in range(1, 65) for pair in checks.abelian_groups_of_order(n))
+
+
+def _relabelled(a, p):
+    """a with element x renumbered p[x]: the same group, its table permuted."""
+    table = [[0] * a.order for _ in range(a.order)]
+    for x, row in enumerate(a.table):
+        for y, z in enumerate(row):
+            table[p[x]][p[y]] = p[z]
+    labels = [None] * a.order
+    for x, label in enumerate(a.labels):
+        labels[p[x]] = label
+    return abelian.finite_abelian_group(labels, table, a.name)
+
+
+def _assert_coords_respect_multiplication(a):
+    dec = abelian.invariant_factors(a)
+    for x, cx in enumerate(dec.coords):
+        for y, cy in enumerate(dec.coords):
+            assert dec.coords[a.table[x][y]] == tuple(
+                (u + v) % d for u, v, d in zip(cx, cy, dec.factors)), (a.name, x, y)
 
 
 class TestInvariantFactors:
@@ -41,25 +70,57 @@ class TestInvariantFactors:
         assert abelian.invariant_factors(_ab(groups.klein())).factors == (2, 2)
 
     def test_generator_orders_match_factors(self):
-        a = _product(2, 4, 3)
-        dec = abelian.invariant_factors(a)
-        assert tuple(a.order_of(t) for t in dec.generators) == dec.factors
+        for _, a in _family():
+            dec = abelian.invariant_factors(a)
+            assert tuple(a.order_of(t) for t in dec.generators) == dec.factors, a.name
 
     def test_coords_are_a_bijection(self):
-        a = _product(4, 6)
-        dec = abelian.invariant_factors(a)
-        assert len(set(dec.coords)) == a.order
-        assert set(dec.coords) == set(itertools.product(*(range(d) for d in dec.factors)))
+        for _, a in _family():
+            dec = abelian.invariant_factors(a)
+            assert sorted(dec.coords) == list(
+                itertools.product(*(range(d) for d in dec.factors))), a.name
 
     def test_coords_respect_multiplication(self):
-        a = _product(2, 4)
+        for _, a in _family():
+            _assert_coords_respect_multiplication(a)
+
+    def test_factors_match_the_partition_and_the_relation_route(self):
+        for expected, a in _family():
+            dual = abelian.char_group_structure(abelian.characters(a))
+            assert (abelian.invariant_factors(a).factors == expected
+                    == oracle.invariant_factors_by_relations(a)), a.name
+            assert (abelian.invariant_factors(dual).factors == expected
+                    == oracle.invariant_factors_by_relations(dual)), a.name
+
+    def test_corpus_fibers_match_the_relation_route(self, corpus200):
+        fibers = 0
+        for seed, G in corpus200:
+            for a in quotients.abelianize_groupoid(G).dual.fiber_groups.values():
+                assert (abelian.invariant_factors(a).factors
+                        == oracle.invariant_factors_by_relations(a)), seed
+                fibers += 1
+        assert fibers > 200
+
+    def test_a_generator_whose_index_is_below_its_order(self):
+        # C4 renumbered 0, 2, 1, 3: the greedy generators are the old 2 and
+        # the old 1, of order 4 but index [C4 : <old 2>] = 2
+        a = _relabelled(_product(4), (0, 2, 1, 3))
+        assert groups.generating_set(a) == [1, 2]
+        assert abelian.invariant_factors(a).factors == (4,)
+        _assert_coords_respect_multiplication(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_relabelled_family_groups_decompose(self, data):
+        # renumbering the elements changes the greedy generators, whose
+        # indices [H_i : H_(i-1)] need not be their orders
+        expected, a = data.draw(st.sampled_from(_family()))
+        a = _relabelled(a, data.draw(st.permutations(range(a.order))))
         dec = abelian.invariant_factors(a)
-        for x in range(a.order):
-            for y in range(a.order):
-                got = dec.coords[a.table[x][y]]
-                want = tuple((u + v) % d for u, v, d in
-                             zip(dec.coords[x], dec.coords[y], dec.factors))
-                assert got == want
+        assert dec.factors == expected == oracle.invariant_factors_by_relations(a)
+        assert tuple(a.order_of(t) for t in dec.generators) == dec.factors
+        assert sorted(dec.coords) == list(itertools.product(*(range(d) for d in dec.factors)))
+        _assert_coords_respect_multiplication(a)
 
     def test_rejects_nonabelian(self):
         with pytest.raises(ValueError, match="not commutative"):

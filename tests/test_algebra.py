@@ -1,6 +1,7 @@
 """Convolution algebra, commutator ideal, characters, and the bundle transform."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -203,7 +204,7 @@ class TestCommutatorIdeal:
     def test_reads_comp_over_the_generating_set_only(self):
         # pair_groupoid(m) has m^3 comp entries; seeding and shifting over
         # the units and a generating set reads on the order of its m^2 arrows
-        def reads(m):
+        def reads(G):
             count = 0
 
             class Counted(dict):
@@ -217,14 +218,31 @@ class TestCommutatorIdeal:
                     count += 1
                     return dict.get(self, key, default)
 
-            G = generators.pair_groupoid(m)
-            G = dataclasses.replace(G, comp=Counted(G.comp))
-            assert algebra.commutator_ideal(G).rank == G.n
-            return count, len(G.comp)
+            ideal = algebra.commutator_ideal(dataclasses.replace(G, comp=Counted(G.comp)))
+            return count, ideal.rank
 
         for m, share in ((16, 2), (32, 4)):
-            count, entries = reads(m)
-            assert count <= entries / share, (m, count, entries)
+            G = generators.pair_groupoid(m)
+            count, rank = reads(G)
+            assert rank == G.n
+            assert count <= len(G.comp) / share, (m, count, len(G.comp))
+        # every member of S is a unit: [delta_x, delta_x] = 0 seeds nothing
+        assert reads(generators.trivial_groupoid(1024)) == (0, 0)
+
+    def test_needs_both_shifts_on_a_non_normal_commutator_subgroup(self):
+        # S4 numbered from id, (12), (1234): S is a transposition and a
+        # 4-cycle, whose commutators s^-1 t^-1 s t generate a subgroup of
+        # order 3.  Shifts on one side alone close to C[G](H - 1), rank
+        # 24 - 8 = 16; the two-sided ideal is C[G](A4 - 1), rank 22.
+        first = [(0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0)]
+        perms = first + [p for p in itertools.permutations(range(4)) if p not in first]
+        index = {p: i for i, p in enumerate(perms)}
+        table = [[index[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms]
+        G = generators.group_bundle([("p", groups.finite_group("S4", [str(p) for p in perms], table))])
+        assert core.generating_arrows(G) == [1, 2]
+        ideal = algebra.commutator_ideal(G)
+        assert ideal == oracle.commutator_ideal_over_all_pairs(G)
+        assert ideal.rank == 22
 
     def test_commutative_algebra_has_zero_ideal(self):
         G = generators.group_bundle([("u", groups.cyclic(4)),

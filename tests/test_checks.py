@@ -185,9 +185,9 @@ class TestReports:
         seen = []
         witness = checks._duality_witness
 
-        def counted(a, chars):
-            seen.append(a.name)
-            return witness(a, chars)
+        def counted(dec, chars):
+            seen.append(dec.group.name)
+            return witness(dec, chars)
         monkeypatch.setattr(checks, "_duality_witness", counted)
         assert checks.duality_family_check().ok
         assert len(seen) == len(set(seen)) == 117

@@ -12,11 +12,8 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 from . import abelian, algebra, core, generators, groups, quotients
@@ -70,16 +67,15 @@ class CheckReport:
         }
 
 
-_PACKAGE_DIR = Path(__file__).resolve().parent
-
-
-def _location(frame: traceback.FrameSummary) -> str:
-    """file:line of a frame, the same from every checkout or install: the
-    path below the directory holding the package for a frame inside it
-    (groupoidlab/core.py:280), the bare file name for any other."""
+def _location(frame) -> str:
+    """file:line of a traceback frame, the same from every checkout or
+    install: the path below the directory holding the package for a frame
+    inside it (groupoidlab/core.py:280), the bare file name for any other."""
+    from pathlib import Path   # as traceback in _run: only a crash loads them
+    package = Path(__file__).resolve().parent
     path = Path(frame.filename).resolve()
-    shown = (path.relative_to(_PACKAGE_DIR.parent).as_posix()
-             if path.is_relative_to(_PACKAGE_DIR) else path.name)
+    shown = (path.relative_to(package.parent).as_posix()
+             if path.is_relative_to(package) else path.name)
     return f"{shown}:{frame.lineno}"
 
 
@@ -90,6 +86,7 @@ def _run(name: str, instance: str, fn: Callable[[], object]) -> CheckResult:
         witness = fn()
         ok = witness is None
     except Exception as exc:   # a crash is a failing check, not a crashed report
+        import traceback
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         witness = {"error": repr(exc), "type": type(exc).__name__, "message": str(exc),
                    "location": _location(frame)}
@@ -336,9 +333,8 @@ def abelian_groups_of_order(n: int):
             expected.append(d)
         expected = tuple(sorted(expected))
         cyclic_orders = sorted(itertools.chain.from_iterable(per_prime))
-        g = groups.cyclic(1)
-        for m in cyclic_orders:
-            g = groups.direct_product(g, groups.cyclic(m))
+        # from the first factor: cyclic(1) only stands for the empty product
+        g = functools.reduce(groups.direct_product, map(groups.cyclic, cyclic_orders or [1]))
         yield expected, abelian.FiniteAbelianGroup(
             name=f"A{n}:" + "x".join(map(str, cyclic_orders)), labels=g.labels,
             table=g.table, identity=g.identity, exponent=g.exponent())
@@ -384,6 +380,8 @@ def corpus_report(seed: int, count: int, cap: int = 60, jobs: int = 1) -> CheckR
     tasks = [(s, corpus_budget(s, cap)) for s in range(seed, seed + count)]
     report = CheckReport()
     if jobs > 1:
+        # multiprocessing, socket, pickle, ...: only a pooled run loads them
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # the family is the longest single task: started first, it runs
             # beside the instances instead of after them

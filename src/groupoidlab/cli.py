@@ -316,17 +316,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_INPUT, {"error": message, "usage": self.format_usage().strip()})
 
 
-def _add_source(p: argparse.ArgumentParser, require_kind: bool = False) -> None:
-    if not require_kind:
-        p.add_argument("--input", metavar="FILE",
-                       help="groupoid document to read ('-' for stdin)")
-    p.add_argument("--kind", metavar="KIND",
-                   required=require_kind,
-                   help="built-in model: random, klein-cross, s3, s3-a3-bundle, "
-                        "pair:N, trivial:N, group:NAME")
+def _add_source(p: argparse.ArgumentParser, require_kind: bool = False):
+    """The source options.  --input and --kind exclude each other: they go in
+    the returned group, to which check adds --corpus."""
+    if require_kind:
+        source = p
+    else:
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--input", metavar="FILE",
+                            help="groupoid document to read ('-' for stdin)")
+    source.add_argument("--kind", metavar="KIND",
+                        required=require_kind,
+                        help="built-in model: random, klein-cross, s3, s3-a3-bundle, "
+                             "pair:N, trivial:N, group:NAME")
     p.add_argument("--seed", type=int, default=0, help="seed for --kind random")
     p.add_argument("--budget", type=int, default=60,
                    help=f"size budget for --kind random, at most {MAX_ARROWS} arrows")
+    return source
 
 
 @functools.cache
@@ -374,9 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_characters)
 
     p = sub.add_parser("check", help="run the verification suite")
-    _add_source(p)
-    p.add_argument("--corpus", action="store_true",
-                   help="run over generated instances plus fixed families")
+    _add_source(p).add_argument("--corpus", action="store_true",
+                                help="run over generated instances plus fixed families")
     p.add_argument("--count", type=int, default=200,
                    help=f"number of corpus instances, at most {MAX_COUNT}")
     p.add_argument("--jobs", type=int, default=1,

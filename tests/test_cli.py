@@ -472,6 +472,27 @@ class TestPlumbing:
             assert code == cli.EXIT_INPUT, args
             assert data["error"] and data["usage"].startswith("usage: groupoidlab"), args
 
+    def test_two_sources_are_a_usage_error(self, monkeypatch, capsys):
+        # one source per request: a second one is refused, not dropped
+        def refuse(*args, **kwargs):
+            raise AssertionError("a source was read")
+
+        for module, name in ((checks, "corpus_report"), (cli, "_read_document"),
+                             (cli, "_model")):
+            monkeypatch.setattr(module, name, refuse)
+        for args in (["check", "--corpus", "--count", "1", "--input", "/nonexistent.json"],
+                     ["check", "--kind", "s3", "--corpus"],
+                     ["validate", "--kind", "s3", "--input", "doc.json"],
+                     ["quotient", "--input", "doc.json", "--kind", "klein-cross"],
+                     ["abelianize", "--kind", "s3", "--input", "-"],
+                     ["dual", "--input", "doc.json", "--kind", "group:C6"],
+                     ["characters", "--kind", "s3", "--input", "doc.json"],
+                     ["check", "--input", "doc.json", "--kind", "s3"]):
+            code, data = run(args, capsys)
+            assert code == cli.EXIT_INPUT, args
+            assert "not allowed with argument" in data["error"], args
+            assert data["usage"].startswith(f"usage: groupoidlab {args[0]}"), args
+
     def test_help_is_text_with_exit_zero(self):
         out = spawn(["check", "--help"])
         assert out.returncode == 0

@@ -1,10 +1,15 @@
-"""The package's public names and the names the traced benchmark wraps."""
+"""The package's public names, the names the traced benchmark wraps and the
+modules a fresh import loads."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import groupoidlab
@@ -128,3 +133,68 @@ def test_one_character_row_type():
     assert names(algebra.GelfandMatrix) == ["host", "rows"]
     assert names(abelian.Character) == ["host", "exps"]
     assert "fiber_arrows" not in names(abelian.DualBundle)
+
+
+# Run in a fresh interpreter, from a file so that a crash has a file:line.
+# It prints what it saw as JSON; the test below reads it.
+START_UP_SCRIPT = '''
+import json, sys
+start = set(sys.modules)
+def loaded():
+    return set(sys.modules) - start
+
+import groupoidlab, groupoidlab.cli
+from groupoidlab import checks, core, generators
+out = {"added": sorted(loaded())}
+
+def check():
+    raise KeyError("no arrow 7")
+
+s3 = generators.s3_point()
+out["traceback_before_crash"] = "traceback" in loaded()
+out["witness"] = checks._run("crash", "unit", check).witness
+out["inner_witness"] = checks._run("crash", "unit",
+                                   lambda: core.restrict(s3, [s3.n])).witness
+
+def outcomes(jobs):
+    report = checks.corpus_report(seed=0, count=3, jobs=jobs)
+    return [[r.name, r.instance, r.ok] for r in report.results]
+
+out["serial"] = outcomes(1)
+out["pool_after_serial"] = "concurrent.futures.process" in loaded()
+out["pooled"] = outcomes(2)
+out["pool_after_pooled"] = "concurrent.futures.process" in sys.modules
+print(json.dumps(out))
+'''
+
+# What only a rare path needs: the process pool (--jobs > 1) and the
+# crash-witness machinery.  No command pays for them at start-up.  (Where
+# the interpreter's site already loaded pathlib, its check cannot fail.)
+DEFERRED = ("concurrent", "multiprocessing", "logging", "traceback", "socket", "subprocess",
+            "pathlib")
+
+
+def test_start_up_loads_only_what_a_command_runs(tmp_path):
+    script = tmp_path / "start_up.py"
+    script.write_text(START_UP_SCRIPT, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(groupoidlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+
+    # modules the interpreter had before the import (a site may preload some)
+    # are not counted against the package
+    assert [m for m in out["added"] if m.split(".")[0] in DEFERRED] == []
+    assert "groupoidlab.cli" in out["added"]
+
+    raise_line = START_UP_SCRIPT.splitlines().index('    raise KeyError("no arrow 7")') + 1
+    assert not out["traceback_before_crash"]
+    assert out["witness"] == {
+        "error": "KeyError('no arrow 7')", "type": "KeyError",
+        "message": "'no arrow 7'", "location": f"start_up.py:{raise_line}"}
+    assert out["inner_witness"]["location"].startswith("groupoidlab/core.py:")
+
+    assert not out["pool_after_serial"]
+    assert out["pooled"] == out["serial"] and all(ok for _, _, ok in out["serial"])
+    assert out["pool_after_pooled"]

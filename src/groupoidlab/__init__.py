@@ -78,6 +78,7 @@ from .quotients import (
     is_normal,
     normal_subgroupoid,
     quotient,
+    quotient_map,
     quotient_preimage_of_units,
 )
 from .snf import SmithNormalForm, smith_normal_form
@@ -100,7 +101,7 @@ __all__ = [
     "finite_group", "fixed_points", "gelfand_transform", "group_action",
     "group_bundle", "instance_checks", "invariant_factors", "is_normal",
     "isotropy", "klein", "klein_cross", "normal_subgroupoid",
-    "pair_groupoid", "pi_hom", "quaternion8", "quotient",
+    "pair_groupoid", "pi_hom", "quaternion8", "quotient", "quotient_map",
     "quotient_preimage_of_units", "random_groupoid", "regression_checks",
     "restrict", "s3_a3_bundle", "s3_point", "smith_normal_form", "sym3",
     "transformation_groupoid", "trivial_groupoid", "unit_components",

@@ -39,18 +39,24 @@ class AlgebraHom:
     arrow_map: tuple[int | None, ...]
 
     def kernel(self) -> BinomialSpan:
-        """The partition of arrow_map: arrows with the same image are joined
-        and arrows sent to zero are killed."""
-        span = BinomialSpan()
-        first: dict[int, int] = {}
-        for g, t in enumerate(self.arrow_map):
-            if t is None:
-                span.kill(g)
-            elif t in first:
-                span.union(first[t], g)
-            else:
-                first[t] = g
-        return span
+        return arrow_map_kernel(self.arrow_map)
+
+
+def arrow_map_kernel(arrow_map: tuple[int | None, ...]) -> BinomialSpan:
+    """The kernel of the map that sends delta_g to delta_{arrow_map[g]}, or
+    to zero where that is None: the partition of arrow_map, with arrows of
+    the same image joined and arrows sent to zero killed.  It depends on
+    the arrow map alone, not on the codomain's tables."""
+    span = BinomialSpan()
+    first: dict[int, int] = {}
+    for g, t in enumerate(arrow_map):
+        if t is None:
+            span.kill(g)
+        elif t in first:
+            span.union(first[t], g)
+        else:
+            first[t] = g
+    return span
 
 
 def quotient_hom_from_result(G: FiniteGroupoid, qr: quotients.QuotientResult) -> AlgebraHom:

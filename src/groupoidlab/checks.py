@@ -120,6 +120,9 @@ def _check_quotient_family(G: FiniteGroupoid, components=None):
     quotients checks their product of carriers.  A witness names H_C joined
     with the other components' units, a failing carrier of G.  components
     is ``component_normal_subgroupoids(G)`` when the caller already has it.
+    The three identities read only the classes of G_C / H_C: they test
+    ``quotients.quotient_map``, the map ``quotient`` builds every quotient
+    from, and no quotient groupoid is built.
     """
     if components is None:
         components = quotients.component_normal_subgroupoids(G)
@@ -129,12 +132,12 @@ def _check_quotient_family(G: FiniteGroupoid, components=None):
         def in_G(members):
             return _carrier_labels(G, others.union(inclusion[a] for a in members))
         for H in normals:
-            qr = quotients.quotient(GC, H)
-            pre = quotients.quotient_preimage_of_units(GC, qr)
+            class_map = quotients.quotient_map(GC, H)
+            pre = quotients.quotient_preimage_of_units(GC, class_map)
             if pre != H.members:
                 return [{"check": "exactness", "carrier": in_G(H.members),
                          "preimage": in_G(pre)}]
-            kernel = algebra.quotient_hom_from_result(GC, qr).kernel()
+            kernel = algebra.arrow_map_kernel(class_map)
             kernel_rank = kernel.rank
             # the unit deltas meet the kernel trivially iff each one grows the span
             if not all(kernel.kill(x) for x in sorted(GC.units)):

@@ -22,11 +22,13 @@ EXIT_INPUT = 2
 
 # The most arrows of a groupoid the CLI takes, as many as pair:64.  Every
 # table is held in memory.  Validation reads each comp entry a few times and
-# tests associativity by Light's test, |units| + |S| middles for a generating
-# set S.  On a 2-vCPU VM, check takes 0.8-1.3 s wall and peaks at 105 MB on
-# pair:64 (0.3-0.6 s validation; the commutator ideal, closed over the same
-# S, under 0.1 s), and takes 0.9-1.2 s and peaks at 36 MB on trivial:4096
-# (no check above 0.3 s; the transform holds sum |A_x|^2 exponents);
+# tests associativity by Light's test, |S| middles for a generating set S
+# (126 on pair:64), and the units too only on a table that breaks the
+# identity law.  On a 2-vCPU VM, check takes 0.85 s wall and peaks at 68 MB
+# on pair:64 (0.4 s validation; the quotient family, which reads class maps
+# and builds no quotient groupoid, and the commutator ideal, closed over the
+# same S, under 0.1 s each), and takes 1.1-1.2 s and peaks at 33 MB on
+# trivial:4096 (the transform holds sum |A_x|^2 exponents);
 # MAX_FAMILY_ARROWS bounds the quotients.  So a larger --kind or --budget is
 # refused before any table is built, and a larger document before it is
 # validated, instead of running for minutes or ending in a MemoryError.
@@ -214,7 +216,7 @@ def _cmd_quotient(args) -> int:
             "message": verdict.message})
     H = quotients.NormalSubgroupoid(G, carrier)
     qr = quotients.quotient(G, H)
-    exact = quotients.quotient_preimage_of_units(G, qr) == H.members
+    exact = quotients.quotient_preimage_of_units(G, qr.class_map) == H.members
     _emit({"by": sorted(G.labels[g] for g in carrier),
            "quotient": document.encode_groupoid(qr.quotient),
            "class_map": {G.labels[a]: qr.quotient.labels[qr.class_map[a]]

@@ -173,9 +173,13 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
     using b, b', b, b' in turn (compatibility, checked first, makes every
     product here defined).  Each arrow is in S or a left-nested product of a
     unit and members of S, so if the units and S are good, every arrow is:
-    the table is associative.  The argument needs no identity law.  A failing
-    table lists only its failing triples (a, b, c) with a tested middle b.
-    Each middle costs |arrows out of rng b| x |arrows into src b| lookups.
+    the table is associative.  The argument needs no identity law, but where
+    it holds, every unit x is good untested: (ax)c = ac = a(xc), as
+    a.src(a) = a and rng(c).c = c.  Both are checked on every arrow first,
+    so the units are middles only on a table that breaks the identity law.
+    Either way a failing table lists exactly its failing triples (a, b, c)
+    with b among the units and S, in order of b.  Each middle costs
+    |arrows out of rng b| x |arrows into src b| lookups.
     """
     malformed = _check_malformed(G)
     if malformed:
@@ -194,6 +198,7 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
             out.append(AxiomViolation(IDENTITY_LAW, "g . src(g) != g", (g,)))
         if G.comp[(G.rng[g], g)] != g:
             out.append(AxiomViolation(IDENTITY_LAW, "rng(g) . g != g", (g,)))
+    identity_law_holds = not out
 
     for (a, b), c in G.comp.items():
         if G.src[c] != G.src[b] or G.rng[c] != G.rng[a]:
@@ -204,7 +209,10 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
         return out
 
     comp, by_src, by_rng = G.comp, G.out_of, _arrows_by(G.rng)
-    for b in sorted([*G.units, *generating_arrows(G)]):
+    middles = generating_arrows(G)
+    if not identity_law_holds:
+        middles = sorted([*G.units, *middles])
+    for b in middles:
         cs = by_rng.get(G.src[b], ())
         bcs = [comp[(b, c)] for c in cs]
         for a in by_src.get(G.rng[b], ()):

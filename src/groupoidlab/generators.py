@@ -8,6 +8,7 @@ double as an axiom-validation corpus.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -171,6 +172,17 @@ def _coset_action(g: FiniteGroup, sub: frozenset[int]) -> GroupAction:
     return GroupAction(group=g, points=points, act=act)
 
 
+@functools.cache
+def _library_component(i: int, j: int) -> FiniteGroupoid:
+    """The transformation groupoid of library group i acting on the cosets of
+    its subgroup j (``groups.library_subgroups`` order).  Built once per
+    process and bounded by the library's (group, subgroup) pairs; keyed by
+    indices, as a ``FiniteGroup`` key would hash its whole table on every
+    call.  Shared: ``core.disjoint_union`` copies it into a fresh instance."""
+    g, subs = groups.library_subgroups()[i]
+    return transformation_groupoid(_coset_action(g, subs[j]))
+
+
 def random_groupoid(seed: int, size_budget: int = 60) -> FiniteGroupoid:
     """Deterministic random instance with at most size_budget arrows.
 
@@ -185,13 +197,14 @@ def random_groupoid(seed: int, size_budget: int = 60) -> FiniteGroupoid:
     remaining = size_budget
     attempts = 0
     while remaining >= 1 and attempts < 16:
-        g, subs = lib[rng.randrange(len(lib))]
-        sub = subs[rng.randrange(len(subs))]
-        cost = g.order * (g.order // len(sub))
+        i = rng.randrange(len(lib))
+        g, subs = lib[i]
+        j = rng.randrange(len(subs))
+        cost = g.order * (g.order // len(subs[j]))
         if cost > remaining:
             attempts += 1
             continue
-        parts.append(transformation_groupoid(_coset_action(g, sub)))
+        parts.append(_library_component(i, j))
         remaining -= cost
         attempts = 0
     if not parts:

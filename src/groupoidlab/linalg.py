@@ -6,7 +6,11 @@ are sparse dicts from coordinate index to scalar.
 BinomialSpan holds the subspaces spanned by binomials e_u - e_v and
 monomials e_u, the only kind the commutator ideal and the kernels of the
 induced maps produce, as a partition of coordinates with no elimination.
-These are the package's kernels and ideals.
+These are the package's kernels and ideals.  The checks read their ranks,
+grow them by ``union`` and ``kill``, and compare two of them by ``==``,
+which compares partitions: no check builds a Gaussian rational.
+``BinomialSpan.contains`` and ``vectors`` sum and build Qi coefficients;
+only the tests call them, to compare spans with Echelon.
 
 The Echelon accumulator keeps a reduced row basis (monic pivots, pivot
 columns eliminated everywhere else), so its stored rows are canonical for the
@@ -234,22 +238,42 @@ class BinomialSpan:
                 sums[root] = sums.get(root, QI0) + c
         return not any(sums.values())
 
-    def vectors(self) -> list[dict]:
-        """A basis with coefficients +-1: e_u for each killed coordinate, and
-        e_first - e_u inside each unkilled class."""
+    def _classes(self) -> dict[int, list[int]]:
+        """Each class by its root, members ascending."""
         classes: dict[int, list[int]] = {}
         for u in sorted(self._parent):
             classes.setdefault(self._find(u), []).append(u)
+        return classes
+
+    def vectors(self) -> list[dict]:
+        """A basis with coefficients +-1: e_u for each killed coordinate, and
+        e_first - e_u inside each unkilled class."""
         out = []
-        for root, members in classes.items():
+        for root, members in self._classes().items():
             if root in self._killed:
                 out.extend({u: QI1} for u in members)
             else:
                 out.extend({members[0]: QI1, u: -QI1} for u in members[1:])
         return out
 
+    def _partition(self) -> dict[int, int | None]:
+        """The span as a partition: None for each killed coordinate, and the
+        least member of its class for each coordinate of an unkilled class
+        of two or more.  Untouched coordinates and unkilled singletons are
+        absent: no vector of the span is nonzero there."""
+        out: dict[int, int | None] = {}
+        for root, members in self._classes().items():
+            if root in self._killed:
+                out.update(dict.fromkeys(members))
+            elif len(members) > 1:
+                out.update(dict.fromkeys(members, members[0]))
+        return out
+
     def __eq__(self, other):
-        """Subspace equality: equal ranks, and one span inside the other."""
+        """Subspace equality, with no arithmetic: the same killed coordinates
+        and the same unkilled classes of two or more.  The span holds e_u
+        exactly for killed u, and e_u - e_v exactly for u != v in one
+        unkilled class, so the subspace determines both."""
         if not isinstance(other, BinomialSpan):
             return NotImplemented
-        return self.rank == other.rank and all(map(other.contains, self.vectors()))
+        return self._partition() == other._partition()

@@ -5,6 +5,12 @@ under composition and inversion, and is stable under conjugation by arbitrary
 arrows.  Arrows are identified when they share a source and differ by an
 H-element on the left; the quotient inherits its tables from minimal
 representatives, making the construction canonical and reproducible.
+
+``quotient_map`` is that identification alone, the class of each arrow,
+and ``quotient`` builds G/H on top of it.  The quotient-family check needs
+only the classes (unit preimages and the kernel's partition), so it reads
+``quotient_map`` and builds no quotient groupoid; the abelianization and
+the CLI take the full ``quotient``.
 """
 
 from __future__ import annotations
@@ -92,23 +98,37 @@ class QuotientResult:
     class_map: tuple[int, ...]     # host arrow -> quotient arrow
 
 
-def quotient(G: FiniteGroupoid, H: NormalSubgroupoid | Iterable[int]) -> QuotientResult:
-    """Quotient by a normal subgroupoid.
+def quotient_map(G: FiniteGroupoid, H: NormalSubgroupoid) -> tuple[int, ...]:
+    """The quotient map of G by H on arrows: each arrow to its class in G/H.
 
     Arrows a, b are identified when src(a) == src(b) and a.b^-1 lies in H;
-    equivalently each class is an H-orbit {h.a}.  Class labels come from the
-    minimal representative, so the output is stable across runs.
+    equivalently each class is an H-orbit {h.a}.  Classes are numbered in
+    the order of their minimal representatives, so the map is stable
+    across runs.  ``quotient`` builds G/H from it, and the quotient-family
+    check reads it alone.
+    """
+    if H.host != G:
+        raise ValueError("normal subgroupoid belongs to a different groupoid")
+    h_at = {x: [h for h in G.out_of[x] if h in H.members] for x in G.units}
+    rep_of = [min(G.comp[(h, a)] for h in h_at[G.rng[a]]) for a in G.arrows()]
+    new_index = {r: i for i, r in enumerate(sorted(set(rep_of)))}
+    return tuple(new_index[r] for r in rep_of)
+
+
+def quotient(G: FiniteGroupoid, H: NormalSubgroupoid | Iterable[int]) -> QuotientResult:
+    """Quotient by a normal subgroupoid, classes as in ``quotient_map``.
+    Each quotient arrow takes its label and its tables from the minimal
+    representative of its class, so the output is stable across runs.
     """
     if not isinstance(H, NormalSubgroupoid):
         H = normal_subgroupoid(G, H)
-    elif H.host != G:
-        raise ValueError("normal subgroupoid belongs to a different groupoid")
-
-    h_at = {x: [h for h in G.out_of[x] if h in H.members] for x in G.units}
-    rep_of = [min(G.comp[(h, a)] for h in h_at[G.rng[a]]) for a in G.arrows()]
-    reps = sorted(set(rep_of))
-    new_index = {r: i for i, r in enumerate(reps)}
-    class_map = tuple(new_index[r] for r in rep_of)
+    class_map = quotient_map(G, H)
+    # each class's least arrow is its minimal representative; classes are
+    # numbered in their order, so they first occur in ascending order
+    first: dict[int, int] = {}
+    for a, c in enumerate(class_map):
+        first.setdefault(c, a)
+    reps = list(first.values())
 
     units = frozenset(class_map[x] for x in G.units)
     src = tuple(class_map[G.src[r]] for r in reps)
@@ -123,10 +143,11 @@ def quotient(G: FiniteGroupoid, H: NormalSubgroupoid | Iterable[int]) -> Quotien
     return QuotientResult(quotient=Q, class_map=class_map)
 
 
-def quotient_preimage_of_units(G: FiniteGroupoid, result: QuotientResult) -> frozenset[int]:
-    """Arrows of the host that land on quotient units; equals H when exact."""
-    qunits = result.quotient.units
-    return frozenset(a for a in G.arrows() if result.class_map[a] in qunits)
+def quotient_preimage_of_units(G: FiniteGroupoid, class_map: tuple[int, ...]) -> frozenset[int]:
+    """Arrows of the host that land on quotient units under class_map (a
+    ``quotient_map``); equals H when exact."""
+    unit_classes = {class_map[x] for x in G.units}
+    return frozenset(a for a in G.arrows() if class_map[a] in unit_classes)
 
 
 def commutator_subgroupoid(G: FiniteGroupoid) -> NormalSubgroupoid:

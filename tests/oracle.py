@@ -10,11 +10,13 @@ reads.
 """
 
 import cmath
+import dataclasses
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from groupoidlab import abelian, core, groups, quotients
+from groupoidlab import abelian, core, generators, groups, quotients
 from groupoidlab.abelian import Character, FiniteAbelianGroup
 from groupoidlab.algebra import AlgebraHom, CharacterFunctional, GelfandMatrix
 from groupoidlab.core import FiniteGroupoid
@@ -499,3 +501,46 @@ def direct_product_table(a: FiniteGroup, b: FiniteGroup) -> tuple[tuple[int, ...
     nb = b.order
     return tuple(tuple(a.table[i // nb][j // nb] * nb + b.table[i % nb][j % nb]
                        for j in range(a.order * nb)) for i in range(a.order * nb))
+
+
+# --- instrumentation and uncached builders --------------------------------
+
+def comp_reads(fn, G: FiniteGroupoid):
+    """(reads, fn(G)): fn run on a copy of G whose comp counts each lookup,
+    by ``[]`` or ``get``."""
+    count = 0
+
+    class Counted(dict):
+        def __getitem__(self, key):
+            nonlocal count
+            count += 1
+            return dict.__getitem__(self, key)
+
+        def get(self, key, default=None):
+            nonlocal count
+            count += 1
+            return dict.get(self, key, default)
+
+    result = fn(dataclasses.replace(G, comp=Counted(G.comp)))
+    return count, result
+
+
+def random_groupoid_uncached(seed: int, size_budget: int, library) -> FiniteGroupoid:
+    """``generators.random_groupoid`` drawing from library, a list of each
+    library group with its subgroups, and building every component afresh
+    from its drawn group and subgroup: the same draws, nothing cached."""
+    rng = random.Random(seed)
+    parts: list[FiniteGroupoid] = []
+    remaining = size_budget
+    attempts = 0
+    while remaining >= 1 and attempts < 16:
+        g, subs = library[rng.randrange(len(library))]
+        sub = subs[rng.randrange(len(subs))]
+        cost = g.order * (g.order // len(sub))
+        if cost > remaining:
+            attempts += 1
+            continue
+        parts.append(generators.transformation_groupoid(generators._coset_action(g, sub)))
+        remaining -= cost
+        attempts = 0
+    return core.disjoint_union(parts or [generators.trivial_groupoid(1)])

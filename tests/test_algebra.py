@@ -205,20 +205,7 @@ class TestCommutatorIdeal:
         # pair_groupoid(m) has m^3 comp entries; seeding and shifting over
         # the units and a generating set reads on the order of its m^2 arrows
         def reads(G):
-            count = 0
-
-            class Counted(dict):
-                def __getitem__(self, key):
-                    nonlocal count
-                    count += 1
-                    return dict.__getitem__(self, key)
-
-                def get(self, key, default=None):
-                    nonlocal count
-                    count += 1
-                    return dict.get(self, key, default)
-
-            ideal = algebra.commutator_ideal(dataclasses.replace(G, comp=Counted(G.comp)))
+            count, ideal = oracle.comp_reads(algebra.commutator_ideal, G)
             return count, ideal.rank
 
         for m, share in ((16, 2), (32, 4)):

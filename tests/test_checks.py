@@ -93,17 +93,18 @@ class TestReports:
             "kernel_rank": ideal.rank, "ideal_rank": ideal.rank}
 
     def test_quotient_family_reports_a_kernel_meeting_the_diagonal(self, s3, monkeypatch):
-        monkeypatch.setattr(algebra, "quotient_hom_from_result",   # every delta to zero
-                            lambda G, qr: algebra.AlgebraHom(G, qr.quotient, (None,) * G.n))
+        original = algebra.arrow_map_kernel
+        monkeypatch.setattr(algebra, "arrow_map_kernel",   # every delta to zero
+                            lambda arrow_map: original((None,) * len(arrow_map)))
         witnesses = checks._check_quotient_family(s3)
         assert witnesses[0]["check"] == "kernel-diagonal"
 
     def test_quotient_family_covers_every_carrier_of_the_corpus(self, monkeypatch):
-        # one quotient per carrier of each component's restriction covers
-        # the product of their counts: every normal subgroupoid of G
+        # one quotient map per carrier of each component's restriction
+        # covers the product of their counts: every normal subgroupoid of G
         hosts = []
-        original = quotients.quotient
-        monkeypatch.setattr(quotients, "quotient",
+        original = quotients.quotient_map
+        monkeypatch.setattr(quotients, "quotient_map",
                             lambda K, H: hosts.append(K) or original(K, H))
         component_quotients = carriers = 0
         for seed in range(200):
@@ -118,6 +119,19 @@ class TestReports:
             carriers += covered
         assert (component_quotients, carriers) == (1701, 12048)
 
+    def test_quotient_family_builds_no_quotient_groupoid(self, monkeypatch):
+        # with the restrictions to components built beforehand, the family
+        # constructs no FiniteGroupoid at all: it reads class maps only
+        corpus = [generators.random_groupoid(seed, checks.corpus_budget(seed))
+                  for seed in range(200)]
+        components = [quotients.component_normal_subgroupoids(G) for G in corpus]
+
+        def refuse(G):
+            raise AssertionError(f"built a groupoid of {G.n} arrows")
+        monkeypatch.setattr(core.FiniteGroupoid, "__post_init__", refuse)
+        for G, parts in zip(corpus, components):
+            assert checks._check_quotient_family(G, parts) is None
+
     def test_quotient_family_catches_a_fault_past_24_arrows(self, monkeypatch):
         # a carrier of a component of a 57-60 arrow instance that is neither
         # that component's units nor its isotropy
@@ -129,19 +143,17 @@ class TestReports:
             if H.members not in (GC.units, core.isotropy(GC)))
         assert G.n > 24 and checks._check_quotient_family(G) is None
         labels = {target.host.labels[h] for h in target.members}
-        original = quotients.quotient
+        original = quotients.quotient_map
 
         def corrupted(K, H):
             # send one arrow outside the carrier to its source's unit class
-            qr = original(K, H)
-            if {K.labels[h] for h in H.members} != labels:
-                return qr
-            a = next(a for a in K.arrows() if a not in H.members)
-            class_map = list(qr.class_map)
-            class_map[a] = qr.class_map[K.src[a]]
-            return dataclasses.replace(qr, class_map=tuple(class_map))
+            class_map = list(original(K, H))
+            if {K.labels[h] for h in H.members} == labels:
+                a = next(a for a in K.arrows() if a not in H.members)
+                class_map[a] = class_map[K.src[a]]
+            return tuple(class_map)
 
-        monkeypatch.setattr(quotients, "quotient", corrupted)
+        monkeypatch.setattr(quotients, "quotient_map", corrupted)
         [witness] = checks._check_quotient_family(G)
         assert witness["check"] == "exactness"
         # the witness is a carrier of G: the other components add their units

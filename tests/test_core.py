@@ -157,6 +157,36 @@ class TestLightsTest:
         assert {b for _, b, _ in triples} <= {e, g}
         assert set(triples) <= set(every)
 
+    def test_an_identity_law_failure_tests_the_units_as_middles(self, klein_cross, corpus40):
+        # g.src(g) redirected to another arrow between the same units keeps
+        # the table compatible and breaks the identity law at g; then every
+        # failing triple with a middle among the units and S is listed, in
+        # order of (b, a, c), as when the units were always tested
+        unit_middles = 0
+        for G in (klein_cross, *(G for _, G in corpus40)):
+            for g in G.arrows():
+                other = next((h for h in _same_ends(G, g) if h != g), None)
+                if other is None:
+                    continue
+                comp = dict(G.comp)
+                comp[(g, G.src[g])] = other
+                bad = dataclasses.replace(G, comp=comp)
+                found = core.validate(bad)
+                assert core.IDENTITY_LAW in _kinds(found)
+                middles = {*bad.units, *core.generating_arrows(bad)}
+                expected = sorted((t for t in oracle.groupoid_associativity_violations(bad)
+                                   if t[1] in middles), key=lambda t: (t[1], t[0], t[2]))
+                assert [v.witness for v in found if v.kind == core.ASSOCIATIVITY] == expected
+                unit_middles += any(b in bad.units for _, b, _ in expected)
+        assert unit_middles > 0
+
+    def test_reads_comp_over_the_generating_set_only(self, klein_cross):
+        # with the identity law, the units are good middles untested: the
+        # identity-law and inverse lookups plus |S| middles
+        for G, most in ((generators.pair_groupoid(16), 17824), (klein_cross, 476)):
+            reads, found = oracle.comp_reads(core.validate, G)
+            assert found == [] and reads <= most, (G, reads)
+
 
 class TestSubsets:
     def test_klein_cross_isotropy_has_twelve_arrows(self, klein_cross):

@@ -105,16 +105,17 @@ class TestRandomCorpus:
         assert G.n == 1 and core.validate(G) == []
 
 
-class _FreshLibrary:
-    """The library as random_groupoid once read it: each group built and its
-    subgroups computed again on every access."""
+# (seeds, budget) of the instances the caches are checked on: the corpus
+# schedule, then instances of many parts; 4096 arrows draw every (group,
+# subgroup) pair of the library
+_RUNS = ((range(1000), None), (range(20), 600), (range(5), 4096))
 
-    def __len__(self):
-        return len(groups.LIBRARY_BUILDERS)
 
-    def __getitem__(self, i):
-        g = list(groups.LIBRARY_BUILDERS.values())[i]()
-        return g, tuple(groups.subgroups(g))
+def _instances():
+    for seeds, budget in _RUNS:
+        for s in seeds:
+            b = budget or checks.corpus_budget(s)
+            yield (s, b), generators.random_groupoid(s, b)
 
 
 class TestCosetActions:
@@ -133,8 +134,25 @@ class TestLibrarySubgroups:
         assert list(groups.library_subgroups()) == fresh
         assert len(fresh) == len(groups.LIBRARY_BUILDERS) == 17
 
-    def test_memoized_corpus_equals_the_fresh_one(self, monkeypatch):
-        memoized = [generators.random_groupoid(s, checks.corpus_budget(s)) for s in range(200)]
-        monkeypatch.setattr(groups, "library_subgroups", _FreshLibrary)
-        fresh = [generators.random_groupoid(s, checks.corpus_budget(s)) for s in range(200)]
-        assert memoized == fresh
+    def test_memoized_corpus_equals_the_fresh_one(self):
+        # random_groupoid draws from the memoized library and takes cached
+        # components; the reference draws from subgroups computed afresh
+        # and builds each component anew
+        library = [(g, tuple(groups.subgroups(g))) for g in groups.library()]
+        for (s, b), G in _instances():
+            assert G == oracle.random_groupoid_uncached(s, b, library), (s, b)
+
+
+class TestComponentCache:
+    def test_holds_at_most_one_component_per_library_pair(self):
+        pairs = sum(len(subs) for _, subs in groups.library_subgroups())
+        for _ in _instances():
+            assert generators._library_component.cache_info().currsize <= pairs == 64
+
+    def test_no_instance_shares_a_table_with_a_cached_component(self):
+        instances = [G for _, G in _instances()]
+        cached = [generators._library_component(i, j)
+                  for i, (_, subs) in enumerate(groups.library_subgroups())
+                  for j in range(len(subs))]
+        shared = {id(C.comp) for C in cached} | {id(C.out_of) for C in cached}
+        assert not any(id(G.comp) in shared or id(G.out_of) in shared for G in instances)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupoidlab import linalg
 from groupoidlab.linalg import (
     QI1,
     QI_I,
@@ -202,6 +203,32 @@ class TestBinomialSpan:
         assert _span([(0, 1)]) != _span([(0,), (1,)])
         assert BinomialSpan() == BinomialSpan()
         assert BinomialSpan() != [{}]
+
+    def test_equality_edge_cases(self):
+        # untouched coordinates and unkilled singletons hold no vector
+        assert _span([(0, 1), (3, 3)]) == _span([(1, 0)])
+        assert _span([(4, 4), (5, 5)]) == BinomialSpan()
+        assert _span([(2,)]) != BinomialSpan()
+        assert _span([(2,)]) != _span([(2, 2)])
+        # equal rank, different partitions
+        assert _span([(0, 1), (2, 3)]) != _span([(0, 1), (1, 2)])
+        assert _span([(0, 1), (2, 3)]) != _span([(0, 2), (1, 3)])
+        assert _span([(0,)]) != _span([(1,)])
+        assert _span([(0, 1), (2,)]) != _span([(0, 1), (3,)])
+        # the same members killed in one span and unkilled in the other
+        assert _span([(0, 1), (1, 2), (5,)]) != _span([(0,), (1, 2), (2, 0)])
+        assert _span([(0, 1)]) != _span([(0,), (1,)])
+
+    def test_equality_builds_no_gaussian_rational(self, monkeypatch):
+        pairs = [(_span(a), _span(b)) for a, b in (
+            ([(0, 1), (1, 2), (5,)], [(2, 0), (1, 0), (5,)]),
+            ([(0, 1), (1, 2), (5,)], [(0,), (1, 2), (2, 0)]),
+            ([(0, 1), (2, 3)], [(0, 2), (1, 3)]))]
+
+        def refuse(*args):
+            raise AssertionError("built a Qi")
+        monkeypatch.setattr(linalg, "Qi", refuse)
+        assert [a == b for a, b in pairs] == [True, False, False]
 
 
 _ops = st.lists(st.one_of(st.tuples(st.integers(0, 7)),

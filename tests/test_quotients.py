@@ -120,7 +120,7 @@ class TestQuotient:
         for _, G in corpus40[:12]:
             for H in quotients.enumerate_normal_subgroupoids(G):
                 qr = quotients.quotient(G, H)
-                assert quotients.quotient_preimage_of_units(G, qr) == H.members
+                assert quotients.quotient_preimage_of_units(G, qr.class_map) == H.members
 
     def test_comp_matches_the_pairwise_construction(self, corpus200):
         # every component quotient and abelianization quotient, entry for

@@ -12,7 +12,6 @@ from .abelian import (
     CyclicDecomposition,
     DualBundle,
     FiniteAbelianGroup,
-    abelian_fiber,
     char_group_structure,
     characters,
     dual_bundle,
@@ -46,6 +45,7 @@ from .core import (
     disjoint_union,
     fixed_points,
     isotropy,
+    isotropy_group,
     restrict,
     unit_components,
     validate,
@@ -91,7 +91,7 @@ __all__ = [
     "CyclicDecomposition", "DocumentError", "DualBundle",
     "FiniteAbelianGroup", "FiniteGroup", "FiniteGroupoid", "GelfandMatrix",
     "NormalSubgroupoid", "NotInvariantError", "Qi", "QuotientResult",
-    "SmithNormalForm", "abelian_fiber", "abelianization_dim",
+    "SmithNormalForm", "abelianization_dim",
     "abelianize_groupoid", "abelianized_fiber",
     "char_group_structure", "characters", "commutator_ideal",
     "commutator_subgroupoid", "corpus_report", "cyclic", "decode_groupoid",
@@ -100,7 +100,7 @@ __all__ = [
     "enumerate_normal_subgroupoids", "file_report", "finite_abelian_group",
     "finite_group", "fixed_points", "gelfand_transform", "group_action",
     "group_bundle", "instance_checks", "invariant_factors", "is_normal",
-    "isotropy", "klein", "klein_cross", "normal_subgroupoid",
+    "isotropy", "isotropy_group", "klein", "klein_cross", "normal_subgroupoid",
     "pair_groupoid", "pi_hom", "quaternion8", "quotient", "quotient_map",
     "quotient_preimage_of_units", "random_groupoid", "regression_checks",
     "restrict", "s3_a3_bundle", "s3_point", "smith_normal_form", "sym3",

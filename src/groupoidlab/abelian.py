@@ -265,8 +265,8 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
 class DualBundle:
     """Per-unit character lists of an abelian group bundle.
 
-    Element i of fiber_groups[x] is the arrow host.out_of[x][i], so a
-    character chi of that fiber takes the value of chi.exps[i] there.
+    Element i of fiber_groups[x] is host.out_of[x][i] (``core.isotropy_group``),
+    so a character chi of that fiber takes the value of chi.exps[i] there.
     """
 
     host: core.FiniteGroupoid
@@ -278,21 +278,17 @@ class DualBundle:
         return sum(len(f) for f in self.fibers.values())
 
 
-def abelian_fiber(G: core.FiniteGroupoid, x: int) -> tuple[FiniteAbelianGroup, tuple[int, ...]]:
-    """The isotropy group at x as a FiniteAbelianGroup, with its arrow list."""
-    arrows, table = core.isotropy_fiber(G, x)
-    labels = [G.labels[g] for g in arrows]
-    try:
-        a = finite_abelian_group(labels, table, name=f"fiber@{G.labels[x]}")
-    except ValueError as exc:
-        raise ValueError(f"fiber at unit {G.labels[x]} is not abelian: {exc}") from exc
-    return a, tuple(arrows)
-
-
 def dual_bundle(G: core.FiniteGroupoid) -> DualBundle:
-    """Unit-by-unit character dual of an abelian group bundle."""
+    """Unit-by-unit character dual of an abelian group bundle.  G must be a
+    groupoid: it is checked only for what its axioms do not give."""
     core.require_group_bundle(G)
     base = tuple(sorted(G.units))
-    fiber_groups = {x: abelian_fiber(G, x)[0] for x in base}
+    fiber_groups = {}
+    for x in base:
+        g = core.isotropy_group(G, x)[0]
+        if not groups.is_abelian(g):
+            raise ValueError(f"fiber at unit {G.labels[x]} is not abelian: "
+                             f"{g.name}: multiplication table is not commutative")
+        fiber_groups[x] = FiniteAbelianGroup(g.name, g.labels, g.table, g.identity, g.exponent())
     return DualBundle(host=G, base=base, fiber_groups=fiber_groups,
                       fibers={x: tuple(characters(a)) for x, a in fiber_groups.items()})

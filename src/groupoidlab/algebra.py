@@ -59,11 +59,6 @@ def arrow_map_kernel(arrow_map: tuple[int | None, ...]) -> BinomialSpan:
     return span
 
 
-def quotient_hom_from_result(G: FiniteGroupoid, qr: quotients.QuotientResult) -> AlgebraHom:
-    """Pushforward along the quotient map of qr: sums a function over each class."""
-    return AlgebraHom(G, qr.quotient, qr.class_map)
-
-
 # --- the commutator ideal -------------------------------------------------
 
 def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
@@ -226,7 +221,7 @@ def gelfand_transform(bundle: abelian.DualBundle) -> GelfandMatrix:
     Square because the characters of each fiber are as numerous as its
     elements; block-diagonal across units; convolution goes to pointwise
     multiplication.  Element i of the fiber group at x is the arrow
-    host.out_of[x][i].
+    host.out_of[x][i], as ``core.isotropy_group`` fixes it.
     """
     G = bundle.host
     return GelfandMatrix(host=G, rows=tuple(
@@ -292,5 +287,5 @@ def gelfand_violations(gm: GelfandMatrix) -> dict | None:
 
 def _fiber_middles(G: FiniteGroupoid, x: int) -> list[int]:
     """The unit x and a generating set of the isotropy group at x, as arrows."""
-    fiber, arrows = quotients.fiber_group(G, x)
+    fiber, arrows = core.isotropy_group(G, x)
     return [x, *(arrows[i] for i in groups.generating_set(fiber))]

@@ -18,6 +18,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .groups import FiniteGroup
+
 
 @dataclass(frozen=True)
 class FiniteGroupoid:
@@ -315,18 +317,18 @@ def unit_components(G: FiniteGroupoid) -> list[frozenset[int]]:
     return [comps[x] for x in sorted(comps)]
 
 
-def isotropy_fiber(G: FiniteGroupoid, x: int) -> tuple[list[int], list[list[int]]]:
-    """Arrows fixing the unit x, with their local multiplication table.
-
-    Returns (arrows, table) where table[i][j] is the local index of
-    arrows[i] . arrows[j]; this is a finite group with identity x.
-    """
+def isotropy_group(G: FiniteGroupoid, x: int) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """The isotropy group at the unit x and the arrows realizing it: element
+    i is arrows[i], the i-th arrow out of x that returns to x, and the
+    identity is x's index.  G must be a groupoid (not checked); its axioms
+    make the table a group's, so it is built with no shape or axiom check."""
     if x not in G.units:
         raise ValueError(f"{x} is not a unit")
-    arrows = [g for g in G.out_of[x] if G.rng[g] == x]
+    arrows = tuple(g for g in G.out_of[x] if G.rng[g] == x)
     index = {g: i for i, g in enumerate(arrows)}
-    table = [[index[G.comp[(a, b)]] for b in arrows] for a in arrows]
-    return arrows, table
+    table = tuple(tuple(index[G.comp[(a, b)]] for b in arrows) for a in arrows)
+    return FiniteGroup(name=f"fiber@{G.labels[x]}", labels=tuple(G.labels[g] for g in arrows),
+                       table=table, identity=index[x]), arrows
 
 
 def disjoint_union(parts: list[FiniteGroupoid]) -> FiniteGroupoid:

@@ -24,13 +24,6 @@ from . import abelian, core, groups
 from .core import FiniteGroupoid
 
 
-def fiber_group(G: FiniteGroupoid, x: int) -> tuple[groups.FiniteGroup, tuple[int, ...]]:
-    """The isotropy group at a unit, with the arrow list realizing it."""
-    arrows, table = core.isotropy_fiber(G, x)
-    g = groups.finite_group(f"iso@{G.labels[x]}", [G.labels[a] for a in arrows], table)
-    return g, tuple(arrows)
-
-
 @dataclass(frozen=True)
 class NormalityCheck:
     ok: bool
@@ -157,7 +150,7 @@ def commutator_subgroupoid(G: FiniteGroupoid) -> NormalSubgroupoid:
     core.require_group_bundle(G)
     carrier = set()
     for x in sorted(G.units):
-        g, arrows = fiber_group(G, x)
+        g, arrows = core.isotropy_group(G, x)
         carrier.update(arrows[i] for i in groups.commutator_subgroup(g))
     return NormalSubgroupoid(G, frozenset(carrier))
 
@@ -226,7 +219,7 @@ def component_normal_subgroupoids(
     for units in core.unit_components(G):   # invariant: no arrow leaves a component
         GC, inclusion = core._restriction(G, units)
         x = min(GC.units)
-        g, fiber = fiber_group(GC, x)
+        g, fiber = core.isotropy_group(GC, x)
         moves = {GC.rng[a]: a for a in GC.out_of[x]}.values()
         normals = groups.normal_subgroups(g, None if limit is None else limit // GC.n)
         if limit is not None:

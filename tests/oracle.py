@@ -378,7 +378,7 @@ def normal_subgroupoids_by_filter(G: FiniteGroupoid) -> list[quotients.NormalSub
     the order of ``quotients.enumerate_normal_subgroupoids``."""
     per_unit: dict[int, list[frozenset[int]]] = {}
     for x in sorted(G.units):
-        g, arrows = quotients.fiber_group(G, x)
+        g, arrows = core.isotropy_group(G, x)
         per_unit[x] = [frozenset(arrows[i] for i in sub) for sub in normal_subgroups_by_filter(g)]
 
     component_choices = []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidlab import abelian, checks, generators, groups, quotients
+from groupoidlab import abelian, checks, core, generators, groups, quotients
 
 
 def _ab(g):
@@ -254,8 +254,10 @@ class TestDualBundle:
         assert sizes == [2, 4]
 
     def test_rejects_nonabelian_fiber(self, s3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             abelian.dual_bundle(s3)
+        assert str(exc.value) == ("fiber at unit e@p is not abelian: "
+                                  "fiber@e@p: multiplication table is not commutative")
 
     def test_rejects_non_bundle(self, pair2):
         with pytest.raises(ValueError):
@@ -263,6 +265,7 @@ class TestDualBundle:
 
     def test_fiber_group_matches_isotropy(self, klein_cross):
         c = klein_cross.label_index("(e,c)")
-        a, arrows = abelian.abelian_fiber(klein_cross, c)
+        g, arrows = core.isotropy_group(klein_cross, c)
+        a = abelian.finite_abelian_group(g.labels, g.table, g.name)
         assert a.order == 4 and len(arrows) == 4
         assert abelian.invariant_factors(a).factors == (2, 2)

@@ -80,7 +80,8 @@ def test_criterion_2_quotient_exactness(quotient_pairs):
 def test_criterion_3_kernel_meets_diagonal_trivially(quotient_pairs):
     failures = []
     for seed, G, H in quotient_pairs:
-        hom = algebra.quotient_hom_from_result(G, quotients.quotient(G, H))
+        qr = quotients.quotient(G, H)
+        hom = algebra.AlgebraHom(G, qr.quotient, qr.class_map)
         ech = Echelon()
         for row in hom.kernel().vectors():
             ech.insert(row)
@@ -97,7 +98,8 @@ def test_criterion_3_kernel_meets_diagonal_trivially(quotient_pairs):
 def test_criterion_4_kernel_trivial_iff_carrier_is_units(quotient_pairs):
     failures = []
     for seed, G, H in quotient_pairs:
-        kernel_rank = algebra.quotient_hom_from_result(G, quotients.quotient(G, H)).kernel().rank
+        qr = quotients.quotient(G, H)
+        kernel_rank = algebra.AlgebraHom(G, qr.quotient, qr.class_map).kernel().rank
         if (kernel_rank == 0) != (H.members == frozenset(G.units)):
             failures.append(seed)
     ok = not failures

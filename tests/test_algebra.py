@@ -239,7 +239,8 @@ class TestCommutatorIdeal:
 
 
 def _quotient_hom(G, H):
-    return algebra.quotient_hom_from_result(G, quotients.quotient(G, H))
+    qr = quotients.quotient(G, H)
+    return algebra.AlgebraHom(G, qr.quotient, qr.class_map)
 
 
 class TestHoms:
@@ -336,7 +337,8 @@ class TestCharacters:
                 gx = core.restrict(G, [x])
                 kept = [g for g in G.arrows() if G.src[g] == x]
                 qr = quotients.quotient(gx, quotients.commutator_subgroupoid(gx))
-                a, arrows = abelian.abelian_fiber(qr.quotient, next(iter(qr.quotient.units)))
+                g, arrows = core.isotropy_group(qr.quotient, next(iter(qr.quotient.units)))
+                a = abelian.finite_abelian_group(g.labels, g.table, g.name)
                 elem = {arrow: i for i, arrow in enumerate(arrows)}
                 for chi in abelian.characters(a):
                     exponents = {g: chi.exps[elem[qr.class_map[i]]] % a.exponent

@@ -224,7 +224,9 @@ class TestAlgebraCommands:
 
     def test_dual_rejects_nonabelian_with_exit_one(self, capsys):
         code, data = run(["dual", "--kind", "s3"], capsys)
-        assert code == 1 and "error" in data
+        assert code == 1
+        assert data == {"error": "fiber at unit e@p is not abelian: "
+                                 "fiber@e@p: multiplication table is not commutative"}
 
     def test_dual_rejects_non_bundle_with_exit_one(self, capsys):
         code, data = run(["dual", "--kind", "pair:2"], capsys)

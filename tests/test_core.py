@@ -331,12 +331,35 @@ class TestDisjointUnion:
 class TestIsotropyFiber:
     def test_fiber_at_fixed_point_matches_acting_group(self, klein_cross):
         c = klein_cross.label_index("(e,c)")
-        arrows, table = core.isotropy_fiber(klein_cross, c)
+        g, arrows = core.isotropy_group(klein_cross, c)
         assert len(arrows) == 4
-        from groupoidlab import groups
-        assert table == [list(r) for r in groups.klein().table]
+        assert g.table == groups.klein().table
 
     def test_fiber_at_free_point_is_trivial(self, pair2):
         x = sorted(pair2.units)[0]
-        arrows, table = core.isotropy_fiber(pair2, x)
-        assert arrows == [x] and table == [[0]]
+        g, arrows = core.isotropy_group(pair2, x)
+        assert arrows == (x,) and g.table == ((0,),)
+
+    def test_builds_the_checked_group_at_every_unit(self, corpus200):
+        # isotropy_group builds its table unchecked; on every unit of the
+        # groupoids it is called on, it is what the validating constructor
+        # builds from the same parts, passes the group axioms, and is
+        # composition on the arrows that fix x, ascending, identity x
+        groupoids = [*(build() for build in generators.NAMED_MODELS.values()),
+                     generators.pair_groupoid(4), generators.trivial_groupoid(4)]
+        for _, G in corpus200:
+            ab = quotients.abelianize_groupoid(G)
+            groupoids += [G, ab.g_fix, ab.g_ab]
+        units = 0
+        for G in groupoids:
+            for x in sorted(G.units):
+                g, arrows = core.isotropy_group(G, x)
+                assert g == groups.finite_group(g.name, list(g.labels),
+                                                [list(row) for row in g.table])
+                assert groups.group_violations(g) == []
+                assert g.identity == arrows.index(x)
+                assert arrows == tuple(a for a in G.arrows() if G.src[a] == x == G.rng[a])
+                assert g.table == tuple(tuple(arrows.index(G.comp[(a, b)]) for b in arrows)
+                                        for a in arrows)
+                units += 1
+        assert units == 2498

@@ -18,7 +18,8 @@ from groupoidlab import abelian, algebra, core, document, generators, linalg, qu
 # Names that left the package: the general-element algebra and its numeric
 # values, now the tests' reference in oracle.py, functions nothing called,
 # and helpers folded into their one caller (restricted_arrows into restrict)
-# or into a value (fiber_unit into Abelianization.fixed_points).
+# or into a value (fiber_unit into Abelianization.fixed_points), and the
+# three isotropy builders that core.isotropy_group replaced.
 GONE = (
     "AlgebraElement", "from_coeffs", "zero", "delta", "unit_element", "convolve",
     "involute", "compose_homs", "restriction_hom", "quotient_hom", "encode_element",
@@ -28,6 +29,7 @@ GONE = (
     "GelfandMatrix.to_complex", "Character.value_fraction", "Character.value_complex",
     "Character.is_trivial", "Qi.to_complex", "FiniteGroupoid.is_unit", "trivial_action",
     "abelianized", "restricted_arrows", "Abelianization.fiber_unit",
+    "quotient_hom_from_result", "isotropy_fiber", "fiber_group", "abelian_fiber",
 )
 
 # Each validator, with the functions that call it.  Tables and carriers are
@@ -38,10 +40,9 @@ GONE = (
 # group_action is pinned too: it is the validating constructor of actions.
 VALIDATOR_CALLERS = {
     "finite_group": {"abelian.finite_abelian_group", "groups._from_permutations",
-                     "groups.cyclic", "groups.klein", "groups.quaternion8",
-                     "quotients.fiber_group"},
+                     "groups.cyclic", "groups.klein", "groups.quaternion8"},
     "group_violations": {"abelian.finite_abelian_group"},
-    "finite_abelian_group": {"abelian.abelian_fiber"},
+    "finite_abelian_group": set(),
     "action_violations": {"generators.group_action"},
     "group_action": {"generators.klein_cross"},
     "is_normal": {"cli._cmd_quotient", "quotients.normal_subgroupoid"},
@@ -84,11 +85,12 @@ def test_removed_names_do_not_resolve():
 
 
 def test_no_module_imports_cmath():
-    # complex numbers are the tests' business: the package computes exactly
+    # complex numbers are the tests' business: the package computes exactly;
+    # and the package never reaches into the tests or their oracle
     package = Path(groupoidlab.__file__).resolve().parent
     assert [path.name for path in sorted(package.glob("*.py"))
-            if re.search(r"^\s*(import|from)\s+cmath\b", path.read_text(encoding="utf-8"),
-                         re.MULTILINE)] == []
+            if re.search(r"^\s*(import|from)\s+(cmath|tests|oracle)\b",
+                         path.read_text(encoding="utf-8"), re.MULTILINE)] == []
 
 
 def _owners(tree: ast.Module):

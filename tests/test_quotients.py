@@ -221,7 +221,7 @@ class TestCommutatorAndAbelianization:
         for seed in range(200):
             G = generators.random_groupoid(seed, checks.corpus_budget(seed))
             if not oracle.is_group_bundle(G) or not all(
-                    groups.is_abelian(quotients.fiber_group(G, x)[0]) for x in G.units):
+                    groups.is_abelian(core.isotropy_group(G, x)[0]) for x in G.units):
                 continue
             bundles += 1
             g_ab = quotients.abelianize_groupoid(G).g_ab

@@ -8,20 +8,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, lcm
 from operator import add, itemgetter
 
 from . import core, groups
 from .groups import FiniteGroup
 from .snf import smith_normal_form
-
-# Decompositions kept by invariant_factors.  A seed-0 corpus of 200 instances
-# asks for 209 distinct groups, and the whole check --corpus pass, with the
-# regression checks and the duality family's 117 groups and their duals, for
-# 444; the bound keeps a long run's memory fixed.
-INVARIANT_FACTORS_CACHE_SIZE = 256
-
 
 @dataclass(frozen=True)
 class FiniteAbelianGroup(FiniteGroup):
@@ -51,19 +43,19 @@ def _powers(a: FiniteAbelianGroup, g: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CyclicDecomposition:
-    """Invariant factors n_1 | n_2 | ... with realizing generators.
+    """Invariant factors n_1 | n_2 | ... with realizing generators, for one
+    multiplication table and identity, whatever the group's name and labels.
 
     coords[a] are the residues of element a in the cyclic factors, so
-    a = prod generators[j] ** coords[a][j] uniquely.
+    a = prod generators[j] ** coords[a][j] uniquely; there is one per element.
     """
 
-    group: FiniteAbelianGroup
     factors: tuple[int, ...]
     generators: tuple[int, ...]
     coords: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=INVARIANT_FACTORS_CACHE_SIZE)
+@groups.table_memo
 def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
     """Decompose a finite abelian group as a product of cyclic groups.
 
@@ -129,8 +121,7 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
             x = a.table[x][pw[e]]
         assert coords[x] is None
         coords[x] = residues
-    return CyclicDecomposition(group=a, factors=tuple(factors),
-                               generators=tuple(pw[1] for pw in powers),
+    return CyclicDecomposition(factors=tuple(factors), generators=tuple(pw[1] for pw in powers),
                                coords=tuple(coords))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from . import abelian, core, groups, quotients
+from . import abelian, core, quotients
 from .abelian import Character, FiniteAbelianGroup
 from .core import FiniteGroupoid
 from .linalg import BinomialSpan
@@ -244,8 +244,9 @@ def gelfand_violations(gm: GelfandMatrix) -> dict | None:
       - differs from every other row at x.
     The b that pass for every a are closed under products and hold x and
     the generators, so they are all of A_x: the argument of
-    ``abelian.char_group_structure``'s docstring, with the generating set
-    from ``groups.generating_set`` on the fiber's table.
+    ``abelian.char_group_structure``'s docstring.  The generating set is
+    the members of ``core.generating_arrows(G)`` that end at x: on a group
+    bundle every arrow of A_x is x or a left-nested product of them.
     Arrows of different fibers do not compose and every row vanishes on one
     of them, so the first two make each row a homomorphism from A_x to the
     nonzero complex numbers and the transform send convolution to pointwise
@@ -259,6 +260,9 @@ def gelfand_violations(gm: GelfandMatrix) -> dict | None:
     G = gm.host
     if gm.size != G.n:
         return {"reason": "not square", "rows": gm.size, "dim": G.n}
+    middles = {x: [x] for x in G.units}
+    for b in core.generating_arrows(G):
+        middles[G.rng[b]].append(b)
     columns: dict[int, list] = {}   # x -> (b, [a.b for a in A_x]) per tested b
     # rows compared as functions: exponents over a common modulus
     common = lcm(*(phi.modulus for phi in gm.rows))
@@ -271,7 +275,7 @@ def gelfand_violations(gm: GelfandMatrix) -> dict | None:
             return {"reason": "wrong support", "row": r, "unit": G.labels[x],
                     "arrow": G.labels[g] if g in range(G.n) else g}
         if x not in columns:
-            columns[x] = [(b, [G.comp[(a, b)] for a in fiber]) for b in _fiber_middles(G, x)]
+            columns[x] = [(b, [G.comp[(a, b)] for a in fiber]) for b in middles[x]]
         for b, column in columns[x]:
             eb = e[b]
             for a, ab in zip(fiber, column):
@@ -283,9 +287,3 @@ def gelfand_violations(gm: GelfandMatrix) -> dict | None:
             return {"reason": "repeated row", "rows": [seen[key], r], "unit": G.labels[x]}
         seen[key] = r
     return None
-
-
-def _fiber_middles(G: FiniteGroupoid, x: int) -> list[int]:
-    """The unit x and a generating set of the isotropy group at x, as arrows."""
-    fiber, arrows = core.isotropy_group(G, x)
-    return [x, *(arrows[i] for i in groups.generating_set(fiber))]

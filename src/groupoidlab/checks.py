@@ -168,11 +168,11 @@ def _check_gelfand(ab: quotients.Abelianization):
 
 
 def _duality_witness(dec: abelian.CyclicDecomposition, chars) -> dict | None:
-    """None when dec's group has one character per element and their group
+    """None when dec's table has one character per element and their group
     has dec's invariant factors; else the counts or the factors that differ."""
-    a, factors = dec.group, dec.factors
-    if len(chars) != a.order:
-        return {"characters": len(chars), "order": a.order}
+    order, factors = len(dec.coords), dec.factors
+    if len(chars) != order:
+        return {"characters": len(chars), "order": order}
     dual_factors = abelian.invariant_factors(abelian.char_group_structure(chars)).factors
     if dual_factors != factors:
         return {"factors": list(factors), "dual_factors": list(dual_factors)}

@@ -12,6 +12,10 @@ import functools
 from dataclasses import dataclass
 from math import lcm
 
+# Entries kept by each table_memo function, so a long run's memory stays fixed: a seed-0
+# check --corpus --count 200 decomposes 13 distinct tables on the instance path, 178 in all.
+TABLE_CACHE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -39,6 +43,25 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def table_memo(fn):
+    """fn(g, ...) memoized on g's table, identity and other arguments, for an
+    fn whose result needs nothing else of g; the key is hashed once a call.
+    A miss runs fn on the caller's own g, so an exception names it and
+    leaves the entry empty for the next call.  Past TABLE_CACHE_SIZE entries
+    the oldest is dropped.  A list is copied on return."""
+    memo: dict = {}
+    @functools.wraps(fn)
+    def memoized(g, *args, **kwargs):
+        key = (g.table, g.identity, *args, *kwargs.items())
+        if not (cell := memo.setdefault(key, [])):
+            if len(memo) > TABLE_CACHE_SIZE:
+                del memo[next(iter(memo))]
+            cell.append(fn(g, *args, **kwargs))
+        return list(cell[0]) if isinstance(cell[0], list) else cell[0]
+    memoized.memo = memo
+    return memoized
 
 
 def finite_group(name: str, labels: list[str], table: list[list[int]]) -> FiniteGroup:
@@ -277,6 +300,7 @@ def closure(g: FiniteGroup, seed) -> frozenset[int]:
     return frozenset(out)
 
 
+@table_memo
 def generating_set(g: FiniteGroup) -> list[int]:
     """A generating set, chosen greedily: each element, in order, that the
     elements chosen before it do not reach under ``closure``.  Every element
@@ -316,6 +340,7 @@ def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
     return _joins(g, [frozenset([x]) for x in range(g.order)], lambda sub, k: closure(g, sub | k))
 
 
+@table_memo
 def normal_subgroups(g: FiniteGroup, limit: int | None = None) -> list[frozenset[int]]:
     """All normal subgroups, the joins of conjugacy classes, with no test
     of the subgroups that are not normal.
@@ -341,6 +366,7 @@ def normal_subgroups(g: FiniteGroup, limit: int | None = None) -> list[frozenset
     return _joins(g, classes, join, limit)
 
 
+@table_memo
 def commutator_subgroup(g: FiniteGroup) -> frozenset[int]:
     t = g.table
     inv = [row.index(g.identity) for row in t]

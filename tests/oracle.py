@@ -505,6 +505,17 @@ def direct_product_table(a: FiniteGroup, b: FiniteGroup) -> tuple[tuple[int, ...
 
 # --- instrumentation and uncached builders --------------------------------
 
+# Every function behind ``groups.table_memo``; the uncached one is
+# fn.__wrapped__.
+TABLE_MEMOS = (groups.generating_set, groups.normal_subgroups,
+               groups.commutator_subgroup, abelian.invariant_factors)
+
+
+def clear_table_memos() -> None:
+    for fn in TABLE_MEMOS:
+        fn.memo.clear()
+
+
 def comp_reads(fn, G: FiniteGroupoid):
     """(reads, fn(G)): fn run on a copy of G whose comp counts each lookup,
     by ``[]`` or ``get``."""

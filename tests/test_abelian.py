@@ -126,11 +126,6 @@ class TestInvariantFactors:
         with pytest.raises(ValueError, match="not commutative"):
             _ab(groups.sym3())
 
-    def test_cache_is_bounded(self):
-        info = abelian.invariant_factors.cache_info()
-        assert info.maxsize == abelian.INVARIANT_FACTORS_CACHE_SIZE
-        assert info.currsize <= info.maxsize
-
 
 class TestCharacters:
     @pytest.mark.parametrize("orders", [(1,), (5,), (2, 2), (2, 4), (12,), (4, 6)])

@@ -455,6 +455,18 @@ class TestGelfand:
         assert abs(np.linalg.det(np.array(singular, dtype=complex))) < 1e-9
         assert reason(dataclasses.replace(gm, rows=rows[1:])) == "not square"
 
+    def test_tested_middles_are_each_fibers_greedy_generating_set(self, corpus200):
+        # gelfand_violations tests multiplicativity against x and the members
+        # of generating_arrows that end at x; on every seed-0 g_ab those are
+        # what groups.generating_set picks on the fiber at x
+        for _, G in corpus200:
+            B = quotients.abelianize_groupoid(G).g_ab
+            gens = core.generating_arrows(B)
+            for x in B.units:
+                g, arrows = core.isotropy_group(B, x)
+                assert [b for b in gens if B.rng[b] == x] == [
+                    arrows[i] for i in groups.generating_set(g)]
+
     def test_a_bend_off_the_tested_generators_is_not_multiplicative(self):
         # multiplicativity is tested only against x and a generating set of
         # the fiber; a row bent at any other arrow must still fail
@@ -465,7 +477,7 @@ class TestGelfand:
         gm = algebra.gelfand_transform(abelian.dual_bundle(G))
         assert G.n == 352 and algebra.gelfand_violations(gm) is None
         [x] = G.units
-        tested = algebra._fiber_middles(G, x)
+        tested = [x, *core.generating_arrows(G)]
         g = max(set(G.arrows()) - set(tested))
         row = gm.rows[1]
 
@@ -487,6 +499,17 @@ class TestGelfand:
         coset = witness(*(G.comp[(c, h)] for h in H))
         assert coset["reason"] == "not multiplicative"
         assert coset["pair"][1] not in {G.labels[x], G.labels[b]}
+        # bent on a coset of K, the subgroup the other tested generators
+        # generate: multiplicative against x and all of them, so every
+        # generator is tested, each catching the bend that only it can
+        for b in tested[1:]:
+            K = [x]
+            for k in K:   # grows while it is walked
+                K += [ks for s in tested[1:] if s != b and (ks := G.comp[(k, s)]) not in K]
+            assert b not in K
+            c = next(a for a in G.arrows() if a not in K)
+            coset = witness(*(G.comp[(c, k)] for k in K))
+            assert coset["pair"][1] == G.labels[b]
 
     def test_rows_store_only_their_fiber(self, corpus200):
         # sum |A_x|^2 exponents, where dense rows would hold n each

@@ -5,6 +5,7 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import oracle
 import pytest
 
 from groupoidlab import abelian, algebra, checks, core, generators, groups, quotients
@@ -198,11 +199,31 @@ class TestReports:
         witness = checks._duality_witness
 
         def counted(dec, chars):
-            seen.append(dec.group.name)
+            seen.append(chars[0].host.name)
             return witness(dec, chars)
         monkeypatch.setattr(checks, "_duality_witness", counted)
         assert checks.duality_family_check().ok
         assert len(seen) == len(set(seen)) == 117
+
+    def test_duality_family_verdict_does_not_depend_on_the_memos(self, monkeypatch):
+        # every dual is verified whether or not the groups' decompositions,
+        # or their tables' generating sets, are already cached
+        calls = []
+        structure = abelian.char_group_structure
+
+        def counted(chars):
+            calls.append(chars[0].host.name)
+            return structure(chars)
+        monkeypatch.setattr(abelian, "char_group_structure", counted)
+
+        def verdict():
+            calls.clear()
+            result = checks.duality_family_check()
+            return result.ok, result.witness, len(calls)
+        oracle.clear_table_memos()
+        cold = verdict()
+        checks.corpus_report(seed=0, count=200)
+        assert cold == verdict() == (True, None, 117)
 
     def test_a_family_that_checks_no_group_fails(self):
         result = checks.duality_family_check(0)

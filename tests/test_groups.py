@@ -1,5 +1,6 @@
 """The built-in group library and subgroup machinery."""
 
+import dataclasses
 import itertools
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidlab import abelian, groups
+from groupoidlab import abelian, checks, core, generators, groups, quotients
 
 # A loop of order 5 (a Latin square with identity 0) that is not associative:
 # (1*1)*2 = 2 but 1*(1*2) = 4.
@@ -193,6 +194,11 @@ class TestSubgroups:
         assert len(groups.normal_subgroups(c2_5, limit=374)) == 374
         with pytest.raises(groups.TooManySubgroups, match="more than 373 subgroups"):
             groups.normal_subgroups(c2_5, limit=373)
+        # the limit is part of the memo's key, and a miss runs on the
+        # caller's group: a renamed copy of an enumerated table names itself
+        assert len(groups.normal_subgroups(c2_5)) == 374
+        with pytest.raises(groups.TooManySubgroups, match="^renamed: more than 373 subgroups$"):
+            groups.normal_subgroups(dataclasses.replace(c2_5, name="renamed"), limit=373)
         with pytest.raises(groups.TooManySubgroups):   # the trivial group counts
             groups.normal_subgroups(groups.cyclic(1), limit=0)
 
@@ -263,3 +269,79 @@ class TestDirectProduct:
         assert groups.group_violations(p) == []
         assert p.order == 12
         assert not groups.is_abelian(p)
+
+
+def _reached_groups(corpus200):
+    """One group per distinct (table, identity) that a seed-0 corpus pass
+    derives from: each component's least unit, every g_fix and g_ab fiber
+    and the dual of each g_ab fiber, over the 200 instances and the named
+    models."""
+    out = {}
+    for G in [G for _, G in corpus200] + [build() for build in generators.NAMED_MODELS.values()]:
+        ab = quotients.abelianize_groupoid(G)
+        fibers = [core.isotropy_group(G, min(units))[0] for units in core.unit_components(G)]
+        fibers += [core.isotropy_group(H, x)[0] for H in (ab.g_fix, ab.g_ab) for x in H.units]
+        for y in ab.g_ab.units:
+            a = ab.dual.fiber_groups[y]
+            fibers += [a, abelian.char_group_structure(list(ab.dual.fibers[y]))]
+        for g in fibers:
+            if groups.is_abelian(g) and not isinstance(g, abelian.FiniteAbelianGroup):
+                g = abelian.FiniteAbelianGroup(g.name, g.labels, g.table, g.identity,
+                                               g.exponent())
+            out.setdefault((g.table, g.identity), g)
+    return list(out.values())
+
+
+def _memos(g):
+    """The memoized functions that take g: invariant_factors wants abelian."""
+    return oracle.TABLE_MEMOS[:3 + isinstance(g, abelian.FiniteAbelianGroup)]
+
+
+class TestTableMemo:
+    def test_a_renamed_relabelled_copy_gets_the_uncached_answer(self, corpus200):
+        reached = _reached_groups(corpus200)
+        assert len(reached) == 17
+        assert 0 < sum(isinstance(g, abelian.FiniteAbelianGroup) for g in reached) < 17
+        for g in reached:
+            copy = dataclasses.replace(g, name=f"copy of {g.name}",
+                                       labels=tuple(f"c{i}" for i in range(g.order)))
+            for fn in _memos(g):
+                fn(g)
+                size = len(fn.memo)
+                assert fn(copy) == fn.__wrapped__(copy), (fn.__name__, g)
+                assert len(fn.memo) == size, (fn.__name__, g)   # the copy hit
+
+    def test_a_caller_cannot_edit_what_the_next_one_gets(self, corpus200):
+        # a list comes back as a copy; anything else hashes, so holds no
+        # list, dict or set inside, and a frozen dataclass refuses assignment
+        for g in _reached_groups(corpus200):
+            for fn in _memos(g):
+                got = fn(g)
+                if isinstance(got, list):
+                    got.clear()
+                else:
+                    hash(got)
+                assert fn(g) == fn.__wrapped__(g), (fn.__name__, g)
+            if isinstance(g, abelian.FiniteAbelianGroup):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    abelian.invariant_factors(g).factors = ()
+
+    def test_each_memo_is_bounded(self):
+        oracle.clear_table_memos()
+        checks.corpus_report(seed=0, count=200)
+        for fn in oracle.TABLE_MEMOS:
+            assert 0 < len(fn.memo) <= groups.TABLE_CACHE_SIZE, fn.__name__
+        # past the bound the oldest entry goes: 300 of the 360 distinct
+        # tables that renumbering C6 gives (two of its 720 are automorphisms)
+        c6, copies = groups.cyclic(6), {}
+        for p in itertools.permutations(range(6)):
+            table = tuple(tuple(p[c6.table[p.index(i)][p.index(j)]] for j in range(6))
+                          for i in range(6))
+            copies.setdefault(table, groups.FiniteGroup("C6", c6.labels, table, p[0]))
+        copies = list(copies.values())[:300]
+        assert len(copies) == 300
+        for g in copies:
+            groups.commutator_subgroup(g)
+            assert len(groups.commutator_subgroup.memo) <= groups.TABLE_CACHE_SIZE
+        keys = [key[0] for key in groups.commutator_subgroup.memo]
+        assert keys[-groups.TABLE_CACHE_SIZE:] == [g.table for g in copies][-groups.TABLE_CACHE_SIZE:]

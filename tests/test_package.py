@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 import groupoidlab
-from groupoidlab import abelian, algebra, core, document, generators, linalg, quotients
+from groupoidlab import (abelian, algebra, checks, cli, core, document, generators, groups,
+                         linalg, quotients)
 
 # Names that left the package: the general-element algebra and its numeric
 # values, now the tests' reference in oracle.py, functions nothing called,
@@ -135,6 +136,45 @@ def test_one_character_row_type():
     assert names(algebra.GelfandMatrix) == ["host", "rows"]
     assert names(abelian.Character) == ["host", "exps"]
     assert "fiber_arrows" not in names(abelian.DualBundle)
+
+
+# Every per-process cache in the package, with the most entries it holds.
+# A table memo drops its oldest entry past TABLE_CACHE_SIZE.  The library's
+# caches are keyed by its 17 groups' 64 (group, subgroup) pairs, and
+# library_subgroups and build_parser take no argument.  instance_checks'
+# two caches are locals of one call, gone when it returns (None).
+CACHES = {
+    "abelian.invariant_factors": groups.TABLE_CACHE_SIZE,
+    "groups.commutator_subgroup": groups.TABLE_CACHE_SIZE,
+    "groups.generating_set": groups.TABLE_CACHE_SIZE,
+    "groups.normal_subgroups": groups.TABLE_CACHE_SIZE,
+    "groups.library_subgroups": 1,
+    "generators._library_component": 64,
+    "cli.build_parser": 1,
+    "checks.instance_checks": None,
+}
+
+
+def test_every_cache_is_listed_with_its_bound():
+    package = Path(groupoidlab.__file__).resolve().parent
+    users = set()
+    for path in sorted(package.glob("*.py")):
+        for owner, node in _owners(ast.parse(path.read_text(encoding="utf-8"))):
+            for ref in ast.walk(node):
+                if getattr(ref, "id", getattr(ref, "attr", None)) in (
+                        "cache", "lru_cache", "table_memo"):
+                    users.add(f"{path.stem}.{owner}")
+    assert users == set(CACHES)
+
+    assert sum(len(subs) for _, subs in groups.library_subgroups()) == 64
+    checks.corpus_report(seed=0, count=40)
+    cli.build_parser()
+    for name, bound in CACHES.items():
+        if bound is not None:
+            module, attr = name.split(".")
+            fn = getattr(importlib.import_module(f"groupoidlab.{module}"), attr)
+            size = len(fn.memo) if bound == groups.TABLE_CACHE_SIZE else fn.cache_info().currsize
+            assert 0 < size <= bound, name
 
 
 # Run in a fresh interpreter, from a file so that a crash has a file:line.

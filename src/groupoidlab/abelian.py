@@ -152,7 +152,10 @@ def characters(a: FiniteAbelianGroup) -> list[Character]:
     N the exponent and n_j the invariant factors.  It is built from its
     predecessor in residue order, the character whose last nonzero residue
     is one less, by adding basis character j's exponents: one addition
-    mod N per value instead of a k-term sum.
+    mod N per value instead of a k-term sum.  The sums, each below 2N, are
+    reduced by one ``itemgetter`` gather from ``wrap``.  A gather of one
+    index returns a bare item, not a 1-tuple; only the order-1 host has one
+    value, and it has no factor, so its trivial character is never grown.
     """
     dec = invariant_factors(a)
     nn = a.exponent
@@ -164,7 +167,7 @@ def characters(a: FiniteAbelianGroup) -> list[Character]:
         for exps in chars:
             for r in range(d):
                 if r:
-                    exps = tuple(map(wrap.__getitem__, map(add, exps, basis)))
+                    exps = itemgetter(*map(add, exps, basis))(wrap)
                 grown.append(exps)
         chars = grown
     return [Character(host=a, exps=exps) for exps in chars]
@@ -185,14 +188,24 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     on the generators determine it.  Characters are therefore keyed,
     compared and added by those k values instead of by all n.
 
+    Exponents already in [0, N) are used as they are; a list with any other
+    integer is reduced mod N first.
+
     The table row of key a lists the index of a + b for every key b.  Only
     the rows of the zero key and of each key that the rows before it do not
-    reach are looked up in the key index.  Every other row is a + g, for a
-    row a already filled and a looked-up key g, and is composed as
-    row_a[row_g[j]]: exact, since key addition in (Z/N)^k is associative.
+    reach are looked up in the key index: one gather from a ``wrap`` slice
+    shifts each generator's column of keys, and one gather from the index
+    reads the zipped sums.  Every other row is a + g, for a row a already
+    filled and a looked-up key g, and is composed as row_a[row_g[j]] by one
+    gather: exact, since key addition in (Z/N)^k is associative.
     The closure check still covers every pair.  The keys g with g + K in K
     are closed under addition, as (g + h) + K = g + (h + K) is in g + K, in
     K; they include every looked-up key, so they include every key.
+
+    Each gather is one ``itemgetter`` call.  A gather of one index returns a
+    bare item, not a 1-tuple, so the order-1 host's one row is set directly;
+    every other gather has at least two indices, and a one-generator key
+    (a cyclic group's) is a 1-tuple that zip builds.
     """
     if not fiber:
         raise ValueError("empty character list")
@@ -206,7 +219,9 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     products = [(g, itemgetter(*(row[g] for row in host.table))) for g in gens]
     keys = []
     for i, chi in enumerate(fiber):
-        e = tuple(map(nn.__rmod__, chi.exps))
+        e = chi.exps
+        if min(e) < 0 or max(e) >= nn:
+            e = tuple(v % nn for v in e)
         add_to = itemgetter(*e)   # add_to(wrap[c:c + nn]) is every chi(x) + c mod nn
         for g, at_products in products:
             if at_products(e) != add_to(wrap[e[g]:e[g] + nn]):
@@ -215,11 +230,13 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     index = {key: i for i, key in enumerate(keys)}
     if len(index) != len(fiber) or len(fiber) != host.order:
         raise ValueError("character list is not the complete dual")
+    # columns[j](wrap[c:c + nn]) is (y_j + c) mod nn for every key y, in order
+    columns = [itemgetter(*col) for col in zip(*keys)]
 
     def looked_up(i: int) -> tuple[int, ...]:
+        sums = zip(*[col(wrap[c:c + nn]) for col, c in zip(columns, keys[i])])
         try:
-            return tuple(index[tuple(map(wrap.__getitem__, map(add, keys[i], y)))]
-                         for y in keys)
+            return itemgetter(*sums)(index)
         except KeyError:
             raise ValueError("character list is not closed under products") from None
 
@@ -227,18 +244,18 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     if zero is None:   # a finite set of keys closed under addition holds 0
         raise ValueError("character list is not closed under products")
     rows: list[tuple[int, ...] | None] = [None] * len(keys)
-    rows[zero] = looked_up(zero)
+    rows[zero] = looked_up(zero) if len(keys) > 1 else (zero,)
     filled, looked = [zero], []
     for i in range(len(rows)):
         if rows[i] is None:
             rows[i] = looked_up(i)
             filled.append(i)
-            looked.append(i)
+            looked.append((rows[i], itemgetter(*rows[i])))
             for a in filled:   # grows while it is walked
                 row_a = rows[a]
-                for g in looked:
-                    if rows[b := rows[g][a]] is None:
-                        rows[b] = tuple(map(row_a.__getitem__, rows[g]))
+                for row_g, compose in looked:
+                    if rows[b := row_g[a]] is None:
+                        rows[b] = compose(row_a)   # row_a[row_g[j]] for every j
                         filled.append(b)
     # Built directly, not through finite_abelian_group: the table is addition
     # of keys mod nn, so it is associative and commutative, and the

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import lcm
+from operator import itemgetter
 
 # Entries kept by each table_memo function, so a long run's memory stays fixed: a seed-0
 # check --corpus --count 200 decomposes 13 distinct tables on the instance path, 178 in all.
@@ -49,16 +50,27 @@ def table_memo(fn):
     """fn(g, ...) memoized on g's table, identity and other arguments, for an
     fn whose result needs nothing else of g; the key is hashed once a call.
     A miss runs fn on the caller's own g, so an exception names it and
-    leaves the entry empty for the next call.  Past TABLE_CACHE_SIZE entries
-    the oldest is dropped.  A list is copied on return."""
+    stores nothing.  A ``limit`` keyword is passed on to fn but is not part
+    of the key: fn raises TooManySubgroups once its list would pass the
+    limit, so only a complete list is stored, and it answers every limit, a
+    hit longer than the caller's limit raising as fn would.  Past
+    TABLE_CACHE_SIZE entries the oldest is dropped.  A list is copied on
+    return."""
     memo: dict = {}
     @functools.wraps(fn)
-    def memoized(g, *args, **kwargs):
-        key = (g.table, g.identity, *args, *kwargs.items())
-        if not (cell := memo.setdefault(key, [])):
+    def memoized(g, *args, limit=None):
+        key = (g.table, g.identity, *args)
+        if cell := memo.setdefault(key, []):
+            if limit is not None and len(cell[0]) > limit:
+                raise _too_many(g, limit)
+        else:
             if len(memo) > TABLE_CACHE_SIZE:
                 del memo[next(iter(memo))]
-            cell.append(fn(g, *args, **kwargs))
+            try:
+                cell.append(fn(g, *args) if limit is None else fn(g, *args, limit=limit))
+            except BaseException:
+                memo.pop(key, None)
+                raise
         return list(cell[0]) if isinstance(cell[0], list) else cell[0]
     memoized.memo = memo
     return memoized
@@ -132,9 +144,12 @@ def _light_witness(g: FiniteGroup) -> tuple[int, int, int] | None:
     t = g.table
     for a in (g.identity, *generating_set(g)):
         ta = t[a]
+        if len(ta) == 1:   # the table is ((0,),); a one-index gather returns a bare item
+            continue
+        gather = itemgetter(*ta)
         for x, tx in enumerate(t):
-            left = tuple(t[tx[a]])                   # (x*a)*y for every y
-            right = tuple(map(tx.__getitem__, ta))   # x*(a*y) for every y
+            left = tuple(t[tx[a]])   # (x*a)*y for every y
+            right = gather(tx)       # x*(a*y) for every y
             if left != right:
                 return x, a, next(y for y in range(g.order) if left[y] != right[y])
     return None
@@ -318,6 +333,10 @@ class TooManySubgroups(ValueError):
     """More subgroups than the caller's limit."""
 
 
+def _too_many(g: FiniteGroup, limit: int) -> TooManySubgroups:
+    return TooManySubgroups(f"{g.name}: more than {limit} subgroups")
+
+
 def _joins(g: FiniteGroup, pieces, join, limit: int | None = None) -> list[frozenset[int]]:
     """The trivial group and every join(sub, piece) of one found before it
     with a piece it misses, sorted by size then membership tuple.  With a
@@ -331,7 +350,7 @@ def _joins(g: FiniteGroup, pieces, join, limit: int | None = None) -> list[froze
                 found.add(bigger)
                 frontier.append(bigger)
         if limit is not None and len(found) > limit:
-            raise TooManySubgroups(f"{g.name}: more than {limit} subgroups")
+            raise _too_many(g, limit)
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -341,14 +360,14 @@ def subgroups(g: FiniteGroup) -> list[frozenset[int]]:
 
 
 @table_memo
-def normal_subgroups(g: FiniteGroup, limit: int | None = None) -> list[frozenset[int]]:
+def normal_subgroups(g: FiniteGroup, *, limit: int | None = None) -> list[frozenset[int]]:
     """All normal subgroups, the joins of conjugacy classes, with no test
     of the subgroups that are not normal.
 
     A normal subgroup M is a union of classes, and a normal N joined with a
     class K generates N<K>, normal again; so adding M's classes one at a
     time reaches M.  With a limit, raises TooManySubgroups as ``_joins``
-    does.
+    does; the memo keeps one complete list per table, whatever the limit.
     """
     t, e = g.table, g.identity
     inv = [row.index(e) for row in t]

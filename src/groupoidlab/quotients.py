@@ -221,7 +221,7 @@ def component_normal_subgroupoids(
         x = min(GC.units)
         g, fiber = core.isotropy_group(GC, x)
         moves = {GC.rng[a]: a for a in GC.out_of[x]}.values()
-        normals = groups.normal_subgroups(g, None if limit is None else limit // GC.n)
+        normals = groups.normal_subgroups(g, limit=None if limit is None else limit // GC.n)
         if limit is not None:
             limit -= len(normals) * GC.n
         out.append((GC, inclusion, [

@@ -144,6 +144,14 @@ class TestCharacters:
         for a in abelian_family:
             assert abelian.characters(a) == oracle.characters_by_formula(a), a.name
 
+    def test_accumulation_matches_the_per_value_formula_on_the_corpus_fibers(self, corpus200):
+        fibers = 0
+        for seed, G in corpus200:
+            for a in quotients.abelianize_groupoid(G).dual.fiber_groups.values():
+                assert abelian.characters(a) == oracle.characters_by_formula(a), (seed, a.name)
+                fibers += 1
+        assert fibers > 200
+
     def test_trivial_character_comes_first(self):
         chars = abelian.characters(_product(2, 4))
         assert not any(chars[0].exps)
@@ -216,6 +224,34 @@ class TestCharGroupStructure:
                 fibers += 1
         assert fibers > 200
 
+    def test_one_index_hosts(self, abelian_family):
+        # a one-index itemgetter returns a bare item: the order-1 host has one
+        # value per character, and a group that one element generates has
+        # one-generator keys
+        trivial = _ab(groups.cyclic(1))
+        chars = abelian.characters(trivial)
+        assert [chi.exps for chi in chars] == [(0,)]
+        assert abelian.char_group_structure(chars).table == ((0,),)
+        hosts = [_ab(groups.cyclic(n)) for n in range(1, 65)] + [
+            a for a in abelian_family if len(abelian.invariant_factors(a).factors) <= 1]
+        for a in hosts:
+            chars = abelian.characters(a)
+            assert abelian.char_group_structure(chars) == _full_tuple_char_group(chars), a.name
+        assert sum(len(groups.generating_set(a)) == 1 for a in hosts) > 64
+
+    def test_exponents_out_of_range_give_the_same_table(self, abelian_family):
+        for a in abelian_family[::7] + [_ab(groups.cyclic(2))]:
+            chars = abelian.characters(a)
+            nn = a.exponent
+            for shift in (nn, -nn):
+                shifted = [dataclasses.replace(chi, exps=tuple(e + shift for e in chi.exps))
+                           for chi in chars]
+                assert (abelian.char_group_structure(shifted)
+                        == abelian.char_group_structure(chars)), (a.name, shift)
+            one = list(chars)   # one value of one character out of range
+            one[-1] = dataclasses.replace(one[-1], exps=(-nn,) + one[-1].exps[1:])
+            assert abelian.char_group_structure(one) == abelian.char_group_structure(chars)
+
     def _fiber(self):
         return abelian.characters(_product(2, 6))
 
@@ -225,17 +261,21 @@ class TestCharGroupStructure:
         bent = list(chi.exps)
         bent[5] = (bent[5] + 1) % chi.modulus
         chars[3] = dataclasses.replace(chi, exps=tuple(bent))
-        with pytest.raises(ValueError, match="not a homomorphism"):
+        with pytest.raises(ValueError, match="^character 3 is not a homomorphism at generator 1$"):
+            abelian.char_group_structure(chars)
+        # out of range and bent: reduced first, then rejected the same way
+        chars[3] = dataclasses.replace(chi, exps=tuple(e + chi.modulus for e in bent))
+        with pytest.raises(ValueError, match="^character 3 is not a homomorphism at generator 1$"):
             abelian.char_group_structure(chars)
 
     def test_rejects_a_duplicated_character(self):
         chars = self._fiber()
         chars[3] = chars[4]
-        with pytest.raises(ValueError, match="not the complete dual"):
+        with pytest.raises(ValueError, match="^character list is not the complete dual$"):
             abelian.char_group_structure(chars)
 
     def test_rejects_a_missing_character(self):
-        with pytest.raises(ValueError, match="not the complete dual"):
+        with pytest.raises(ValueError, match="^character list is not the complete dual$"):
             abelian.char_group_structure(self._fiber()[:-1])
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import random
 
 import oracle
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidlab import abelian, checks, core, generators, groups, quotients
+from groupoidlab import abelian, checks, cli, core, document, generators, groups, quotients
 
 # A loop of order 5 (a Latin square with identity 0) that is not associative:
 # (1*1)*2 = 2 but 1*(1*2) = 4.
@@ -194,7 +195,7 @@ class TestSubgroups:
         assert len(groups.normal_subgroups(c2_5, limit=374)) == 374
         with pytest.raises(groups.TooManySubgroups, match="more than 373 subgroups"):
             groups.normal_subgroups(c2_5, limit=373)
-        # the limit is part of the memo's key, and a miss runs on the
+        # a complete list answers every limit, and a hit raises naming the
         # caller's group: a renamed copy of an enumerated table names itself
         assert len(groups.normal_subgroups(c2_5)) == 374
         with pytest.raises(groups.TooManySubgroups, match="^renamed: more than 373 subgroups$"):
@@ -325,6 +326,37 @@ class TestTableMemo:
             if isinstance(g, abelian.FiniteAbelianGroup):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     abelian.invariant_factors(g).factors = ()
+
+    def test_a_limited_miss_stops_early_and_stores_nothing(self):
+        # C2^8 has 417,199 subgroups, all normal: never enumerated in full
+        c2_8 = groups.cyclic(2)
+        for _ in range(7):
+            c2_8 = groups.direct_product(c2_8, groups.cyclic(2))
+        for _ in range(2):
+            with pytest.raises(groups.TooManySubgroups, match=": more than 100 subgroups$"):
+                groups.normal_subgroups(c2_8, limit=100)
+            assert (c2_8.table, c2_8.identity) not in groups.normal_subgroups.memo
+
+    def test_one_normal_subgroups_entry_per_table_after_checking_documents(
+            self, tmp_path, monkeypatch, capsys):
+        # component_normal_subgroupoids gives each component its share of a
+        # shrinking limit, so one table comes with several limits
+        oracle.clear_table_memos()
+        normal_subgroups, calls = groups.normal_subgroups, []
+
+        def spy(g, *, limit=None):
+            calls.append(((g.table, g.identity), limit))
+            return normal_subgroups(g, limit=limit)
+
+        monkeypatch.setattr(groups, "normal_subgroups", spy)
+        for s in range(30):
+            path = tmp_path / f"{s}.json"
+            path.write_text(json.dumps(document.encode_groupoid(generators.random_groupoid(s, 60))))
+            assert cli.main(["check", "--input", str(path)]) == 0, s
+        capsys.readouterr()
+        tables = {table for table, _ in calls}
+        assert len(set(calls)) > len(tables) > 1
+        assert set(normal_subgroups.memo) == tables
 
     def test_each_memo_is_bounded(self):
         oracle.clear_table_memos()

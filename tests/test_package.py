@@ -94,6 +94,24 @@ def test_no_module_imports_cmath():
                          path.read_text(encoding="utf-8"), re.MULTILINE)] == []
 
 
+def _bound_method_maps(tree: ast.AST) -> list[int]:
+    """The line of each map(<expr>.__getitem__, ...) or map(<expr>.__rmod__, ...)."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map"
+            and node.args and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr in ("__getitem__", "__rmod__")]
+
+
+def test_values_are_gathered_by_itemgetter():
+    # map(row.__getitem__, idx) pays a bound-method call per value, where
+    # itemgetter(*idx)(row) gathers them in one C call
+    assert _bound_method_maps(ast.parse(
+        "tuple(map(t.__getitem__, i)); map(n.__rmod__, e); itemgetter(*i)(t)")) == [1, 1]
+    package = Path(groupoidlab.__file__).resolve().parent
+    assert [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+            for line in _bound_method_maps(ast.parse(path.read_text(encoding="utf-8")))] == []
+
+
 def _owners(tree: ast.Module):
     """(name, node) for each top-level statement, and for each statement of
     a top-level class as Class.name; a statement that defines nothing is

@@ -80,11 +80,15 @@ def _location(frame) -> str:
 
 
 def _run(name: str, instance: str, fn: Callable[[], object]) -> CheckResult:
-    """Execute one check; fn returns a witness on failure, None on success."""
+    """Execute one check; fn returns a witness on failure, None on success.
+    A groupoid with too many normal subgroupoids to quotient is a refusal of
+    the input, not a crash: ``groups.TooManySubgroups`` reaches the caller."""
     start = time.perf_counter()
     try:
         witness = fn()
         ok = witness is None
+    except groups.TooManySubgroups:
+        raise
     except Exception as exc:   # a crash is a failing check, not a crashed report
         import traceback
         frame = traceback.extract_tb(exc.__traceback__)[-1]
@@ -108,7 +112,7 @@ def _carrier_labels(G: FiniteGroupoid, members) -> list[str]:
     return [G.labels[g] for g in sorted(members)]
 
 
-def _check_quotient_family(G: FiniteGroupoid, components=None):
+def _check_quotient_family(G: FiniteGroupoid):
     """Exactness, kernel-diagonal triviality, and the injectivity criterion
     for every normal subgroupoid, component by component.
 
@@ -118,15 +122,12 @@ def _check_quotient_family(G: FiniteGroupoid, components=None):
     unite and kernels add up.  So each identity holds for the union iff it
     holds for every H_C, and the sum of the per-component counts of
     quotients checks their product of carriers.  A witness names H_C joined
-    with the other components' units, a failing carrier of G.  components
-    is ``component_normal_subgroupoids(G)`` when the caller already has it.
-    The three identities read only the classes of G_C / H_C: they test
+    with the other components' units, a failing carrier of G.  The three
+    identities read only the classes of G_C / H_C: they test
     ``quotients.quotient_map``, the map ``quotient`` builds every quotient
     from, and no quotient groupoid is built.
     """
-    if components is None:
-        components = quotients.component_normal_subgroupoids(G)
-    for GC, inclusion, normals in components:
+    for GC, inclusion, normals in quotients.component_normal_subgroupoids(G):
         others = G.units - {inclusion[x] for x in GC.units}
 
         def in_G(members):
@@ -188,30 +189,24 @@ def _check_fiber_duality(ab: quotients.Abelianization):
     return None
 
 
-def axioms_check(G: FiniteGroupoid, instance: str) -> CheckResult:
-    return _run("axioms", instance, lambda: _check_axioms(G))
-
-
-def instance_checks(G: FiniteGroupoid, instance: str, components=None,
-                    axioms: CheckResult | None = None) -> list[CheckResult]:
+def instance_checks(G: FiniteGroupoid, instance: str) -> list[CheckResult]:
     """The axioms check, then the five checks that rest on it.
 
     Each of the five reads G as a groupoid (the commutator ideal is closed
     over a generating set, fixed points and components assume inverses), so
     on a table that fails axioms they are skipped: a verdict there would
-    rest on preconditions that do not hold.  axioms is
-    ``axioms_check(G, instance)`` when the caller has run it already;
-    components is ``quotients.component_normal_subgroupoids(G)`` likewise.
+    rest on preconditions that do not hold.  quotient-family runs first, so
+    a groupoid past ``quotients.MAX_FAMILY_ARROWS`` raises
+    ``groups.TooManySubgroups`` before anything else is built.
     """
-    if axioms is None:
-        axioms = axioms_check(G, instance)
+    axioms = _run("axioms", instance, lambda: _check_axioms(G))
     # Each, like ab().dual, is built once, inside the first check that needs
     # it: a crash while building fails that check and, not being cached, each
     # later one too.
     ab = functools.cache(lambda: quotients.abelianize_groupoid(G))
     ideal = functools.cache(lambda: algebra.commutator_ideal(G))
     dependent = {
-        "quotient-family": lambda: _check_quotient_family(G, components),
+        "quotient-family": lambda: _check_quotient_family(G),
         "character-count": lambda: _check_character_count(ab(), ideal()),
         "pi-kernel": lambda: _check_pi_kernel(ab(), ideal()),
         "gelfand": lambda: _check_gelfand(ab()),
@@ -401,6 +396,5 @@ def corpus_report(seed: int, count: int, cap: int = 60, jobs: int = 1) -> CheckR
     return report
 
 
-def file_report(G: FiniteGroupoid, instance: str, components=None,
-                axioms: CheckResult | None = None) -> CheckReport:
-    return CheckReport(results=instance_checks(G, instance, components, axioms))
+def file_report(G: FiniteGroupoid, instance: str) -> CheckReport:
+    return CheckReport(results=instance_checks(G, instance))

@@ -28,20 +28,13 @@ EXIT_INPUT = 2
 # on pair:64 (0.4 s validation; the quotient family, which reads class maps
 # and builds no quotient groupoid, and the commutator ideal, closed over the
 # same S, under 0.1 s each), and takes 1.1-1.2 s and peaks at 33 MB on
-# trivial:4096 (the transform holds sum |A_x|^2 exponents);
-# MAX_FAMILY_ARROWS bounds the quotients.  So a larger --kind or --budget is
-# refused before any table is built, and a larger document before it is
-# validated, instead of running for minutes or ending in a MemoryError.
+# trivial:4096 (the transform holds sum |A_x|^2 exponents).  So a larger
+# --kind or --budget is refused before any table is built, and a larger
+# document before it is validated, instead of running for minutes or ending
+# in a MemoryError.  quotients.MAX_FAMILY_ARROWS bounds the quotients check
+# takes; a corpus instance within this limit stays under it, as a library
+# component has at most 6 normal subgroupoids.
 MAX_ARROWS = 4096
-
-# The most arrows that check quotients on one document: it quotients each
-# component by each of its normal subgroupoids.  Their count grows
-# exponentially with the rank of an elementary abelian isotropy (C2^5 has
-# 374, C2^8 has 417,199), so a document whose components' arrow counts
-# times normal subgroupoid counts sum past this is refused, before any
-# quotient and after counting little further.  A 60-arrow library model takes
-# at most 360; C2^6 (64 x 2,825) is in, C2^7 (128 x 29,212) is out.
-MAX_FAMILY_ARROWS = 250_000
 
 # The most instances one check --corpus run takes.  The report holds six
 # CheckResults per instance until it prints them as one JSON document, about
@@ -280,29 +273,22 @@ def _cmd_characters(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.corpus:
-        report = checks.corpus_report(seed=args.seed,
-                                      count=_count(args.count),
-                                      cap=_budget(args.budget),
-                                      jobs=min(_at_least_one(args.jobs, "--jobs"),
-                                               os.cpu_count() or 1))
-    else:
-        # axiom problems surface as a failing check with a witness, so the
-        # suite reports on whatever decodes — only parse errors stop it; the
-        # normal subgroupoids are counted, and the other checks run, only on
-        # a groupoid
-        G = _load(args, validate_axioms=False)
-        instance = args.input or args.kind
-        axioms = checks.axioms_check(G, instance)
-        components = None
-        if axioms.ok:
-            try:
-                components = quotients.component_normal_subgroupoids(G, limit=MAX_FAMILY_ARROWS)
-            except groups.TooManySubgroups as exc:
-                raise CliError(EXIT_INPUT, {
-                    "error": "the quotients by every normal subgroupoid of each component "
-                             f"take in more than the limit of {MAX_FAMILY_ARROWS} arrows"}) from exc
-        report = checks.file_report(G, instance, components, axioms)
+    try:
+        if args.corpus:
+            report = checks.corpus_report(seed=args.seed,
+                                          count=_count(args.count),
+                                          cap=_budget(args.budget),
+                                          jobs=min(_at_least_one(args.jobs, "--jobs"),
+                                                   os.cpu_count() or 1))
+        else:
+            # axiom problems surface as a failing check with a witness, so
+            # the suite reports on whatever decodes — only parse errors stop it
+            report = checks.file_report(_load(args, validate_axioms=False),
+                                        args.input or args.kind)
+    except groups.TooManySubgroups as exc:
+        raise CliError(EXIT_INPUT, {
+            "error": "the quotients by every normal subgroupoid of each component take in "
+                     f"more than the limit of {quotients.MAX_FAMILY_ARROWS} arrows"}) from exc
     _emit(report.to_json(), args.output)
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 

@@ -22,8 +22,6 @@ tests compare BinomialSpan and the kernels against.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class Qi:
     """A Gaussian rational re + im*i with exact Fraction parts."""
@@ -31,6 +29,9 @@ class Qi:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        # no command builds a Qi, so no command loads fractions (and with it
+        # decimal and numbers)
+        from fractions import Fraction
         self.re = Fraction(re)
         self.im = Fraction(im)
 
@@ -83,14 +84,11 @@ class Qi:
 def as_qi(x) -> Qi:
     if isinstance(x, Qi):
         return x
+    from fractions import Fraction
     if isinstance(x, (int, Fraction)):
         return Qi(x)
     raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
 
-
-QI0 = Qi(0)
-QI1 = Qi(1)
-QI_I = Qi(0, 1)
 
 # sparse vector: dict {index: nonzero Qi}
 
@@ -99,7 +97,7 @@ def vec_iadd_scaled(dst: dict, src: dict, c: Qi) -> dict:
     """dst += c * src, dropping entries that cancel to zero."""
     if c:
         for k, v in src.items():
-            s = dst.get(k, QI0) + c * v
+            s = dst[k] + c * v if k in dst else c * v
             if s:
                 dst[k] = s
             else:
@@ -161,7 +159,7 @@ def kernel_basis(equations, width: int) -> list[dict]:
     for f in range(width):
         if f in ech.pivots:
             continue
-        v = {f: QI1}
+        v = {f: Qi(1)}
         for p, row in ech.pivots.items():
             c = row.get(f)
             if c:
@@ -235,7 +233,7 @@ class BinomialSpan:
                 return False
             root = self._find(k)
             if root not in self._killed:
-                sums[root] = sums.get(root, QI0) + c
+                sums[root] = sums.get(root, Qi(0)) + c
         return not any(sums.values())
 
     def _classes(self) -> dict[int, list[int]]:
@@ -251,9 +249,9 @@ class BinomialSpan:
         out = []
         for root, members in self._classes().items():
             if root in self._killed:
-                out.extend({u: QI1} for u in members)
+                out.extend({u: Qi(1)} for u in members)
             else:
-                out.extend({members[0]: QI1, u: -QI1} for u in members[1:])
+                out.extend({members[0]: Qi(1), u: Qi(-1)} for u in members[1:])
         return out
 
     def _partition(self) -> dict[int, int | None]:

@@ -3,8 +3,8 @@
 Plain row/column reduction with exact integer arithmetic.  The pivot at each
 stage is a nonzero entry of minimal absolute value (ties broken by position),
 which keeps intermediate entries small and the result deterministic.  Only the
-column transform V and its inverse are tracked; callers read off generators of
-the quotient lattice from the rows of Vinv.
+inverse Vinv of the column transform is tracked: callers read off generators
+of the quotient lattice from its rows.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class SmithNormalForm:
     diagonal: tuple[int, ...]     # d_1 | d_2 | ... , nonnegative
-    v: tuple[tuple[int, ...], ...]      # A @ V has the diagonal as its column basis
-    vinv: tuple[tuple[int, ...], ...]
+    vinv: tuple[tuple[int, ...], ...]   # V^-1, where A @ V has the diagonal as its column basis
 
     @property
     def rank(self) -> int:
@@ -34,7 +33,6 @@ def smith_normal_form(rows: list[list[int]], width: int | None = None) -> SmithN
     k = width if width is not None else (len(a[0]) if a else 0)
     if any(len(r) != k for r in a):
         raise ValueError("ragged matrix")
-    v = [[int(i == j) for j in range(k)] for i in range(k)]
     vinv = [[int(i == j) for j in range(k)] for i in range(k)]
 
     def swap_rows(i, j):
@@ -42,8 +40,6 @@ def smith_normal_form(rows: list[list[int]], width: int | None = None) -> SmithN
 
     def swap_cols(i, j):
         for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
             r[i], r[j] = r[j], r[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
@@ -57,16 +53,12 @@ def smith_normal_form(rows: list[list[int]], width: int | None = None) -> SmithN
         # col_j += c * col_i ; inverse op on vinv is row_i -= c * row_j
         for r in a:
             r[j] += c * r[i]
-        for r in v:
-            r[j] += c * r[i]
         vi, vj = vinv[i], vinv[j]
         for idx in range(k):
             vi[idx] -= c * vj[idx]
 
     def negate_col(i):
         for r in a:
-            r[i] = -r[i]
-        for r in v:
             r[i] = -r[i]
         vinv[i] = [-x for x in vinv[i]]
 
@@ -123,6 +115,4 @@ def smith_normal_form(rows: list[list[int]], width: int | None = None) -> SmithN
         t += 1
 
     diag = [a[i][i] for i in range(t)] + [0] * (k - t)
-    return SmithNormalForm(diagonal=tuple(diag),
-                           v=tuple(tuple(r) for r in v),
-                           vinv=tuple(tuple(r) for r in vinv))
+    return SmithNormalForm(diagonal=tuple(diag), vinv=tuple(tuple(r) for r in vinv))

@@ -21,8 +21,10 @@ from groupoidlab.abelian import Character, FiniteAbelianGroup
 from groupoidlab.algebra import AlgebraHom, CharacterFunctional, GelfandMatrix
 from groupoidlab.core import FiniteGroupoid
 from groupoidlab.groups import FiniteGroup
-from groupoidlab.linalg import QI0, QI1, BinomialSpan, Echelon, Qi, as_qi, vec_iadd_scaled
+from groupoidlab.linalg import BinomialSpan, Echelon, Qi, as_qi, vec_iadd_scaled
 from groupoidlab.snf import smith_normal_form
+
+QI0, QI1, QI_I = Qi(0), Qi(1), Qi(0, 1)
 
 
 # --- the reference algebra ------------------------------------------------

@@ -66,6 +66,21 @@ class TestReports:
         path, line = result.witness["location"].split(":")
         assert path == "groupoidlab/core.py" and int(line) > 0
 
+    def test_a_refused_input_is_not_a_crash(self):
+        # TooManySubgroups is a ValueError: the refusal reaches the caller,
+        # any other ValueError is a failing check with a witness
+        def refused():
+            raise groups.TooManySubgroups("C2^7: more than 1953 subgroups")
+
+        def crashed():
+            raise ValueError("no arrow 7")
+
+        with pytest.raises(groups.TooManySubgroups):
+            checks._run("quotient-family", "unit", refused)
+        result = checks._run("quotient-family", "unit", crashed)
+        assert not result.ok
+        assert (result.witness["type"], result.witness["message"]) == ("ValueError", "no arrow 7")
+
     def test_checks_resting_on_axioms_are_skipped_when_it_fails(self, klein_cross):
         # an arrow whose source is itself, not a unit
         g = next(g for g in klein_cross.arrows() if g not in klein_cross.units)
@@ -121,17 +136,26 @@ class TestReports:
         assert (component_quotients, carriers) == (1701, 12048)
 
     def test_quotient_family_builds_no_quotient_groupoid(self, monkeypatch):
-        # with the restrictions to components built beforehand, the family
-        # constructs no FiniteGroupoid at all: it reads class maps only
+        # the family constructs no FiniteGroupoid beyond the restriction to
+        # each component of a groupoid of several: it reads class maps only
         corpus = [generators.random_groupoid(seed, checks.corpus_budget(seed))
                   for seed in range(200)]
-        components = [quotients.component_normal_subgroupoids(G) for G in corpus]
+        built = []
+        post_init = core.FiniteGroupoid.__post_init__
 
-        def refuse(G):
-            raise AssertionError(f"built a groupoid of {G.n} arrows")
-        monkeypatch.setattr(core.FiniteGroupoid, "__post_init__", refuse)
-        for G, parts in zip(corpus, components):
-            assert checks._check_quotient_family(G, parts) is None
+        def counted(G):
+            built.append(G.n)
+            post_init(G)
+        monkeypatch.setattr(core.FiniteGroupoid, "__post_init__", counted)
+        several = 0
+        for G in corpus:
+            built.clear()
+            assert checks._check_quotient_family(G) is None
+            components = core.unit_components(G)
+            restrictions = [sum(len(G.out_of[x]) for x in units) for units in components]
+            assert built == (restrictions if len(components) > 1 else []), G.n
+            several += len(components) > 1
+        assert several > 100
 
     def test_quotient_family_catches_a_fault_past_24_arrows(self, monkeypatch):
         # a carrier of a component of a 57-60 arrow instance that is neither

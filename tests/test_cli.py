@@ -51,6 +51,12 @@ def run_fresh(args):
     return out.returncode, (json.loads(out.stdout) if out.stdout.strip() else None)
 
 
+def _family_refusal(limit):
+    """The payload of a check refused for its quotient family's size."""
+    return {"error": "the quotients by every normal subgroupoid of each component "
+                     f"take in more than the limit of {limit} arrows"}
+
+
 def _timeless(payload):
     """payload without its timings, the one part that differs run to run."""
     if isinstance(payload, list):
@@ -275,7 +281,9 @@ class TestCheckCommand:
         assert axioms["status"] == "fail" and axioms["witness"]
 
     def test_too_much_quotient_work_exits_two(self, tmp_path, monkeypatch, capsys):
-        # C2^7 has 29,212 normal subgroups: 128 x 29,212 arrows to quotient
+        # C2^7 has 29,212 normal subgroups: 128 x 29,212 arrows to quotient.
+        # quotient-family, the first check after axioms, counts them and is
+        # refused: no quotient map is taken and nothing is abelianized
         c2_7 = groups.cyclic(2)
         for _ in range(6):
             c2_7 = groups.direct_product(c2_7, groups.cyclic(2))
@@ -283,29 +291,56 @@ class TestCheckCommand:
         path.write_text(json.dumps(document.encode_groupoid(
             generators.group_bundle([("p", c2_7)]))))
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the checks ran")
+        ran = []
 
-        monkeypatch.setattr(checks, "file_report", refuse)
-        code, data = run(["check", "--input", str(path)], capsys)
-        assert code == 2 and "error" in data
+        def refuse(*args, **kwargs):
+            ran.append(args)
+            raise AssertionError("a check after axioms ran")
+
+        monkeypatch.setattr(quotients, "quotient_map", refuse)
+        monkeypatch.setattr(quotients, "abelianize_groupoid", refuse)
+        code = cli.main(["check", "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == "" and ran == []
+        assert out == json.dumps(_family_refusal(250_000), indent=2) + "\n"
         monkeypatch.undo()
         G = generators.klein_cross()
         work = sum(GC.n * len(normals)
                    for GC, _, normals in quotients.component_normal_subgroupoids(G))
         for limit, expected in ((work, 0), (work - 1, 2)):
-            monkeypatch.setattr(cli, "MAX_FAMILY_ARROWS", limit)
+            monkeypatch.setattr(quotients, "MAX_FAMILY_ARROWS", limit)
             code, _ = run(["check", "--kind", "klein-cross"], capsys)
             assert code == expected, limit
 
+    def test_corpus_over_the_family_bound_exits_two(self, monkeypatch, capsys):
+        # the corpus runs the same checks under the same bound
+        monkeypatch.setattr(quotients, "MAX_FAMILY_ARROWS", 1)
+        code = cli.main(["check", "--corpus", "--count", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        assert json.loads(out) == _family_refusal(1)
+
+    def test_no_corpus_instance_reaches_the_family_bound(self):
+        # a corpus instance is a disjoint union of library components, each
+        # transitive, of at most MAX_ARROWS arrows in all: its quotients take
+        # in at most the largest component count times MAX_ARROWS arrows
+        counts = []
+        for i, (_, subs) in enumerate(groups.library_subgroups()):
+            for j in range(len(subs)):
+                [(_, _, normals)] = quotients.component_normal_subgroupoids(
+                    generators._library_component(i, j))
+                counts.append(len(normals))
+        assert len(counts) == 64 and max(counts) == 6
+        assert max(counts) * cli.MAX_ARROWS <= quotients.MAX_FAMILY_ARROWS
+
     def test_check_enumerates_the_normal_subgroupoids_once(self, tmp_path, monkeypatch, capsys):
-        # the bounded count is the list the quotient-family check reads
+        # the quotient-family check enumerates them, and nothing else does
         enumerate_ = quotients.component_normal_subgroupoids
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("limit"))
-            return enumerate_(*args, **kwargs)
+        def counted(G):
+            calls.append(G.n)
+            return enumerate_(G)
 
         monkeypatch.setattr(quotients, "component_normal_subgroupoids", counted)
         _, doc = run(["generate", "--kind", "klein-cross"], capsys)
@@ -315,7 +350,7 @@ class TestCheckCommand:
             calls.clear()
             code, data = run(["check", *source], capsys)
             assert code == 0 and data["status"] == "pass", source
-            assert calls == [cli.MAX_FAMILY_ARROWS], source
+            assert len(calls) == 1, source
 
     def test_document_that_is_no_groupoid_is_still_checked(self, tmp_path, monkeypatch,
                                                            capsys):

@@ -6,11 +6,10 @@ import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import QI1, QI_I
 
 from groupoidlab import linalg
 from groupoidlab.linalg import (
-    QI1,
-    QI_I,
     BinomialSpan,
     Echelon,
     Qi,

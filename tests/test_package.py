@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -19,8 +20,9 @@ from groupoidlab import (abelian, algebra, checks, cli, core, document, generato
 # Names that left the package: the general-element algebra and its numeric
 # values, now the tests' reference in oracle.py, functions nothing called,
 # and helpers folded into their one caller (restricted_arrows into restrict)
-# or into a value (fiber_unit into Abelianization.fixed_points), and the
-# three isotropy builders that core.isotropy_group replaced.
+# or into a value (fiber_unit into Abelianization.fixed_points), the
+# three isotropy builders that core.isotropy_group replaced, and the axioms
+# check that instance_checks runs for itself.
 GONE = (
     "AlgebraElement", "from_coeffs", "zero", "delta", "unit_element", "convolve",
     "involute", "compose_homs", "restriction_hom", "quotient_hom", "encode_element",
@@ -31,6 +33,7 @@ GONE = (
     "Character.is_trivial", "Qi.to_complex", "FiniteGroupoid.is_unit", "trivial_action",
     "abelianized", "restricted_arrows", "Abelianization.fiber_unit",
     "quotient_hom_from_result", "isotropy_fiber", "fiber_group", "abelian_fiber",
+    "axioms_check",
 )
 
 # Each validator, with the functions that call it.  Tables and carriers are
@@ -79,10 +82,22 @@ def test_removed_names_do_not_resolve():
             obj = getattr(obj, part, None)
         return obj is not None
 
-    modules = (groupoidlab, abelian, algebra, core, document, generators, linalg, quotients)
+    modules = (groupoidlab, abelian, algebra, checks, cli, core, document, generators, linalg,
+               quotients)
     found = [f"{module.__name__}.{name}" for module in modules for name in GONE
              if resolves(module, name)]
     assert found == []
+
+
+def test_one_check_pipeline():
+    # instance_checks runs the six checks for a document and for the corpus
+    # alike, and the quotient family's bound is the enumeration's own: no
+    # caller passes in a check it ran, a family it counted or a limit
+    assert not hasattr(cli, "MAX_FAMILY_ARROWS") and quotients.MAX_FAMILY_ARROWS == 250_000
+    for fn in (checks.instance_checks, checks.file_report,
+               quotients.component_normal_subgroupoids):
+        assert [p.name for p in inspect.signature(fn).parameters.values()
+                if p.default is not p.empty] == [], fn.__name__
 
 
 def test_no_module_imports_cmath():
@@ -227,11 +242,12 @@ out["pool_after_pooled"] = "concurrent.futures.process" in sys.modules
 print(json.dumps(out))
 '''
 
-# What only a rare path needs: the process pool (--jobs > 1) and the
-# crash-witness machinery.  No command pays for them at start-up.  (Where
-# the interpreter's site already loaded pathlib, its check cannot fail.)
+# What only a rare path needs: the process pool (--jobs > 1), the
+# crash-witness machinery, and the Fraction parts of linalg.Qi, which no
+# command builds.  No command pays for them at start-up.  (Where the
+# interpreter's site already loaded pathlib, its check cannot fail.)
 DEFERRED = ("concurrent", "multiprocessing", "logging", "traceback", "socket", "subprocess",
-            "pathlib")
+            "pathlib", "fractions", "decimal", "numbers")
 
 
 def test_start_up_loads_only_what_a_command_runs(tmp_path):

@@ -21,19 +21,19 @@ EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
 # The most arrows of a groupoid the CLI takes, as many as pair:64.  Every
-# table is held in memory.  Validation reads each comp entry a few times and
-# tests associativity by Light's test, |S| middles for a generating set S
-# (126 on pair:64), and the units too only on a table that breaks the
-# identity law.  On a 2-vCPU VM, check takes 0.85 s wall and peaks at 68 MB
-# on pair:64 (0.4 s validation; the quotient family, which reads class maps
-# and builds no quotient groupoid, and the commutator ideal, closed over the
-# same S, under 0.1 s each), and takes 1.1-1.2 s and peaks at 33 MB on
-# trivial:4096 (the transform holds sum |A_x|^2 exponents).  So a larger
-# --kind or --budget is refused before any table is built, and a larger
-# document before it is validated, instead of running for minutes or ending
-# in a MemoryError.  quotients.MAX_FAMILY_ARROWS bounds the quotients check
-# takes; a corpus instance within this limit stays under it, as a library
-# component has at most 6 normal subgroupoids.
+# table is held in memory.  Validation builds each arrow's row of products in
+# one pass over comp, and tests associativity by Light's test, |S| middles for
+# a generating set S (126 on pair:64), and the units too only on a table that
+# breaks the identity law.  On a 2-vCPU VM, check takes 0.42-0.50 s wall and
+# peaks at 71 MB on pair:64 (0.11-0.14 s validation; the quotient family,
+# which reads class maps and builds no quotient groupoid, and the commutator
+# ideal, closed over the same S, under 0.1 s each), and takes 0.5-0.7 s and
+# peaks at 27 MB on trivial:4096 (the transform holds sum |A_x|^2 exponents).
+# So a larger --kind or --budget is refused before any table is built, and a
+# larger document before it is validated, instead of running for minutes or
+# ending in a MemoryError.  quotients.MAX_FAMILY_ARROWS bounds the quotients
+# check takes; a corpus instance within this limit stays under it, as a
+# library component has at most 6 normal subgroupoids.
 MAX_ARROWS = 4096
 
 # The most instances one check --corpus run takes.  The report holds six

@@ -14,8 +14,8 @@ attribute read on it (``G.src``, ``G.comp``) about 3x slower on CPython 3.11.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from .groups import FiniteGroup
@@ -107,17 +107,33 @@ def _check_malformed(G: FiniteGroupoid) -> list[AxiomViolation]:
             out.append(AxiomViolation(MALFORMED, "comp entry out of range", (a, b, c)))
         elif G.src[a] != G.rng[b]:
             out.append(AxiomViolation(MALFORMED, "comp defined on non-composable pair", (a, b)))
-    # Once every entry is a composable pair, comp is defined on all of them
-    # iff it has as many entries as there are: at each unit x, the arrows out
-    # of x times the arrows into x.  Only a shortfall needs the pairs listed.
-    into = Counter(G.rng)
-    if out or len(G.comp) != sum(len(arrows) * into[x] for x, arrows in G.out_of.items()):
-        by_rng = _arrows_by(G.rng)
-        for a in range(n):
-            for b in by_rng.get(G.src[a], ()):
-                if (a, b) not in G.comp:
-                    out.append(AxiomViolation(MALFORMED, "comp undefined on composable pair", (a, b)))
+    by_rng = _arrows_by(G.rng)
+    out.extend(AxiomViolation(MALFORMED, "comp undefined on composable pair", (a, b))
+               for a in range(n) for b in by_rng.get(G.src[a], ()) if (a, b) not in G.comp)
     return out
+
+
+def _product_rows(G: FiniteGroupoid, into: dict, pos: dict) -> dict[int, tuple[int, ...]] | None:
+    """Each arrow's row of products, rows[a][j] = a.c for c = into[src(a)][j]
+    and pos[c] = j, by one pass over comp; None unless every index is in range
+    and comp holds exactly the composable pairs, which fill one slot each."""
+    n, units, src, rng, comp = G.n, G.units, G.src, G.rng, G.comp
+    if (len(src) != n or len(rng) != n or len(G.inv) != n or len(G.labels) != n
+            or not all(0 <= x < n for x in units) or not all(0 <= h < n for h in G.inv)
+            or not units.issuperset(src) or not units.issuperset(rng)):
+        return None
+    rows = {a: [None] * len(into.get(src[a], ())) for a in range(n)}
+    try:
+        for (a, b), c in comp.items():
+            if src[a] != rng[b]:
+                return None
+            rows[a][pos[b]] = c
+    except (IndexError, KeyError):   # src and rng wrap a negative index; rows and pos do not
+        return None
+    if len(comp) != sum(map(len, rows.values())) or comp and not (
+            0 <= min(comp.values()) and max(comp.values()) < n):
+        return None
+    return {a: tuple(row) for a, row in rows.items()}
 
 
 def _arrows_by(table: tuple[int, ...]) -> dict[int, list[int]]:
@@ -137,6 +153,7 @@ def generating_arrows(G: FiniteGroupoid) -> list[int]:
     ``validate`` tests associativity on the units and S alone, and
     ``algebra.commutator_ideal`` closes its ideal over them.
     """
+    comp, src, rng = G.comp, G.src, G.rng
     reached = set(G.units)
     reached_by_src: dict[int, list[int]] = {x: [x] for x in G.units}
     gens: list[int] = []
@@ -145,15 +162,17 @@ def generating_arrows(G: FiniteGroupoid) -> list[int]:
         if g in reached:
             continue
         gens.append(g)
-        gens_by_rng[G.rng[g]].append(g)
-        todo = [(r, g) for r in reached_by_src[G.rng[g]]]
-        while todo:
-            r, s = todo.pop()
-            p = G.comp[(r, s)]
-            if p not in reached:
-                reached.add(p)
-                reached_by_src[G.src[p]].append(p)
-                todo.extend((p, t) for t in gens_by_rng[G.src[p]])
+        gens_by_rng[rng[g]].append(g)
+        # the reached arrows times g, then each new arrow times all of S
+        frontier = [comp[(r, g)] for r in reached_by_src[rng[g]]]
+        while frontier:
+            new = []
+            for p in frontier:
+                if p not in reached:
+                    reached.add(p)
+                    reached_by_src[src[p]].append(p)
+                    new.append(p)
+            frontier = [comp[(p, t)] for p in new for t in gens_by_rng[src[p]]]
     return gens
 
 
@@ -180,56 +199,57 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
     a.src(a) = a and rng(c).c = c.  Both are checked on every arrow first,
     so the units are middles only on a table that breaks the identity law.
     Either way a failing table lists exactly its failing triples (a, b, c)
-    with b among the units and S, in order of b.  Each middle costs
-    |arrows out of rng b| x |arrows into src b| lookups.
+    with b among the units and S, in order of b.  The laws read each arrow's
+    row of products (``_product_rows``).  For a middle b and each a out of
+    rng b, (ab)c for every c into src b is the row of ab, and a(bc) is one
+    ``itemgetter`` gather from the row of a at the places of b's row: a
+    middle costs |arrows out of rng b| gathers.
     """
-    malformed = _check_malformed(G)
-    if malformed:
-        return malformed
+    src, rng, comp = G.src, G.rng, G.comp
+    into = _arrows_by(rng)
+    pos = {c: j for cs in into.values() for j, c in enumerate(cs)}
+    rows = _product_rows(G, into, pos)
+    if rows is None:
+        return _check_malformed(G)
 
-    out = []
-    for x in sorted(G.units):
-        if G.src[x] != x or G.rng[x] != x:
-            out.append(AxiomViolation(UNIT_LAW, "unit not fixed by src/rng", (x,)))
+    out = [AxiomViolation(UNIT_LAW, "unit not fixed by src/rng", (x,))
+           for x in sorted(G.units) if src[x] != x or rng[x] != x]
     if out:
-        # src/rng of a unit feed the identity-law lookups below; stop here.
+        # src/rng of a unit feed the identity-law reads below; stop here.
         return out
 
     for g in G.arrows():
-        if G.comp[(g, G.src[g])] != g:
+        if rows[g][pos[src[g]]] != g:
             out.append(AxiomViolation(IDENTITY_LAW, "g . src(g) != g", (g,)))
-        if G.comp[(G.rng[g], g)] != g:
+        if rows[rng[g]][pos[g]] != g:
             out.append(AxiomViolation(IDENTITY_LAW, "rng(g) . g != g", (g,)))
     identity_law_holds = not out
 
-    for (a, b), c in G.comp.items():
-        if G.src[c] != G.src[b] or G.rng[c] != G.rng[a]:
+    for (a, b), c in comp.items():
+        if src[c] != src[b] or rng[c] != rng[a]:
             out.append(AxiomViolation(COMPATIBILITY, "src/rng of composite disagree", (a, b, c)))
     if any(v.kind == COMPATIBILITY for v in out):
-        # the associativity lookups compose products further, which is only
+        # the associativity reads compose products further, which is only
         # well-defined once every product lands between the compatible units
         return out
 
-    comp, by_src, by_rng = G.comp, G.out_of, _arrows_by(G.rng)
     middles = generating_arrows(G)
     if not identity_law_holds:
         middles = sorted([*G.units, *middles])
     for b in middles:
-        cs = by_rng.get(G.src[b], ())
-        bcs = [comp[(b, c)] for c in cs]
-        for a in by_src.get(G.rng[b], ()):
-            ab = comp[(a, b)]
-            left = [comp[(ab, c)] for c in cs]
-            right = [comp[(a, bc)] for bc in bcs]
+        # a one-index gather returns a bare item, a one-slice gather a tuple
+        at = [pos[bc] for bc in rows[b]]
+        gather = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+        j = pos[b]
+        for a in G.out_of.get(rng[b], ()):
+            row = rows[a]
+            left, right = rows[row[j]], gather(row)   # (ab)c, a(bc) for c into src(b)
             if left != right:
                 out.extend(AxiomViolation(ASSOCIATIVITY, "(ab)c != a(bc)", (a, b, c))
-                           for c, x, y in zip(cs, left, right) if x != y)
+                           for c, x, y in zip(into[src[b]], left, right) if x != y)
 
-    for g in G.arrows():
-        h = G.inv[g]
-        left = G.comp.get((h, g))
-        right = G.comp.get((g, h))
-        if left != G.src[g] or right != G.rng[g]:
+    for g, h in enumerate(G.inv):
+        if comp.get((h, g)) != src[g] or comp.get((g, h)) != rng[g]:
             out.append(AxiomViolation(INVERSE_LAW, "inv(g).g != src(g) or g.inv(g) != rng(g)", (g, h)))
     return out
 

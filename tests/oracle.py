@@ -311,6 +311,111 @@ def groupoid_associativity_violations(G: FiniteGroupoid) -> list[tuple[int, int,
             if G.comp[(ab, c)] != G.comp[(a, G.comp[(b, c)])]]
 
 
+def generating_arrows_by_definition(G: FiniteGroupoid) -> list[int]:
+    """The greedy generating set from its definition: each arrow, in order,
+    is kept iff it lies outside the closure of the units under right
+    multiplication by the arrows kept before it, the closure recomputed
+    from scratch for every arrow."""
+    kept: list[int] = []
+    for g in G.arrows():
+        closure = set(G.units)
+        grew = True
+        while grew:
+            products = {G.comp[(r, s)] for r in closure for s in kept if G.src[r] == G.rng[s]}
+            grew = not products <= closure
+            closure |= products
+        if g not in closure:
+            kept.append(g)
+    return kept
+
+
+def validate_by_lookups(G: FiniteGroupoid) -> list[core.AxiomViolation]:
+    """The reference for ``core.validate``: the same checks, middles and
+    violations in the same order, with every product read by a tuple-keyed
+    comp lookup and the generating set taken from its definition."""
+    V = core.AxiomViolation
+    malformed = _malformed_by_lookups(G)
+    if malformed:
+        return malformed
+
+    out = []
+    for x in sorted(G.units):
+        if G.src[x] != x or G.rng[x] != x:
+            out.append(V(core.UNIT_LAW, "unit not fixed by src/rng", (x,)))
+    if out:
+        return out
+
+    for g in G.arrows():
+        if G.comp[(g, G.src[g])] != g:
+            out.append(V(core.IDENTITY_LAW, "g . src(g) != g", (g,)))
+        if G.comp[(G.rng[g], g)] != g:
+            out.append(V(core.IDENTITY_LAW, "rng(g) . g != g", (g,)))
+    identity_law_holds = not out
+
+    for (a, b), c in G.comp.items():
+        if G.src[c] != G.src[b] or G.rng[c] != G.rng[a]:
+            out.append(V(core.COMPATIBILITY, "src/rng of composite disagree", (a, b, c)))
+    if any(v.kind == core.COMPATIBILITY for v in out):
+        return out
+
+    comp, by_src, by_rng = G.comp, arrows_out_by_scan(G), _arrows_into(G)
+    middles = generating_arrows_by_definition(G)
+    if not identity_law_holds:
+        middles = sorted([*G.units, *middles])
+    for b in middles:
+        cs = by_rng.get(G.src[b], ())
+        bcs = [comp[(b, c)] for c in cs]
+        for a in by_src.get(G.rng[b], ()):
+            ab = comp[(a, b)]
+            left = [comp[(ab, c)] for c in cs]
+            right = [comp[(a, bc)] for bc in bcs]
+            out.extend(V(core.ASSOCIATIVITY, "(ab)c != a(bc)", (a, b, c))
+                       for c, x, y in zip(cs, left, right) if x != y)
+
+    for g in G.arrows():
+        h = G.inv[g]
+        if G.comp.get((h, g)) != G.src[g] or G.comp.get((g, h)) != G.rng[g]:
+            out.append(V(core.INVERSE_LAW, "inv(g).g != src(g) or g.inv(g) != rng(g)", (g, h)))
+    return out
+
+
+def _malformed_by_lookups(G: FiniteGroupoid) -> list[core.AxiomViolation]:
+    """Every malformed-table violation, listed entry by entry."""
+    V, MALFORMED = core.AxiomViolation, core.MALFORMED
+    out = []
+    n = G.n
+    if len(G.src) != n or len(G.rng) != n or len(G.inv) != n or len(G.labels) != n:
+        return [V(MALFORMED, "table lengths disagree with n", (n,))]
+    for x in G.units:
+        if not (0 <= x < n):
+            out.append(V(MALFORMED, "unit index out of range", (x,)))
+    for g in range(n):
+        for name, table in (("src", G.src), ("rng", G.rng), ("inv", G.inv)):
+            if not (0 <= table[g] < n):
+                out.append(V(MALFORMED, f"{name}({g}) out of range", (g, table[g])))
+    if out:
+        return out
+    for g in range(n):
+        for name, table in (("src", G.src), ("rng", G.rng)):
+            if table[g] not in G.units:
+                out.append(V(MALFORMED, f"{name}({g}) is not a unit", (g, table[g])))
+    for (a, b), c in G.comp.items():
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+            out.append(V(MALFORMED, "comp entry out of range", (a, b, c)))
+        elif G.src[a] != G.rng[b]:
+            out.append(V(MALFORMED, "comp defined on non-composable pair", (a, b)))
+    by_rng = _arrows_into(G)
+    for a in range(n):
+        for b in by_rng.get(G.src[a], ()):
+            if (a, b) not in G.comp:
+                out.append(V(MALFORMED, "comp undefined on composable pair", (a, b)))
+    return out
+
+
+def _arrows_into(G: FiniteGroupoid) -> dict[int, list[int]]:
+    return {x: [g for g in G.arrows() if G.rng[g] == x] for x in set(G.rng)}
+
+
 def associativity_violations(g: FiniteGroup) -> list[tuple[int, int, int]]:
     """Every triple (i, j, k) with (i*j)*k != i*(j*k), by the cubic loop."""
     t = g.table

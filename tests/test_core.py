@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidlab import core, generators, groups, quotients
+from groupoidlab import checks, core, generators, groups, quotients
 
 
 def _kinds(violations):
@@ -127,6 +127,61 @@ def _bent_tables(draw):
     return dataclasses.replace(G, comp=comp)
 
 
+@st.composite
+def _corrupted_tables(draw):
+    """A library or corpus groupoid with one to three corruptions, each of
+    a kind drawn: a comp entry changed, removed, added on a non-composable
+    pair or moved to a key out of range (a negative one aliases an arrow);
+    a comp value, src, rng, inv or unit out of range; src or rng off the
+    units, or a unit dropped; a fake unit; an inverse changed; or a product
+    bent to another arrow between the same units, twice as likely as each
+    other kind."""
+    G = draw(st.one_of(
+        st.sampled_from([generators.klein_cross(), generators.s3_a3_bundle(),
+                         generators.pair_groupoid(3), generators.trivial_groupoid(2)]),
+        st.builds(lambda seed: generators.random_groupoid(seed, checks.corpus_budget(seed)),
+                  st.integers(0, 199))))
+    n = G.n
+    units, comp = set(G.units), dict(G.comp)
+    tables = {"src": list(G.src), "rng": list(G.rng), "inv": list(G.inv)}
+    arrow = st.integers(0, n - 1)
+    outside = st.sampled_from([-1, -2, n, n + 3])
+    stray = [(a, b) for a in G.arrows() for b in G.arrows() if G.src[a] != G.rng[b]]
+    non_units = [g for g in G.arrows() if g not in G.units]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["change", "remove", "add", "key-out", "value-out",
+                                     "table-out", "unit-out", "off-units", "unit-dropped",
+                                     "fake-unit", "inverse", "bent", "bent"]))
+        pair = draw(st.sampled_from(sorted(G.comp)))
+        if kind == "change":
+            comp[pair] = draw(arrow)
+        elif kind == "remove":
+            comp.pop(pair, None)
+        elif kind == "add" and stray:
+            comp[draw(st.sampled_from(stray))] = draw(arrow)
+        elif kind == "key-out":
+            a, b = pair
+            comp[draw(st.sampled_from([(a - n, b), (a, b - n), (a + n, b)]))] = comp.pop(pair, a)
+        elif kind == "value-out":
+            comp[pair] = draw(outside)
+        elif kind == "table-out":
+            tables[draw(st.sampled_from(sorted(tables)))][draw(arrow)] = draw(outside)
+        elif kind == "unit-out":
+            units.add(draw(outside))
+        elif kind == "off-units" and non_units:
+            tables[draw(st.sampled_from(["src", "rng"]))][draw(arrow)] = draw(st.sampled_from(non_units))
+        elif kind == "unit-dropped":
+            units.discard(draw(st.sampled_from(sorted(G.units))))
+        elif kind == "fake-unit" and non_units:
+            units.add(draw(st.sampled_from(non_units)))
+        elif kind == "inverse":
+            tables["inv"][draw(arrow)] = draw(arrow)
+        elif kind == "bent":
+            comp[pair] = draw(st.sampled_from(_same_ends(G, G.comp[pair])))
+    return dataclasses.replace(G, units=frozenset(units), comp=comp,
+                               **{name: tuple(t) for name, t in tables.items()})
+
+
 class TestLightsTest:
     @settings(max_examples=150, deadline=None)
     @given(_bent_tables())
@@ -180,12 +235,34 @@ class TestLightsTest:
                 unit_middles += any(b in bad.units for _, b, _ in expected)
         assert unit_middles > 0
 
-    def test_reads_comp_over_the_generating_set_only(self, klein_cross):
-        # with the identity law, the units are good middles untested: the
-        # identity-law and inverse lookups plus |S| middles
-        for G, most in ((generators.pair_groupoid(16), 17824), (klein_cross, 476)):
+    @settings(max_examples=400, deadline=None)
+    @given(_corrupted_tables())
+    def test_violations_match_the_lookup_reference(self, G):
+        # the same kinds, messages and witnesses in the same order as the
+        # tuple-keyed reading of every table
+        assert core.validate(G) == oracle.validate_by_lookups(G)
+
+    def test_reads_comp_by_key_only_for_the_generating_set_and_inverses(self, klein_cross):
+        # the identity law and Light's test read the rows of products built
+        # from comp.items(); keyed reads are left to generating_arrows and
+        # the two inverse-law reads per arrow
+        for G, most in ((generators.pair_groupoid(16), 992), (klein_cross, 76)):
             reads, found = oracle.comp_reads(core.validate, G)
             assert found == [] and reads <= most, (G, reads)
+            assert reads == oracle.comp_reads(core.generating_arrows, G)[0] + 2 * G.n
+
+
+class TestGeneratingArrows:
+    def test_matches_the_definition(self, klein_cross, s3, s3_a3, corpus200):
+        for G in (klein_cross, s3, s3_a3, generators.trivial_groupoid(5),
+                  *(generators.pair_groupoid(m) for m in range(1, 9)),
+                  *(G for _, G in corpus200)):
+            assert core.generating_arrows(G) == oracle.generating_arrows_by_definition(G), G
+
+    @settings(max_examples=100, deadline=None)
+    @given(_bent_tables())
+    def test_matches_the_definition_on_bent_tables(self, G):
+        assert core.generating_arrows(G) == oracle.generating_arrows_by_definition(G)
 
 
 class TestSubsets:

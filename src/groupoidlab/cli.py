@@ -21,19 +21,15 @@ EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
 # The most arrows of a groupoid the CLI takes, as many as pair:64.  Every
-# table is held in memory.  Validation builds each arrow's row of products in
-# one pass over comp, and tests associativity by Light's test, |S| middles for
-# a generating set S (126 on pair:64), and the units too only on a table that
-# breaks the identity law.  On a 2-vCPU VM, check takes 0.42-0.50 s wall and
-# peaks at 71 MB on pair:64 (0.11-0.14 s validation; the quotient family,
-# which reads class maps and builds no quotient groupoid, and the commutator
-# ideal, closed over the same S, under 0.1 s each), and takes 0.5-0.7 s and
-# peaks at 27 MB on trivial:4096 (the transform holds sum |A_x|^2 exponents).
-# So a larger --kind or --budget is refused before any table is built, and a
-# larger document before it is validated, instead of running for minutes or
-# ending in a MemoryError.  quotients.MAX_FAMILY_ARROWS bounds the quotients
-# check takes; a corpus instance within this limit stays under it, as a
-# library component has at most 6 normal subgroupoids.
+# table is held in memory, and time and memory grow with them: on pair:64 the
+# composition table has 64^3 = 262,144 entries, which validation reads once
+# to build each arrow's row of products before Light's test runs over a
+# generating set (126 middles), and on trivial:4096 the bundle transform holds
+# sum |A_x|^2 exponents.  So a larger --kind or --budget is refused before any
+# table is built, and a larger document before it is validated, instead of
+# running for minutes or ending in a MemoryError.  quotients.MAX_FAMILY_ARROWS
+# bounds the quotients check takes; a corpus instance within this limit stays
+# under it, as a library component has at most 6 normal subgroupoids.
 MAX_ARROWS = 4096
 
 # The most instances one check --corpus run takes.  The report holds six
@@ -51,10 +47,6 @@ class CliError(Exception):
         super().__init__(payload.get("error", "error"))
         self.code = code
         self.payload = payload
-
-
-class _Unwritable(CliError):
-    """The --output path cannot be written; its error goes to stdout."""
 
 
 # --- input handling ---------------------------------------------------------
@@ -159,28 +151,26 @@ def _emit(payload: dict, path: str | None) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:   # a missing directory, a directory, no permission
-            raise _Unwritable(EXIT_INPUT, {"error": f"cannot write {path}: {exc}"}) from exc
+            raise CliError(EXIT_INPUT, {"error": f"cannot write {path}: {exc}"}) from exc
     else:
         sys.stdout.write(text)
 
 
 # --- subcommands ------------------------------------------------------------
+# Each returns its payload and exit code, or raises CliError; main writes it.
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[dict, int]:
     G = _load(args, validate_axioms=False)
     bad = core.validate(G)
-    _emit({"valid": not bad,
-           "elements": G.n,
-           "units": len(G.units),
-           "violations": [{"kind": v.kind, "message": v.message} for v in bad]},
-          args.output)
-    return EXIT_OK if not bad else EXIT_SEMANTIC
+    return ({"valid": not bad,
+             "elements": G.n,
+             "units": len(G.units),
+             "violations": [{"kind": v.kind, "message": v.message} for v in bad]},
+            EXIT_SEMANTIC if bad else EXIT_OK)
 
 
-def _cmd_generate(args) -> int:
-    G = _model(args.kind, args.seed, args.budget)
-    _emit(document.encode_groupoid(G), args.output)
-    return EXIT_OK
+def _cmd_generate(args) -> tuple[dict, int]:
+    return document.encode_groupoid(_model(args.kind, args.seed, args.budget)), EXIT_OK
 
 
 def _carrier(G: core.FiniteGroupoid, spec: str) -> frozenset[int]:
@@ -198,7 +188,7 @@ def _carrier(G: core.FiniteGroupoid, spec: str) -> frozenset[int]:
     return frozenset(members)
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args) -> tuple[dict, int]:
     G = _load(args)
     carrier = _carrier(G, args.by)
     verdict = quotients.is_normal(G, carrier)
@@ -210,31 +200,28 @@ def _cmd_quotient(args) -> int:
     H = quotients.NormalSubgroupoid(G, carrier)
     qr = quotients.quotient(G, H)
     exact = quotients.quotient_preimage_of_units(G, qr.class_map) == H.members
-    _emit({"by": sorted(G.labels[g] for g in carrier),
-           "quotient": document.encode_groupoid(qr.quotient),
-           "class_map": {G.labels[a]: qr.quotient.labels[qr.class_map[a]]
-                         for a in G.arrows()},
-           "exact": exact},
-          args.output)
-    return EXIT_OK if exact else EXIT_SEMANTIC
+    return ({"by": sorted(G.labels[g] for g in carrier),
+             "quotient": document.encode_groupoid(qr.quotient),
+             "class_map": {G.labels[a]: qr.quotient.labels[qr.class_map[a]]
+                           for a in G.arrows()},
+             "exact": exact},
+            EXIT_OK if exact else EXIT_SEMANTIC)
 
 
-def _cmd_abelianize(args) -> int:
+def _cmd_abelianize(args) -> tuple[dict, int]:
     G = _load(args)
     ab = quotients.abelianize_groupoid(G)
-    dim = algebra.abelianization_dim(G)
     class_map = {G.labels[ab.inclusion[i]]: ab.g_ab.labels[ab.class_map[i]]
                  for i in range(ab.g_fix.n)}
-    _emit({"fixed_points": sorted(G.labels[x] for x in ab.fixed_points),
-           "restricted": document.encode_groupoid(ab.g_fix),
-           "abelianized": document.encode_groupoid(ab.g_ab),
-           "class_map": class_map,
-           "abelianization_dim": dim},
-          args.output)
-    return EXIT_OK
+    return ({"fixed_points": sorted(G.labels[x] for x in ab.fixed_points),
+             "restricted": document.encode_groupoid(ab.g_fix),
+             "abelianized": document.encode_groupoid(ab.g_ab),
+             "class_map": class_map,
+             "abelianization_dim": algebra.abelianization_dim(G)},
+            EXIT_OK)
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args) -> tuple[dict, int]:
     G = _load(args)
     try:
         bundle = abelian.dual_bundle(G)
@@ -249,30 +236,26 @@ def _cmd_dual(args) -> int:
             "invariant_factors": list(dec.factors),
             "characters": len(bundle.fibers[x]),
         }
-    _emit({"base": [G.labels[x] for x in bundle.base],
-           "total_characters": bundle.size(),
-           "fibers": fibers},
-          args.output)
-    return EXIT_OK
+    return ({"base": [G.labels[x] for x in bundle.base],
+             "total_characters": bundle.size(),
+             "fibers": fibers},
+            EXIT_OK)
 
 
-def _cmd_characters(args) -> int:
+def _cmd_characters(args) -> tuple[dict, int]:
     G = _load(args)
     functionals = algebra.enumerate_characters(quotients.abelianize_groupoid(G))
-    payload = {
-        "count": len(functionals),
-        "abelianization_dim": algebra.abelianization_dim(G),
-        "characters": [
-            {"unit": G.labels[phi.unit],
-             "modulus": phi.modulus,
-             "exponents": {G.labels[g]: e for g, e in sorted(phi.exponents.items())}}
-            for phi in functionals],
-    }
-    _emit(payload, args.output)
-    return EXIT_OK
+    return ({"count": len(functionals),
+             "abelianization_dim": algebra.abelianization_dim(G),
+             "characters": [
+                 {"unit": G.labels[phi.unit],
+                  "modulus": phi.modulus,
+                  "exponents": {G.labels[g]: e for g, e in sorted(phi.exponents.items())}}
+                 for phi in functionals]},
+            EXIT_OK)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, int]:
     try:
         if args.corpus:
             report = checks.corpus_report(seed=args.seed,
@@ -289,8 +272,7 @@ def _cmd_check(args) -> int:
         raise CliError(EXIT_INPUT, {
             "error": "the quotients by every normal subgroupoid of each component take in "
                      f"more than the limit of {quotients.MAX_FAMILY_ARROWS} arrows"}) from exc
-    _emit(report.to_json(), args.output)
-    return EXIT_OK if report.ok else EXIT_SEMANTIC
+    return report.to_json(), EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
 # --- parser -----------------------------------------------------------------
@@ -381,18 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = None
+    output = None   # a usage error's payload goes to stdout
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        output = args.output
+        payload, code = args.fn(args)
     except CliError as exc:
-        error, output = exc, getattr(args, "output", None)
+        payload, code = exc.payload, exc.code
     try:
-        _emit(error.payload, None if isinstance(error, _Unwritable) else output)
-    except _Unwritable as unwritable:   # the error cannot go to output either
-        error = unwritable
-        _emit(error.payload, None)
-    return error.code
+        _emit(payload, output)
+    except CliError as exc:   # --output cannot be written: its error goes to stdout
+        _emit(exc.payload, None)
+        return exc.code
+    return code
 
 
 if __name__ == "__main__":

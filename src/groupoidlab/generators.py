@@ -78,7 +78,6 @@ def transformation_groupoid(a: GroupAction) -> FiniteGroupoid:
 
 def group_bundle(fibers) -> FiniteGroupoid:
     """Disjoint union of one-object groupoids: fibers is [(unit label, group), ...]."""
-    pairs = list(fibers.items()) if isinstance(fibers, dict) else list(fibers)
     units = []
     src = []
     rng = []
@@ -86,7 +85,7 @@ def group_bundle(fibers) -> FiniteGroupoid:
     labels = []
     comp = {}
     offset = 0
-    for unit_label, g in pairs:
+    for unit_label, g in fibers:
         u = offset + g.identity
         units.append(u)
         for i in range(g.order):

@@ -22,7 +22,7 @@ class SmithNormalForm:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def smith_normal_form(rows: list[list[int]], width: int | None = None) -> SmithNormalForm:
+def smith_normal_form(rows: list[list[int]], width: int) -> SmithNormalForm:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     Returns diagonal entries padded with zeros to the full column count, so
@@ -30,7 +30,7 @@ def smith_normal_form(rows: list[list[int]], width: int | None = None) -> SmithN
     """
     a = [list(r) for r in rows]
     m = len(a)
-    k = width if width is not None else (len(a[0]) if a else 0)
+    k = width
     if any(len(r) != k for r in a):
         raise ValueError("ragged matrix")
     vinv = [[int(i == j) for j in range(k)] for i in range(k)]

@@ -447,10 +447,19 @@ class TestPlumbing:
         assert json.loads(path.read_text())["count"] == 2
 
     def test_unwritable_output_exits_two_with_the_error_on_stdout(self, tmp_path, capsys):
+        # on a success, and on a failure whose exit-1 payload cannot be written
         for args in (["validate", "--kind", "s3", "--output", str(tmp_path / "no" / "x.json")],
-                     ["check", "--kind", "s3", "--output", str(tmp_path)]):
+                     ["check", "--kind", "s3", "--output", str(tmp_path)],
+                     ["dual", "--kind", "pair:2", "--output", str(tmp_path / "no" / "x.json")]):
             code, data = run(args, capsys)
             assert code == cli.EXIT_INPUT and data["error"].startswith("cannot write"), args
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+    def test_usage_error_goes_to_stdout_even_with_output(self, tmp_path, capsys):
+        code, data = run(["dual", "--kind", "pair:2", "--bogus",
+                          "--output", str(tmp_path / "no" / "x.json")], capsys)
+        assert code == cli.EXIT_INPUT
+        assert "--bogus" in data["error"] and data["usage"].startswith("usage: groupoidlab")
         assert [p.name for p in tmp_path.iterdir()] == []
 
     def test_stdin_input(self):

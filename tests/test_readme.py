@@ -1,0 +1,48 @@
+"""README against the package: the names it cites resolve, and its library
+example prints what its comments say."""
+
+import importlib
+import os
+import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import groupoidlab
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+# The directory holding the imported package, so that a child interpreter
+# runs the copy under test.
+PACKAGE_ROOT = Path(groupoidlab.__file__).resolve().parents[1]
+MODULES = {info.name for info in pkgutil.iter_modules(groupoidlab.__path__)}
+
+
+def test_every_cited_module_name_resolves():
+    # a backticked dotted name whose first part is a package module, such as
+    # `core.validate` or `quotients.MAX_FAMILY_ARROWS`, names something there
+    names = {span for span in re.findall(r"`(\w+(?:\.\w+)+)`", README)
+             if span.split(".")[0] in MODULES}
+    assert {"core.validate", "quotients.MAX_FAMILY_ARROWS", "cli.MAX_ARROWS"} <= names
+    missing = []
+    for name in sorted(names):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"groupoidlab.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == []
+
+
+def test_library_example_prints_what_its_comments_say():
+    blocks = re.findall(r"```python\n(.*?)```", README, re.DOTALL)
+    assert len(blocks) == 1
+    expected = [int(n) for n in re.findall(r"^print\(.*\)\s*# (\d+)", blocks[0], re.MULTILINE)]
+    assert expected and len(expected) == blocks[0].count("print(")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert [int(line) for line in proc.stdout.split()] == expected

@@ -41,6 +41,7 @@ from .checks import (
 from .core import (
     AxiomViolation,
     FiniteGroupoid,
+    MalformedTable,
     NotInvariantError,
     disjoint_union,
     fixed_points,
@@ -89,7 +90,7 @@ __all__ = [
     "AlgebraHom", "AxiomViolation", "Abelianization", "BinomialSpan",
     "Character", "CharacterFunctional", "CheckReport", "CheckResult",
     "CyclicDecomposition", "DocumentError", "DualBundle",
-    "FiniteAbelianGroup", "FiniteGroup", "FiniteGroupoid", "GelfandMatrix",
+    "FiniteAbelianGroup", "FiniteGroup", "FiniteGroupoid", "GelfandMatrix", "MalformedTable",
     "NormalSubgroupoid", "NotInvariantError", "Qi", "QuotientResult",
     "SmithNormalForm", "abelianization_dim",
     "abelianize_groupoid", "abelianized_fiber",

@@ -87,8 +87,8 @@ def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
     22).  Translation is injective where it is defined, so a shift of
     e_u - e_v or e_u is again a binomial, a monomial or zero, and the span
     is closed once every growing generator has been shifted: at most n of
-    them, so O(n |S|) shifts, and O(|S|^2) seeds instead of one per comp
-    entry.
+    them, so O(n |S|) shifts, and O(|S|^2) seeds instead of one per
+    product.
     """
     span = BinomialSpan()
     grown: list[tuple[int, ...]] = []   # (u, v) for e_u - e_v, (u,) for e_u
@@ -97,7 +97,7 @@ def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
         if span.union(*arrows) if len(arrows) == 2 else span.kill(*arrows):
             grown.append(arrows)
 
-    comp, src, rng = G.comp, G.src, G.rng
+    rows, pos, src, rng = G.rows, G.pos, G.src, G.rng
     S = (*G.units, *core.generating_arrows(G))
     s_by_src: dict[int, list[int]] = {}
     s_by_rng: dict[int, list[int]] = {}
@@ -107,14 +107,16 @@ def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
     for s in S:
         for t in s_by_rng.get(src[s], ()):   # the t in S with s.t defined
             if t != s:
-                st, ts = comp[(s, t)], comp.get((t, s))
-                feed((st,) if ts is None else (st, ts))
+                st = rows[s][pos[t]]
+                feed((st, rows[t][pos[s]]) if src[t] == rng[s] else (st,))
 
     def left(u: int) -> dict[int, int]:    # s -> s.u
-        return {s: comp[(s, u)] for s in s_by_src.get(rng[u], ())}
+        j = pos[u]
+        return {s: rows[s][j] for s in s_by_src.get(rng[u], ())}
 
     def right(u: int) -> dict[int, int]:   # s -> u.s
-        return {s: comp[(u, s)] for s in s_by_rng.get(src[u], ())}
+        row = rows[u]
+        return {s: row[pos[s]] for s in s_by_rng.get(src[u], ())}
 
     n = G.n
     while grown and span.rank < n:
@@ -275,7 +277,7 @@ def gelfand_violations(gm: GelfandMatrix) -> dict | None:
             return {"reason": "wrong support", "row": r, "unit": G.labels[x],
                     "arrow": G.labels[g] if g in range(G.n) else g}
         if x not in columns:
-            columns[x] = [(b, [G.comp[(a, b)] for a in fiber]) for b in middles[x]]
+            columns[x] = [(b, [G.rows[a][G.pos[b]] for a in fiber]) for b in middles[x]]
         for b, column in columns[x]:
             eb = e[b]
             for a, ab in zip(fiber, column):

@@ -101,8 +101,8 @@ def _run(name: str, instance: str, fn: Callable[[], object]) -> CheckResult:
 
 # --- per-instance checks ---------------------------------------------------
 
-def _check_axioms(G: FiniteGroupoid):
-    bad = core.validate(G)
+def _check_axioms(G: FiniteGroupoid | core.MalformedTable):
+    bad = G.violations if isinstance(G, core.MalformedTable) else core.validate(G)
     if bad:
         return [{"kind": v.kind, "message": v.message} for v in bad[:3]]
     return None
@@ -189,8 +189,9 @@ def _check_fiber_duality(ab: quotients.Abelianization):
     return None
 
 
-def instance_checks(G: FiniteGroupoid, instance: str) -> list[CheckResult]:
-    """The axioms check, then the five checks that rest on it.
+def instance_checks(G: FiniteGroupoid | core.MalformedTable, instance: str) -> list[CheckResult]:
+    """The axioms check, then the five checks that rest on it.  A malformed
+    table fails axioms with its listing.
 
     Each of the five reads G as a groupoid (the commutator ideal is closed
     over a generating set, fixed points and components assume inverses), so
@@ -396,5 +397,5 @@ def corpus_report(seed: int, count: int, cap: int = 60, jobs: int = 1) -> CheckR
     return report
 
 
-def file_report(G: FiniteGroupoid, instance: str) -> CheckReport:
+def file_report(G: FiniteGroupoid | core.MalformedTable, instance: str) -> CheckReport:
     return CheckReport(results=instance_checks(G, instance))

@@ -22,9 +22,11 @@ EXIT_INPUT = 2
 
 # The most arrows of a groupoid the CLI takes, as many as pair:64.  Every
 # table is held in memory, and time and memory grow with them: on pair:64 the
-# composition table has 64^3 = 262,144 entries, which validation reads once
-# to build each arrow's row of products before Light's test runs over a
-# generating set (126 middles), and on trivial:4096 the bundle transform holds
+# composition has 64^3 = 262,144 products, which a document lists as triples
+# and a groupoid holds as 4,096 rows of 64 (64 distinct rows when generated).
+# Validation checks the ends of every row's products and runs Light's test
+# over a generating set (126 middles), one row gather per arrow out of each
+# middle's range, and on trivial:4096 the bundle transform holds
 # sum |A_x|^2 exponents.  So a larger --kind or --budget is refused before any
 # table is built, and a larger document before it is validated, instead of
 # running for minutes or ending in a MemoryError.  quotients.MAX_FAMILY_ARROWS
@@ -124,19 +126,23 @@ def _read_document(path: str) -> dict:
         raise CliError(EXIT_INPUT, {"error": f"invalid JSON in {path}: {exc}"}) from exc
 
 
-def _load(args, validate_axioms: bool = True) -> core.FiniteGroupoid:
+def _load(args, validate_axioms: bool = True) -> core.FiniteGroupoid | core.MalformedTable:
+    """The groupoid a request names, refused with exit 1 if it breaks an
+    axiom; without validate_axioms, a malformed document's MalformedTable."""
     if getattr(args, "input", None):
         try:
             G = document.decode_groupoid(_read_document(args.input))
         except document.DocumentError as exc:
             raise CliError(EXIT_INPUT, {"error": str(exc)}) from exc
+        except core.MalformedTable as exc:
+            G = exc
         _within_limit(G.n, f"document {args.input!r}")
     elif getattr(args, "kind", None):
         G = _model(args.kind, args.seed, args.budget)
     else:
         raise CliError(EXIT_INPUT, {"error": "provide --input FILE or --kind KIND"})
     if validate_axioms:
-        bad = core.validate(G)
+        bad = G.violations if isinstance(G, core.MalformedTable) else core.validate(G)
         if bad:
             raise CliError(EXIT_SEMANTIC, {
                 "error": "axiom violations",
@@ -161,7 +167,7 @@ def _emit(payload: dict, path: str | None) -> None:
 
 def _cmd_validate(args) -> tuple[dict, int]:
     G = _load(args, validate_axioms=False)
-    bad = core.validate(G)
+    bad = G.violations if isinstance(G, core.MalformedTable) else core.validate(G)
     return ({"valid": not bad,
              "elements": G.n,
              "units": len(G.units),

@@ -1,22 +1,30 @@
 """Finite groupoids as explicit arrow tables.
 
 A groupoid is stored with arrows indexed 0..n-1: a set of unit indices, total
-source/range maps into the units, a partial composition table (defined exactly
-on pairs with src(a) == rng(b)), and a total inversion map.  Everything is
-finite, so the usual axioms become decidable table properties.
+source/range maps into the units, the composition as rows of products, and a
+total inversion map.  Everything is finite, so the usual axioms become
+decidable table properties.  rows[a][j] is a.c for c the j-th arrow,
+ascending, whose range is src(a): a row holds exactly the defined products.
+``G.comp``, each composable pair (a, b) to a.b, is a read-only view of the
+rows made on each access.  A table given as such a mapping enters through
+``FiniteGroupoid.from_comp``, which raises ``MalformedTable`` with the
+malformed listing when its products fill no rows.
 
-Each groupoid carries one index, built at construction: ``out_of``, the
-arrows out of each unit, which every per-unit lookup reads.  It is a field
-outside the constructor, equality and repr, not a ``cached_property``: a
-write to an instance's ``__dict__`` after construction makes each later
-attribute read on it (``G.src``, ``G.comp``) about 3x slower on CPython 3.11.
+Each groupoid carries three indices, built at construction: ``out_of`` and
+``into``, the arrows out of and into each unit, and ``pos``, each arrow's
+place among the arrows into its range.  They are fields outside the
+constructor, equality and repr, not ``cached_property``s: a write to an
+instance's ``__dict__`` after construction makes each later attribute read on
+it (``G.src``, ``G.rows``) about 3x slower on CPython 3.11.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .groups import FiniteGroup
 
@@ -25,23 +33,49 @@ from .groups import FiniteGroup
 class FiniteGroupoid:
     """A finite groupoid given by explicit tables on arrow indices 0..n-1.
 
-    comp maps a composable pair (a, b) to the arrow for "a after b"; a pair is
-    composable exactly when src(a) == rng(b).  labels name arrows for
-    serialization and never affect the algebra.  out_of[x] lists the arrows
-    with source x, ascending, for each source x that occurs.
+    rows[a][j] is the arrow for "a after c", c = into[src(a)][j]: a pair
+    (a, c) is composable exactly when src(a) == rng(c).  labels name arrows
+    for serialization and never affect the algebra.  out_of[x] and into[x]
+    list the arrows with source and with range x, ascending, for each x that
+    occurs, and pos[c] is the place of c in into[rng(c)].
     """
 
     n: int
     units: frozenset[int]
     src: tuple[int, ...]
     rng: tuple[int, ...]
-    comp: dict[tuple[int, int], int]
+    rows: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     labels: tuple[str, ...]
     out_of: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    into: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    pos: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "out_of", _arrows_by(self.src))
+        into, pos = _arrows_by(self.rng)
+        object.__setattr__(self, "out_of", _arrows_by(self.src)[0])
+        object.__setattr__(self, "into", into)
+        object.__setattr__(self, "pos", pos)
+
+    @classmethod
+    def from_comp(cls, n: int, units: frozenset[int], src: tuple[int, ...], rng: tuple[int, ...],
+                  comp: Mapping, inv: tuple[int, ...], labels: tuple[str, ...]) -> FiniteGroupoid:
+        """The groupoid whose products are comp, from each composable pair
+        (a, b) to a.b; raises ``MalformedTable`` unless every index is in
+        range, src and rng land on units and comp has exactly those pairs."""
+        into = _arrows_by(rng)[0]
+        rows = tuple(tuple([comp.get((a, b)) for b in into.get(x, ())]) for a, x in enumerate(src))
+        G = cls(n, units, src, rng, rows, inv, labels)
+        # each composable pair has a product, and comp has no other key
+        if (None not in chain.from_iterable(rows) and len(comp) == sum(map(len, rows))
+                and _well_shaped(G)):
+            return G
+        raise MalformedTable(malformed_listing(n, units, src, rng, comp, inv, labels), n, units)
+
+    @property
+    def comp(self) -> Mapping[tuple[int, int], int]:
+        """Each composable pair (a, b) to a.b, read from the rows."""
+        return _Products(self)
 
     def arrows(self) -> range:
         return range(self.n)
@@ -51,6 +85,48 @@ class FiniteGroupoid:
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid(n={self.n}, units={len(self.units)})"
+
+
+class _Products(Mapping):
+    """``G.comp``: the rows keyed by composable pairs, (a, b) ascending."""
+
+    def __init__(self, G: FiniteGroupoid):
+        self._G = G
+
+    def __getitem__(self, pair: tuple[int, int]) -> int:
+        a, b = pair
+        G = self._G
+        if not (0 <= a < G.n and 0 <= b < G.n and G.src[a] == G.rng[b]):
+            raise KeyError(pair)
+        return G.rows[a][G.pos[b]]
+
+    def __iter__(self):
+        G = self._G
+        return ((a, b) for a, x in enumerate(G.src) for b in G.into.get(x, ()))
+
+    def __len__(self) -> int:
+        return sum(map(len, self._G.rows))
+
+
+def _arrows_by(table: tuple[int, ...]) -> tuple[dict[int, list[int]], tuple[int, ...]]:
+    """Arrows grouped by their entry in table (src or rng), each list
+    ascending, and each arrow's place in its group."""
+    out: dict[int, list[int]] = {}
+    places = []
+    for g, x in enumerate(table):
+        group = out.setdefault(x, [])
+        places.append(len(group))
+        group.append(g)
+    return out, tuple(places)
+
+
+def _gather(keys: Sequence) -> Callable[[Sequence], tuple]:
+    """itemgetter(*keys), but returning a tuple for any number of keys: an
+    itemgetter of one key returns the bare item, and one of none is refused."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda table: (table[key],)
+    return itemgetter(*keys) if keys else lambda table: ()
 
 
 def arrow_set(G: FiniteGroupoid, arrows: Iterable[int]) -> frozenset[int]:
@@ -83,65 +159,59 @@ class AxiomViolation:
         return f"AxiomViolation({self.kind}: {self.message})"
 
 
-def _check_malformed(G: FiniteGroupoid) -> list[AxiomViolation]:
+class MalformedTable(ValueError):
+    """Raised where a table enters when its products fill no rows: violations
+    is the malformed listing, n and units what the table declared."""
+
+    def __init__(self, violations: list[AxiomViolation], n: int, units: Iterable[int]):
+        super().__init__(f"malformed table: {len(violations)} violations")
+        self.violations, self.n, self.units = violations, n, units
+
+
+def malformed_listing(n, units, src, rng, comp, inv, labels) -> list[AxiomViolation]:
+    """Every malformed-table violation of raw tables, comp from pairs (a, b)
+    to a.b, entry by entry; comp None stands for rows that do not fit."""
     out = []
-    n = G.n
-    if len(G.src) != n or len(G.rng) != n or len(G.inv) != n or len(G.labels) != n:
+    if len(src) != n or len(rng) != n or len(inv) != n or len(labels) != n:
         out.append(AxiomViolation(MALFORMED, "table lengths disagree with n", (n,)))
         return out
-    for x in G.units:
+    for x in units:
         if not (0 <= x < n):
             out.append(AxiomViolation(MALFORMED, "unit index out of range", (x,)))
     for g in range(n):
-        for name, table in (("src", G.src), ("rng", G.rng), ("inv", G.inv)):
+        for name, table in (("src", src), ("rng", rng), ("inv", inv)):
             if not (0 <= table[g] < n):
                 out.append(AxiomViolation(MALFORMED, f"{name}({g}) out of range", (g, table[g])))
     if out:
         return out
     for g in range(n):
-        for name, table in (("src", G.src), ("rng", G.rng)):
-            if table[g] not in G.units:
+        for name, table in (("src", src), ("rng", rng)):
+            if table[g] not in units:
                 out.append(AxiomViolation(MALFORMED, f"{name}({g}) is not a unit", (g, table[g])))
-    for (a, b), c in G.comp.items():
+    if comp is None:
+        out.append(AxiomViolation(MALFORMED, "rows do not fit src and rng", (n,)))
+        return out
+    for (a, b), c in comp.items():
         if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
             out.append(AxiomViolation(MALFORMED, "comp entry out of range", (a, b, c)))
-        elif G.src[a] != G.rng[b]:
+        elif src[a] != rng[b]:
             out.append(AxiomViolation(MALFORMED, "comp defined on non-composable pair", (a, b)))
-    by_rng = _arrows_by(G.rng)
+    by_rng = _arrows_by(rng)[0]
     out.extend(AxiomViolation(MALFORMED, "comp undefined on composable pair", (a, b))
-               for a in range(n) for b in by_rng.get(G.src[a], ()) if (a, b) not in G.comp)
+               for a in range(n) for b in by_rng.get(src[a], ()) if (a, b) not in comp)
     return out
 
 
-def _product_rows(G: FiniteGroupoid, into: dict, pos: dict) -> dict[int, tuple[int, ...]] | None:
-    """Each arrow's row of products, rows[a][j] = a.c for c = into[src(a)][j]
-    and pos[c] = j, by one pass over comp; None unless every index is in range
-    and comp holds exactly the composable pairs, which fill one slot each."""
-    n, units, src, rng, comp = G.n, G.units, G.src, G.rng, G.comp
-    if (len(src) != n or len(rng) != n or len(G.inv) != n or len(G.labels) != n
-            or not all(0 <= x < n for x in units) or not all(0 <= h < n for h in G.inv)
-            or not units.issuperset(src) or not units.issuperset(rng)):
-        return None
-    rows = {a: [None] * len(into.get(src[a], ())) for a in range(n)}
-    try:
-        for (a, b), c in comp.items():
-            if src[a] != rng[b]:
-                return None
-            rows[a][pos[b]] = c
-    except (IndexError, KeyError):   # src and rng wrap a negative index; rows and pos do not
-        return None
-    if len(comp) != sum(map(len, rows.values())) or comp and not (
-            0 <= min(comp.values()) and max(comp.values()) < n):
-        return None
-    return {a: tuple(row) for a, row in rows.items()}
-
-
-def _arrows_by(table: tuple[int, ...]) -> dict[int, list[int]]:
-    """Arrows grouped by their entry in table (src or rng), each list ascending."""
-    out: dict[int, list[int]] = {}
-    for g, x in enumerate(table):
-        out.setdefault(x, []).append(g)
-    return out
+def _well_shaped(G: FiniteGroupoid) -> bool:
+    """Every table has n entries, the units, inverses and products are in
+    range, src and rng land on units, and each row has one slot for each
+    arrow into its source: a few C-level passes."""
+    n, units, rows = G.n, G.units, G.rows
+    products = tuple(chain.from_iterable(rows))
+    return (len(G.src) == len(G.rng) == len(G.inv) == len(G.labels) == len(rows) == n
+            and units.issuperset(G.src) and units.issuperset(G.rng)
+            and all(min(t) >= 0 and max(t) < n for t in (units, G.inv, products) if t)
+            and tuple(map(len, rows)) == _gather(G.src)({x: len(G.into.get(x, ())) for x in units}))
 
 
 def generating_arrows(G: FiniteGroupoid) -> list[int]:
@@ -149,11 +219,11 @@ def generating_arrows(G: FiniteGroupoid) -> list[int]:
     the units by earlier members of S has not reached.
 
     Every arrow is in S or a left-nested product ((u s1) s2)... of a unit and
-    members of S.  Building S reads comp and assumes no associativity.
+    members of S.  Building S reads the rows and assumes no associativity.
     ``validate`` tests associativity on the units and S alone, and
     ``algebra.commutator_ideal`` closes its ideal over them.
     """
-    comp, src, rng = G.comp, G.src, G.rng
+    rows, pos, src, rng = G.rows, G.pos, G.src, G.rng
     reached = set(G.units)
     reached_by_src: dict[int, list[int]] = {x: [x] for x in G.units}
     gens: list[int] = []
@@ -164,7 +234,8 @@ def generating_arrows(G: FiniteGroupoid) -> list[int]:
         gens.append(g)
         gens_by_rng[rng[g]].append(g)
         # the reached arrows times g, then each new arrow times all of S
-        frontier = [comp[(r, g)] for r in reached_by_src[rng[g]]]
+        j = pos[g]
+        frontier = [rows[r][j] for r in reached_by_src[rng[g]]]
         while frontier:
             new = []
             for p in frontier:
@@ -172,17 +243,18 @@ def generating_arrows(G: FiniteGroupoid) -> list[int]:
                     reached.add(p)
                     reached_by_src[src[p]].append(p)
                     new.append(p)
-            frontier = [comp[(p, t)] for p in new for t in gens_by_rng[src[p]]]
+            frontier = [rows[p][pos[t]] for p in new for t in gens_by_rng[src[p]]]
     return gens
 
 
 def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
     """Check the groupoid axioms; return the violations found.
 
-    Malformed tables (bad indices, comp not defined exactly on composable
-    pairs) are reported alone, since the axiom checks assume well-formed
-    tables.  The unit, identity, compatibility and inverse laws are checked
-    on every arrow and every comp entry.  On success the list is empty.
+    A malformed table (an index out of range, src or rng off the units, rows
+    that do not fit them) is reported alone, since the axiom checks assume
+    well-formed tables; only a row table built directly can be one.  The
+    unit, identity, compatibility and inverse laws are checked on every
+    arrow and every product.  On success the list is empty.
 
     Associativity is decided by Light's test (Clifford & Preston, 1961,
     section 1.2), one level up from groups: (ab)c = a(bc) is tested for
@@ -199,18 +271,17 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
     a.src(a) = a and rng(c).c = c.  Both are checked on every arrow first,
     so the units are middles only on a table that breaks the identity law.
     Either way a failing table lists exactly its failing triples (a, b, c)
-    with b among the units and S, in order of b.  The laws read each arrow's
-    row of products (``_product_rows``).  For a middle b and each a out of
-    rng b, (ab)c for every c into src b is the row of ab, and a(bc) is one
-    ``itemgetter`` gather from the row of a at the places of b's row: a
-    middle costs |arrows out of rng b| gathers.
+    with b among the units and S, in order of b.  For a middle b and each a
+    out of rng b, (ab)c for every c into src b is the row of ab, and a(bc)
+    is one ``itemgetter`` gather from the row of a at the places of b's
+    row: a middle costs |arrows out of rng b| gathers.
     """
-    src, rng, comp = G.src, G.rng, G.comp
-    into = _arrows_by(rng)
-    pos = {c: j for cs in into.values() for j, c in enumerate(cs)}
-    rows = _product_rows(G, into, pos)
-    if rows is None:
-        return _check_malformed(G)
+    src, rng, rows, pos, into = G.src, G.rng, G.rows, G.pos, G.into
+    if not _well_shaped(G):
+        fits = len(rows) == len(src) and all(
+            len(row) == len(into.get(x, ())) for row, x in zip(rows, src))
+        return malformed_listing(G.n, G.units, src, rng, _Products(G) if fits else None, G.inv,
+                                 G.labels)
 
     out = [AxiomViolation(UNIT_LAW, "unit not fixed by src/rng", (x,))
            for x in sorted(G.units) if src[x] != x or rng[x] != x]
@@ -225,9 +296,13 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
             out.append(AxiomViolation(IDENTITY_LAW, "rng(g) . g != g", (g,)))
     identity_law_holds = not out
 
-    for (a, b), c in comp.items():
-        if src[c] != src[b] or rng[c] != rng[a]:
-            out.append(AxiomViolation(COMPATIBILITY, "src/rng of composite disagree", (a, b, c)))
+    # a.c runs from src(c) to rng(a)
+    src_into = {x: tuple(src[c] for c in cs) for x, cs in into.items()}
+    for a, row in enumerate(rows):
+        ends = _gather(row)
+        if ends(src) != src_into[src[a]] or ends(rng).count(rng[a]) != len(row):
+            out.extend(AxiomViolation(COMPATIBILITY, "src/rng of composite disagree", (a, b, c))
+                       for b, c in zip(into[src[a]], row) if src[c] != src[b] or rng[c] != rng[a])
     if any(v.kind == COMPATIBILITY for v in out):
         # the associativity reads compose products further, which is only
         # well-defined once every product lands between the compatible units
@@ -237,9 +312,7 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
     if not identity_law_holds:
         middles = sorted([*G.units, *middles])
     for b in middles:
-        # a one-index gather returns a bare item, a one-slice gather a tuple
-        at = [pos[bc] for bc in rows[b]]
-        gather = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+        gather = _gather([pos[bc] for bc in rows[b]])
         j = pos[b]
         for a in G.out_of.get(rng[b], ()):
             row = rows[a]
@@ -249,7 +322,8 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
                            for c, x, y in zip(into[src[b]], left, right) if x != y)
 
     for g, h in enumerate(G.inv):
-        if comp.get((h, g)) != src[g] or comp.get((g, h)) != rng[g]:
+        if (src[h] != rng[g] or rows[h][pos[g]] != src[g]
+                or src[g] != rng[h] or rows[g][pos[h]] != rng[g]):
             out.append(AxiomViolation(INVERSE_LAW, "inv(g).g != src(g) or g.inv(g) != rng(g)", (g, h)))
     return out
 
@@ -304,21 +378,21 @@ def restrict(G: FiniteGroupoid, F: Iterable[int]) -> FiniteGroupoid:
 def _restriction(G: FiniteGroupoid, F: frozenset[int]) -> tuple[FiniteGroupoid, tuple[int, ...]]:
     """The full subgroupoid over F, an invariant unit set of the groupoid G
     (not checked), with the host index of each arrow, ascending.  Reads only
-    the arrows out of F and their products; over every unit it is G."""
-    kept = tuple(sorted(g for x in F for g in G.out_of[x]))
+    the arrows out of F and their rows, which list the same products in
+    the same order, renumbered; over every unit it is G."""
+    kept = tuple(sorted([g for x in F for g in G.out_of[x]]))
     if len(kept) == G.n:
         return G, kept
     index = {g: i for i, g in enumerate(kept)}
-    comp = {(index[a], index[b]): index[G.comp[(a, b)]]
-            for b in kept for a in G.out_of[G.rng[b]]}
+    at = _gather(kept)
     return FiniteGroupoid(
         n=len(kept),
-        units=frozenset(index[x] for x in kept if x in G.units),
-        src=tuple(index[G.src[g]] for g in kept),
-        rng=tuple(index[G.rng[g]] for g in kept),
-        comp=comp,
-        inv=tuple(index[G.inv[g]] for g in kept),
-        labels=tuple(G.labels[g] for g in kept),
+        units=frozenset([index[x] for x in F]),
+        src=_gather(at(G.src))(index),
+        rng=_gather(at(G.rng))(index),
+        rows=tuple([_gather(row)(index) for row in at(G.rows)]),
+        inv=_gather(at(G.inv))(index),
+        labels=at(G.labels),
     ), kept
 
 
@@ -344,10 +418,13 @@ def isotropy_group(G: FiniteGroupoid, x: int) -> tuple[FiniteGroup, tuple[int, .
     make the table a group's, so it is built with no shape or axiom check."""
     if x not in G.units:
         raise ValueError(f"{x} is not a unit")
-    arrows = tuple(g for g in G.out_of[x] if G.rng[g] == x)
+    rng = G.rng
+    arrows = tuple([g for g in G.out_of[x] if rng[g] == x])
     index = {g: i for i, g in enumerate(arrows)}
-    table = tuple(tuple(index[G.comp[(a, b)]] for b in arrows) for a in arrows)
-    return FiniteGroup(name=f"fiber@{G.labels[x]}", labels=tuple(G.labels[g] for g in arrows),
+    at = _gather(arrows)
+    columns = _gather(at(G.pos))   # the places of the arrows in each row
+    table = tuple([_gather(columns(row))(index) for row in at(G.rows)])
+    return FiniteGroup(name=f"fiber@{G.labels[x]}", labels=at(G.labels),
                        table=table, identity=index[x]), arrows
 
 
@@ -358,7 +435,7 @@ def disjoint_union(parts: list[FiniteGroupoid]) -> FiniteGroupoid:
     rng: list[int] = []
     inv: list[int] = []
     labels: list[str] = []
-    comp: dict[tuple[int, int], int] = {}
+    rows: list[tuple[int, ...]] = []
     offset = 0
     for k, P in enumerate(parts):
         units.extend(x + offset for x in P.units)
@@ -369,8 +446,9 @@ def disjoint_union(parts: list[FiniteGroupoid]) -> FiniteGroupoid:
             labels.extend(P.labels)
         else:
             labels.extend(f"{k}:{lab}" for lab in P.labels)
-        for (a, b), c in P.comp.items():
-            comp[(a + offset, b + offset)] = c + offset
+        # a part keeps its arrows' order, so each row moves by the offset
+        rows.extend(P.rows if not offset else
+                    (tuple([c + offset for c in row]) for row in P.rows))
         offset += P.n
     return FiniteGroupoid(n=offset, units=frozenset(units), src=tuple(src),
-                          rng=tuple(rng), comp=comp, inv=tuple(inv), labels=tuple(labels))
+                          rng=tuple(rng), rows=tuple(rows), inv=tuple(inv), labels=tuple(labels))

@@ -2,14 +2,16 @@
 
 The document schema is strict: exactly the expected fields, string labels
 unique across elements, and every referenced label declared.  Decoding never
-checks the groupoid axioms — that is the validator's job — but it guarantees
-the tables are total and well-shaped, so decode(encode(G)) == G.
+checks the groupoid axioms — that is the validator's job — but it fills each
+arrow's row of products from the [a, b, ab] triples and raises
+``core.MalformedTable`` when they fill no rows, so decode(encode(G)) == G.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from . import core
 from .core import FiniteGroupoid
 
 SCHEMA_VERSION = "1"
@@ -29,7 +31,8 @@ def encode_groupoid(G: FiniteGroupoid) -> dict:
         "units": [lab[x] for x in sorted(G.units)],
         "src": {lab[g]: lab[G.src[g]] for g in G.arrows()},
         "rng": {lab[g]: lab[G.rng[g]] for g in G.arrows()},
-        "comp": [[lab[a], lab[b], lab[c]] for (a, b), c in sorted(G.comp.items())],
+        "comp": [[lab[a], lab[b], lab[c]]
+                 for a, row in enumerate(G.rows) for b, c in zip(G.into[G.src[a]], row)],
         "inv": {lab[g]: lab[G.inv[g]] for g in G.arrows()},
     }
 
@@ -80,7 +83,11 @@ def decode_groupoid(doc: Any) -> FiniteGroupoid:
 
     comp_entries = doc["comp"]
     _expect(isinstance(comp_entries, list), "comp must be a list of triples")
-    comp: dict[tuple[int, int], int] = {}
+
+    n, units, labels = len(elements), frozenset(unit_idx), tuple(elements)
+    into, pos = core._arrows_by(rng)
+    rows = [[None] * len(into.get(x, ())) for x in src]
+    stray: dict[tuple[int, int], int] = {}   # products on pairs that do not compose
     for entry in comp_entries:
         # raise directly: _expect would format its message for every entry
         if not (isinstance(entry, list) and len(entry) == 3):
@@ -89,9 +96,21 @@ def decode_groupoid(doc: Any) -> FiniteGroupoid:
             a, b, c = index[entry[0]], index[entry[1]], index[entry[2]]
         except (KeyError, TypeError):
             a, b, c = resolve(entry, "comp")
-        if (a, b) in comp:
+        if src[a] == rng[b]:
+            row, j = rows[a], pos[b]
+            seen, row[j] = row[j] is not None, c
+        else:
+            seen, stray[(a, b)] = (a, b) in stray, c
+        if seen:
             raise DocumentError(f"duplicate comp entry for {entry[:2]!r}")
-        comp[(a, b)] = c
 
-    return FiniteGroupoid(n=len(elements), units=frozenset(unit_idx), src=src,
-                          rng=rng, comp=comp, inv=inv, labels=tuple(elements))
+    G = FiniteGroupoid(n=n, units=units, src=src, rng=rng, rows=tuple(map(tuple, rows)),
+                       inv=inv, labels=labels)
+    # every label resolved in range, and the rows fit src and rng as built
+    if (stray or len(comp_entries) != sum(map(len, rows))
+            or not (units.issuperset(src) and units.issuperset(rng))):
+        # from_comp lists what is malformed and raises; the stray pairs come
+        # last, in document order, as the listing reports them
+        comp = {pair: c for pair, c in core._Products(G).items() if c is not None}
+        return FiniteGroupoid.from_comp(n, units, src, rng, comp | stray, inv, labels)
+    return G

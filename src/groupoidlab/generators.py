@@ -66,13 +66,11 @@ def transformation_groupoid(a: GroupAction) -> FiniteGroupoid:
     rng = tuple(idx(e, a.act[i // m][i % m]) for i in range(n))
     inv = tuple(idx(g.inverse(i // m), a.act[i // m][i % m]) for i in range(n))
     labels = tuple(f"({g.labels[i // m]},{a.points[i % m]})" for i in range(n))
-    comp = {}
-    for x in range(m):
-        for g2 in range(g.order):
-            y = a.act[g2][x]
-            for g1 in range(g.order):
-                comp[(idx(g1, y), idx(g2, x))] = idx(g.table[g1][g2], x)
-    return FiniteGroupoid(n=n, units=units, src=src, rng=rng, comp=comp,
+    # (g1, y) . (g2, x) = (g1 g2, x) for each (g2, x) into y, ascending
+    into = core._arrows_by(rng)[0]
+    rows = tuple(tuple([idx(g.table[i // m][c // m], c % m) for c in into[src[i]]])
+                 for i in range(n))
+    return FiniteGroupoid(n=n, units=units, src=src, rng=rng, rows=rows,
                           inv=inv, labels=labels)
 
 
@@ -83,7 +81,7 @@ def group_bundle(fibers) -> FiniteGroupoid:
     rng = []
     inv = []
     labels = []
-    comp = {}
+    rows = []
     offset = 0
     for unit_label, g in fibers:
         u = offset + g.identity
@@ -93,12 +91,10 @@ def group_bundle(fibers) -> FiniteGroupoid:
             rng.append(u)
             inv.append(offset + g.inverse(i))
             labels.append(f"{g.labels[i]}@{unit_label}")
-        for i in range(g.order):
-            for j in range(g.order):
-                comp[(offset + i, offset + j)] = offset + g.table[i][j]
+        rows.extend(tuple([offset + k for k in row]) for row in g.table)
         offset += g.order
     return FiniteGroupoid(n=offset, units=frozenset(units), src=tuple(src),
-                          rng=tuple(rng), comp=comp, inv=tuple(inv), labels=tuple(labels))
+                          rng=tuple(rng), rows=tuple(rows), inv=tuple(inv), labels=tuple(labels))
 
 
 def pair_groupoid(m: int) -> FiniteGroupoid:
@@ -109,19 +105,16 @@ def pair_groupoid(m: int) -> FiniteGroupoid:
     rng = tuple((i // m) * m + (i // m) for i in range(n))
     inv = tuple((i % m) * m + (i // m) for i in range(n))
     labels = tuple(f"({i // m},{i % m})" for i in range(n))
-    comp = {}
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                comp[(i * m + j, j * m + k)] = i * m + k
-    return FiniteGroupoid(n=n, units=units, src=src, rng=rng, comp=comp,
-                          inv=inv, labels=labels)
+    # (i,j) . (j,k) = (i,k) for k ascending: the row of (i,j) depends on i alone
+    row_of = [tuple(range(i * m, i * m + m)) for i in range(m)]
+    return FiniteGroupoid(n=n, units=units, src=src, rng=rng,
+                          rows=tuple(row_of[i // m] for i in range(n)), inv=inv, labels=labels)
 
 
 def trivial_groupoid(m: int) -> FiniteGroupoid:
     """m isolated units and nothing else."""
     return FiniteGroupoid(n=m, units=frozenset(range(m)), src=tuple(range(m)),
-                          rng=tuple(range(m)), comp={(i, i): i for i in range(m)},
+                          rng=tuple(range(m)), rows=tuple((i,) for i in range(m)),
                           inv=tuple(range(m)), labels=tuple(f"u{i}" for i in range(m)))
 
 

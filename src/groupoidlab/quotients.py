@@ -60,15 +60,16 @@ def is_normal(G: FiniteGroupoid, H: Iterable[int]) -> NormalityCheck:
             return NormalityCheck(False, "not-inverse-closed",
                                   f"inverse of {G.labels[h]} missing", (h,))
     # members are isotropy now: b composes with a iff both are out of src(a)
+    rows, pos = G.rows, G.pos
     for a in sorted(members):
         for b in G.out_of[G.src[a]]:
-            if b in members and G.comp[(a, b)] not in members:
+            if b in members and rows[a][pos[b]] not in members:
                 return NormalityCheck(False, "not-composition-closed",
                                       f"{G.labels[a]} . {G.labels[b]} missing", (a, b))
     for a in G.arrows():
         ai = G.inv[a]
         for h in (h for h in G.out_of[G.src[a]] if h in members):
-            c = G.comp[(G.comp[(a, h)], ai)]
+            c = rows[rows[a][pos[h]]][pos[ai]]
             if c not in members:
                 return NormalityCheck(
                     False, "not-conjugation-closed",
@@ -111,8 +112,11 @@ def quotient_map(G: FiniteGroupoid, H: NormalSubgroupoid) -> tuple[int, ...]:
     """
     if H.host != G:
         raise ValueError("normal subgroupoid belongs to a different groupoid")
-    h_at = {x: [h for h in G.out_of[x] if h in H.members] for x in G.units}
-    rep_of = [min(G.comp[(h, a)] for h in h_at[G.rng[a]]) for a in G.arrows()]
+    # the least h.a over h in H at rng(a): the rows of H at a unit x list
+    # h.a for the arrows a into x, so one elementwise min covers them all
+    least = {x: tuple(map(min, zip(*[G.rows[h] for h in G.out_of[x] if h in H.members])))
+             for x in G.units}
+    rep_of = [least[G.rng[a]][G.pos[a]] for a in G.arrows()]
     new_index = {r: i for i, r in enumerate(sorted(set(rep_of)))}
     return tuple(new_index[r] for r in rep_of)
 
@@ -133,15 +137,15 @@ def quotient(G: FiniteGroupoid, H: NormalSubgroupoid | Iterable[int]) -> Quotien
     reps = list(first.values())
 
     units = frozenset(class_map[x] for x in G.units)
-    src = tuple(class_map[G.src[r]] for r in reps)
-    rng = tuple(class_map[G.rng[r]] for r in reps)
-    inv = tuple(class_map[G.inv[r]] for r in reps)
-    # the composable pairs (i, j) of Q: j among the representatives into src(i)
-    into = core._arrows_by(rng)
-    comp = {(i, j): class_map[G.comp[(a, reps[j])]]
-            for i, a in enumerate(reps) for j in into[src[i]]}
-    Q = FiniteGroupoid(n=len(reps), units=units, src=src, rng=rng, comp=comp,
-                       inv=inv, labels=tuple(G.labels[r] for r in reps))
+    at = core._gather(reps)
+    src, rng, inv = (core._gather(at(table))(class_map) for table in (G.src, G.rng, G.inv))
+    # Row i of Q: the classes of a.r for a = reps[i] and each representative
+    # r into src(a), ascending.  The classes of a.c over the row of a list
+    # them with repeats, each first at its representative r: for c = h.r,
+    # a.c = (a h a^-1).(a.r) as H is normal, and a.- is one-to-one on classes.
+    rows = tuple([tuple(dict.fromkeys(core._gather(row)(class_map))) for row in at(G.rows)])
+    Q = FiniteGroupoid(n=len(reps), units=units, src=src, rng=rng, rows=rows,
+                       inv=inv, labels=at(G.labels))
     return QuotientResult(quotient=Q, class_map=class_map)
 
 
@@ -233,8 +237,9 @@ def component_normal_subgroupoids(
         moves = {GC.rng[a]: a for a in GC.out_of[x]}.values()
         normals = groups.normal_subgroups(g, limit=limit // GC.n)
         limit -= len(normals) * GC.n
+        rows, pos = GC.rows, GC.pos
         out.append((GC, inclusion, [
-            NormalSubgroupoid(GC, frozenset(GC.comp[(GC.comp[(a, fiber[h])], GC.inv[a])]
+            NormalSubgroupoid(GC, frozenset(rows[rows[a][pos[fiber[h]]]][pos[GC.inv[a]]]
                                             for a in moves for h in sub))
             for sub in normals]))
     return out

@@ -329,10 +329,34 @@ def generating_arrows_by_definition(G: FiniteGroupoid) -> list[int]:
     return kept
 
 
-def validate_by_lookups(G: FiniteGroupoid) -> list[core.AxiomViolation]:
-    """The reference for ``core.validate``: the same checks, middles and
-    violations in the same order, with every product read by a tuple-keyed
-    comp lookup and the generating set taken from its definition."""
+@dataclass(frozen=True)
+class RawTable:
+    """A groupoid's tables as a caller gives them, with comp a dict from
+    pairs (a, b) to a.b, malformed or not: what enters
+    ``FiniteGroupoid.from_comp``."""
+
+    n: int
+    units: frozenset
+    src: tuple
+    rng: tuple
+    comp: dict
+    inv: tuple
+    labels: tuple
+
+    def arrows(self) -> range:
+        return range(self.n)
+
+    def build(self) -> FiniteGroupoid:
+        return FiniteGroupoid.from_comp(self.n, self.units, self.src, self.rng, self.comp,
+                                        self.inv, self.labels)
+
+
+def validate_by_lookups(G: RawTable) -> list[core.AxiomViolation]:
+    """The reference for ``core.validate`` on raw tables, and for the
+    listing ``MalformedTable`` carries on a malformed one: the same checks,
+    middles and violations in the same order, with every product read by a
+    tuple-keyed comp lookup and the generating set taken from its
+    definition.  Compatibility is listed in order of the pair (a, b)."""
     V = core.AxiomViolation
     malformed = _malformed_by_lookups(G)
     if malformed:
@@ -352,7 +376,7 @@ def validate_by_lookups(G: FiniteGroupoid) -> list[core.AxiomViolation]:
             out.append(V(core.IDENTITY_LAW, "rng(g) . g != g", (g,)))
     identity_law_holds = not out
 
-    for (a, b), c in G.comp.items():
+    for (a, b), c in sorted(G.comp.items()):
         if G.src[c] != G.src[b] or G.rng[c] != G.rng[a]:
             out.append(V(core.COMPATIBILITY, "src/rng of composite disagree", (a, b, c)))
     if any(v.kind == core.COMPATIBILITY for v in out):
@@ -379,7 +403,7 @@ def validate_by_lookups(G: FiniteGroupoid) -> list[core.AxiomViolation]:
     return out
 
 
-def _malformed_by_lookups(G: FiniteGroupoid) -> list[core.AxiomViolation]:
+def _malformed_by_lookups(G: RawTable) -> list[core.AxiomViolation]:
     """Every malformed-table violation, listed entry by entry."""
     V, MALFORMED = core.AxiomViolation, core.MALFORMED
     out = []
@@ -518,7 +542,7 @@ def restriction_by_scan(G: FiniteGroupoid, F) -> tuple[FiniteGroupoid, tuple[int
     of its arrows, by filtering every arrow and every comp entry of G."""
     kept = tuple(g for g in G.arrows() if G.src[g] in F)
     index = {g: i for i, g in enumerate(kept)}
-    return FiniteGroupoid(
+    return FiniteGroupoid.from_comp(
         n=len(kept),
         units=frozenset(index[x] for x in kept if x in G.units),
         src=tuple(index[G.src[g]] for g in kept),
@@ -623,23 +647,18 @@ def clear_table_memos() -> None:
         fn.memo.clear()
 
 
-def comp_reads(fn, G: FiniteGroupoid):
-    """(reads, fn(G)): fn run on a copy of G whose comp counts each lookup,
-    by ``[]`` or ``get``."""
+def product_reads(fn, G: FiniteGroupoid):
+    """(reads, fn(G)): fn run on a copy of G whose rows count each product
+    read, by index or by an ``itemgetter`` gather, one per product."""
     count = 0
 
-    class Counted(dict):
-        def __getitem__(self, key):
+    class Counted(tuple):
+        def __getitem__(self, i):
             nonlocal count
-            count += 1
-            return dict.__getitem__(self, key)
+            count += 1 if isinstance(i, int) else len(range(*i.indices(len(self))))
+            return tuple.__getitem__(self, i)
 
-        def get(self, key, default=None):
-            nonlocal count
-            count += 1
-            return dict.get(self, key, default)
-
-    result = fn(dataclasses.replace(G, comp=Counted(G.comp)))
+    result = fn(dataclasses.replace(G, rows=tuple(map(Counted, G.rows))))
     return count, result
 
 

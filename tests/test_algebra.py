@@ -130,7 +130,7 @@ def _relabelled(G, p):
     labels = [""] * G.n
     for g, label in enumerate(G.labels):
         labels[p[g]] = label
-    return core.FiniteGroupoid(
+    return core.FiniteGroupoid.from_comp(
         n=G.n, units=frozenset(p[x] for x in G.units), src=moved(G.src), rng=moved(G.rng),
         comp={(p[a], p[b]): p[c] for (a, b), c in G.comp.items()}, inv=moved(G.inv),
         labels=tuple(labels))
@@ -202,10 +202,10 @@ class TestCommutatorIdeal:
         assert ideal.rank == algebra.commutator_ideal(G).rank
 
     def test_reads_comp_over_the_generating_set_only(self):
-        # pair_groupoid(m) has m^3 comp entries; seeding and shifting over
-        # the units and a generating set reads on the order of its m^2 arrows
+        # pair_groupoid(m) has m^3 products; seeding and shifting over the
+        # units and a generating set reads on the order of its m^2 arrows
         def reads(G):
-            count, ideal = oracle.comp_reads(algebra.commutator_ideal, G)
+            count, ideal = oracle.product_reads(algebra.commutator_ideal, G)
             return count, ideal.rank
 
         for m, share in ((16, 2), (32, 4)):

@@ -33,8 +33,10 @@ class TestReports:
         pair = next((a, b) for (a, b) in comp
                     if a not in klein_cross.units and b not in klein_cross.units)
         del comp[pair]
-        broken = dataclasses.replace(klein_cross, comp=comp)
-        report = checks.file_report(broken, "broken")
+        G = klein_cross
+        with pytest.raises(core.MalformedTable) as broken:
+            core.FiniteGroupoid.from_comp(G.n, G.units, G.src, G.rng, comp, G.inv, G.labels)
+        report = checks.file_report(broken.value, "broken")
         data = report.to_json()
         assert data["status"] == "fail"
         axioms = next(c for c in data["checks"] if c["name"] == "axioms")
@@ -43,7 +45,7 @@ class TestReports:
 
     def test_crashing_input_becomes_a_failed_check_not_an_exception(self):
         bad = core.FiniteGroupoid(n=2, units=frozenset({0}), src=(0, 9),
-                                  rng=(0, 0), comp={}, inv=(0, 1),
+                                  rng=(0, 0), rows=(), inv=(0, 1),
                                   labels=("u", "g"))
         report = checks.file_report(bad, "bad")
         assert not report.ok

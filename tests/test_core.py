@@ -1,6 +1,7 @@
 """Groupoid tables, axiom validation, and structural subsets."""
 
 import dataclasses
+import tracemalloc
 
 import oracle
 import pytest
@@ -12,6 +13,18 @@ from groupoidlab import checks, core, generators, groups, quotients
 
 def _kinds(violations):
     return {v.kind for v in violations}
+
+
+def _with_comp(G, comp):
+    """G's tables with comp for its products, entering through from_comp."""
+    return core.FiniteGroupoid.from_comp(G.n, G.units, G.src, G.rng, comp, G.inv, G.labels)
+
+
+def _refused(G, comp):
+    """The malformed listing from_comp refuses G's tables with comp by."""
+    with pytest.raises(core.MalformedTable) as err:
+        _with_comp(G, comp)
+    return err.value.violations
 
 
 class TestValidate:
@@ -35,8 +48,7 @@ class TestValidate:
         pair = next((a, b) for (a, b) in comp
                     if a not in klein_cross.units and b not in klein_cross.units)
         del comp[pair]
-        bad = dataclasses.replace(klein_cross, comp=comp)
-        assert [(v.kind, v.message, v.witness) for v in core.validate(bad)] == [
+        assert [(v.kind, v.message, v.witness) for v in _refused(klein_cross, comp)] == [
             (core.MALFORMED, "comp undefined on composable pair", pair)]
 
     def test_missing_pair_is_listed_beside_a_stray_entry(self, klein_cross):
@@ -48,9 +60,8 @@ class TestValidate:
         comp = dict(G.comp)
         del comp[pair]
         comp[(a, a)] = a
-        bad = dataclasses.replace(G, comp=comp)
-        assert len(bad.comp) == len(G.comp)
-        assert [(v.message, v.witness) for v in core.validate(bad)] == [
+        assert len(comp) == len(G.comp)
+        assert [(v.message, v.witness) for v in _refused(G, comp)] == [
             ("comp defined on non-composable pair", (a, a)),
             ("comp undefined on composable pair", pair)]
 
@@ -59,8 +70,7 @@ class TestValidate:
         a = next(g for g in G.arrows() if G.src[g] != G.rng[g])
         comp = dict(G.comp)
         comp[(a, a)] = a   # src(a) != rng(a), so (a, a) is not composable
-        bad = dataclasses.replace(G, comp=comp)
-        assert _kinds(core.validate(bad)) == {core.MALFORMED}
+        assert _kinds(_refused(G, comp)) == {core.MALFORMED}
 
     def test_fake_unit_breaks_unit_law(self, klein_cross):
         G = klein_cross
@@ -75,7 +85,7 @@ class TestValidate:
         s = G.label_index("(s,c)")
         comp = dict(G.comp)
         comp[(c, c)] = s
-        bad = dataclasses.replace(G, comp=comp)
+        bad = _with_comp(G, comp)
         assert core.IDENTITY_LAW in _kinds(core.validate(bad))
 
     def test_product_at_wrong_unit_breaks_compatibility(self, klein_cross):
@@ -84,7 +94,7 @@ class TestValidate:
         s_far = G.label_index("(s,x+)")
         comp = dict(G.comp)
         comp[(s_c, s_c)] = s_far
-        bad = dataclasses.replace(G, comp=comp)
+        bad = _with_comp(G, comp)
         assert core.COMPATIBILITY in _kinds(core.validate(bad))
 
     def test_scrambled_product_breaks_associativity(self, s3):
@@ -94,7 +104,7 @@ class TestValidate:
         e = G.label_index("e@p")
         comp = dict(G.comp)
         comp[(s, t)] = e   # wrong element of the same one-object fiber
-        bad = dataclasses.replace(G, comp=comp)
+        bad = _with_comp(G, comp)
         assert core.ASSOCIATIVITY in _kinds(core.validate(bad))
 
     def test_wrong_inverse_breaks_inverse_law(self, s3):
@@ -124,12 +134,13 @@ def _bent_tables(draw):
     for _ in range(draw(st.integers(1, 3))):
         pair = draw(st.sampled_from(pairs))
         comp[pair] = draw(st.sampled_from(_same_ends(G, comp[pair])))
-    return dataclasses.replace(G, comp=comp)
+    return _with_comp(G, comp)
 
 
 @st.composite
 def _corrupted_tables(draw):
-    """A library or corpus groupoid with one to three corruptions, each of
+    """The raw tables of a library or corpus groupoid with one to three
+    corruptions, as a caller passes them to from_comp, each of
     a kind drawn: a comp entry changed, removed, added on a non-composable
     pair or moved to a key out of range (a negative one aliases an arrow);
     a comp value, src, rng, inv or unit out of range; src or rng off the
@@ -178,8 +189,9 @@ def _corrupted_tables(draw):
             tables["inv"][draw(arrow)] = draw(arrow)
         elif kind == "bent":
             comp[pair] = draw(st.sampled_from(_same_ends(G, G.comp[pair])))
-    return dataclasses.replace(G, units=frozenset(units), comp=comp,
-                               **{name: tuple(t) for name, t in tables.items()})
+    return oracle.RawTable(n=n, units=frozenset(units), src=tuple(tables["src"]),
+                           rng=tuple(tables["rng"]), comp=comp, inv=tuple(tables["inv"]),
+                           labels=G.labels)
 
 
 class TestLightsTest:
@@ -202,7 +214,7 @@ class TestLightsTest:
         e, g, g2 = (G.label_index(f"{x}@p") for x in ("e", "g", "g2"))
         comp = dict(G.comp)
         comp[(g2, g2)] = g
-        bad = dataclasses.replace(G, comp=comp)
+        bad = _with_comp(G, comp)
         assert core.generating_arrows(bad) == [g]
         every = oracle.groupoid_associativity_violations(bad)
         assert {b for _, b, _ in every} - {e, g}
@@ -225,7 +237,7 @@ class TestLightsTest:
                     continue
                 comp = dict(G.comp)
                 comp[(g, G.src[g])] = other
-                bad = dataclasses.replace(G, comp=comp)
+                bad = _with_comp(G, comp)
                 found = core.validate(bad)
                 assert core.IDENTITY_LAW in _kinds(found)
                 middles = {*bad.units, *core.generating_arrows(bad)}
@@ -237,19 +249,24 @@ class TestLightsTest:
 
     @settings(max_examples=400, deadline=None)
     @given(_corrupted_tables())
-    def test_violations_match_the_lookup_reference(self, G):
+    def test_violations_match_the_lookup_reference(self, T):
         # the same kinds, messages and witnesses in the same order as the
-        # tuple-keyed reading of every table
-        assert core.validate(G) == oracle.validate_by_lookups(G)
+        # tuple-keyed reading of every table: the listing from_comp refuses
+        # a malformed table with, or validate's verdict on the rows it fills
+        try:
+            found = core.validate(T.build())
+        except core.MalformedTable as err:
+            found = err.violations
+        assert found == oracle.validate_by_lookups(T)
 
-    def test_reads_comp_by_key_only_for_the_generating_set_and_inverses(self, klein_cross):
-        # the identity law and Light's test read the rows of products built
-        # from comp.items(); keyed reads are left to generating_arrows and
-        # the two inverse-law reads per arrow
-        for G, most in ((generators.pair_groupoid(16), 992), (klein_cross, 76)):
-            reads, found = oracle.comp_reads(core.validate, G)
-            assert found == [] and reads <= most, (G, reads)
-            assert reads == oracle.comp_reads(core.generating_arrows, G)[0] + 2 * G.n
+    def test_reads_no_comp(self, klein_cross, monkeypatch):
+        # the laws, the generating set and Light's test read the rows alone
+        def keyed_read(G):
+            raise AssertionError("validate read G.comp")
+
+        monkeypatch.setattr(core.FiniteGroupoid, "comp", property(keyed_read))
+        for G in (generators.pair_groupoid(16), klein_cross):
+            assert core.validate(G) == []
 
 
 class TestGeneratingArrows:
@@ -323,7 +340,7 @@ def _raw_tables(draw):
     column = st.lists(entry, max_size=n + 1).map(tuple)
     return core.FiniteGroupoid(
         n=n, units=draw(st.frozensets(entry)), src=draw(column), rng=draw(column),
-        comp=draw(st.dictionaries(st.tuples(entry, entry), entry)), inv=draw(column),
+        rows=draw(st.lists(column, max_size=n + 1).map(tuple)), inv=draw(column),
         labels=tuple(map(str, range(n))))
 
 
@@ -331,9 +348,10 @@ class TestIndex:
     @settings(max_examples=200, deadline=None)
     @given(_raw_tables())
     def test_is_the_scan_grouping_on_any_table(self, G):
-        # construction never raises, and validate reads the index on
-        # untrusted documents
+        # construction never raises, and validate reads the indices on
+        # any row table built directly
         assert G.out_of == oracle.arrows_out_by_scan(G)
+        assert all(G.into[G.rng[c]][G.pos[c]] == c for c in range(len(G.rng)))
         assert dataclasses.replace(G).out_of == G.out_of
         assert isinstance(core.validate(G), list)
 
@@ -440,3 +458,22 @@ class TestIsotropyFiber:
                                         for a in arrows)
                 units += 1
         assert units == 2498
+
+
+class TestLargeTables:
+    def test_pair64_is_held_and_validated_in_a_few_megabytes(self):
+        # 262,144 products as 4,096 rows of 64, of which 64 are distinct;
+        # tracemalloc counts what the interpreter allocates, the same on
+        # every run of one interpreter
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            G = generators.pair_groupoid(64)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            assert core.validate(G) == []
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 5 * 2**20, held
+        assert peak < 8 * 2**20, peak

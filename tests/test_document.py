@@ -2,9 +2,12 @@
 
 import json
 
+import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupoidlab import document, generators
+from groupoidlab import checks, core, document, generators
 
 
 def _doc(G=None):
@@ -91,19 +94,23 @@ class TestStrictDecoding:
 
     def test_decoding_skips_axiom_checks(self):
         # a structurally well-formed document that is not a groupoid decodes
-        # fine; the validator is the place that rejects it
-        from groupoidlab import core
+        # fine; the validator is the place that rejects it.  One whose
+        # triples fill no rows is refused with the malformed listing.
         doc = {
             "schema_version": "1",
             "elements": ["u", "g"],
             "units": ["u"],
             "src": {"u": "u", "g": "u"},
             "rng": {"u": "u", "g": "u"},
-            "comp": [["u", "u", "u"]],   # (g,u), (u,g), (g,g) all missing
-            "inv": {"u": "u", "g": "g"},
+            "comp": [["u", "u", "u"], ["u", "g", "g"], ["g", "u", "g"], ["g", "g", "g"]],
+            "inv": {"u": "u", "g": "g"},   # g.g = g, not u
         }
         G = document.decode_groupoid(doc)
         assert core.validate(G) != []
+        doc["comp"] = doc["comp"][:1]   # (u,g), (g,u), (g,g) all missing
+        with pytest.raises(core.MalformedTable) as err:
+            document.decode_groupoid(doc)
+        assert [v.witness for v in err.value.violations] == [(0, 1), (1, 0), (1, 1)]
 
 
 
@@ -155,3 +162,69 @@ def test_first_bad_label_of_a_comp_triple_is_named():
     with pytest.raises(document.DocumentError) as err:
         document.decode_groupoid(doc)
     assert str(err.value) == "comp: unknown label ['x']"
+
+
+def _raw_tables(doc):
+    """The tables of a document whose labels all resolve, comp as a dict."""
+    index = {lab: i for i, lab in enumerate(doc["elements"])}
+
+    def column(name):
+        return tuple(index[doc[name][lab]] for lab in doc["elements"])
+
+    return oracle.RawTable(
+        n=len(index), units=frozenset(index[u] for u in doc["units"]), src=column("src"),
+        rng=column("rng"), comp={(index[a], index[b]): index[c] for a, b, c in doc["comp"]},
+        inv=column("inv"), labels=tuple(doc["elements"]))
+
+
+@st.composite
+def _corrupted_documents(draw):
+    """An encoded library or corpus groupoid with one to three corruptions,
+    each of a kind drawn: a triple dropped, added on a pair that does not
+    compose, or given another product; a src or rng moved to an arrow that
+    is no unit; a unit dropped; or an inverse changed."""
+    G = draw(st.one_of(
+        st.sampled_from([generators.klein_cross(), generators.s3_a3_bundle(),
+                         generators.pair_groupoid(3)]),
+        st.builds(lambda seed: generators.random_groupoid(seed, checks.corpus_budget(seed)),
+                  st.integers(0, 199))))
+    doc = document.encode_groupoid(G)
+    label = st.sampled_from(doc["elements"])
+    non_units = [lab for lab in doc["elements"] if lab not in doc["units"]]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "stray", "change", "off-units", "unit-dropped",
+                                     "inverse"]))
+        pairs = {(a, b) for a, b, _ in doc["comp"]}
+        if kind == "drop" and doc["comp"]:
+            del doc["comp"][draw(st.integers(0, len(doc["comp"]) - 1))]
+        elif kind == "stray":
+            a, b = draw(label), draw(label)
+            if doc["src"][a] != doc["rng"][b] and (a, b) not in pairs:
+                doc["comp"].append([a, b, draw(label)])
+        elif kind == "change" and doc["comp"]:
+            doc["comp"][draw(st.integers(0, len(doc["comp"]) - 1))][2] = draw(label)
+        elif kind == "off-units" and non_units:
+            table = doc[draw(st.sampled_from(["src", "rng"]))]
+            table[draw(label)] = draw(st.sampled_from(non_units))
+        elif kind == "unit-dropped" and doc["units"]:
+            doc["units"].remove(draw(st.sampled_from(doc["units"])))
+        elif kind == "inverse":
+            doc["inv"][draw(label)] = draw(label)
+    return doc
+
+
+class TestMalformedDocuments:
+    @settings(max_examples=200, deadline=None)
+    @given(_corrupted_documents())
+    def test_refused_exactly_when_the_lookup_reference_lists_it(self, doc):
+        # decode raises MalformedTable when the tuple-keyed reference finds
+        # the tables malformed, carrying the same listing; otherwise it
+        # decodes, and validate agrees with the reference
+        expected = oracle.validate_by_lookups(_raw_tables(doc))
+        malformed = any(v.kind == core.MALFORMED for v in expected)
+        try:
+            G = document.decode_groupoid(doc)
+        except core.MalformedTable as err:
+            assert malformed and err.violations == expected
+        else:
+            assert not malformed and core.validate(G) == expected

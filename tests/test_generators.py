@@ -150,9 +150,12 @@ class TestComponentCache:
             assert generators._library_component.cache_info().currsize <= pairs == 64
 
     def test_no_instance_shares_a_table_with_a_cached_component(self):
+        # an index is a dict of lists, which a caller could change; the row
+        # tuples cannot change, and a first part's are shared
         instances = [G for _, G in _instances()]
         cached = [generators._library_component(i, j)
                   for i, (_, subs) in enumerate(groups.library_subgroups())
                   for j in range(len(subs))]
-        shared = {id(C.comp) for C in cached} | {id(C.out_of) for C in cached}
-        assert not any(id(G.comp) in shared or id(G.out_of) in shared for G in instances)
+        shared = {id(index) for C in cached for index in (C.out_of, C.into)}
+        assert not any(id(G.out_of) in shared or id(G.into) in shared for G in instances)
+        assert all(isinstance(row, tuple) for G in instances for row in G.rows)

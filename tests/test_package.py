@@ -21,8 +21,9 @@ from groupoidlab import (abelian, algebra, checks, cli, core, document, generato
 # values, now the tests' reference in oracle.py, functions nothing called,
 # and helpers folded into their one caller (restricted_arrows into restrict)
 # or into a value (fiber_unit into Abelianization.fixed_points), the
-# three isotropy builders that core.isotropy_group replaced, and the axioms
-# check that instance_checks runs for itself.
+# three isotropy builders that core.isotropy_group replaced, the axioms
+# check that instance_checks runs for itself, and validate's rebuild of comp
+# as rows, now the stored form, with its fallback, now malformed_listing.
 GONE = (
     "AlgebraElement", "from_coeffs", "zero", "delta", "unit_element", "convolve",
     "involute", "compose_homs", "restriction_hom", "quotient_hom", "encode_element",
@@ -33,7 +34,7 @@ GONE = (
     "Character.is_trivial", "Qi.to_complex", "FiniteGroupoid.is_unit", "trivial_action",
     "abelianized", "restricted_arrows", "Abelianization.fiber_unit",
     "quotient_hom_from_result", "isotropy_fiber", "fiber_group", "abelian_fiber",
-    "axioms_check",
+    "axioms_check", "_product_rows", "_check_malformed",
 )
 
 # Each validator, with the functions that call it.  Tables and carriers are
@@ -51,6 +52,10 @@ VALIDATOR_CALLERS = {
     "group_action": {"generators.klein_cross"},
     "is_normal": {"cli._cmd_quotient", "quotients.normal_subgroupoid"},
     "normal_subgroupoid": {"quotients.quotient"},
+    # a table given as pairs enters through from_comp, which document
+    # decoding calls for a table its triples do not fill; validate lists a
+    # row table built directly that fails its shape check
+    "malformed_listing": {"core.FiniteGroupoid.from_comp", "core.validate"},
 }
 
 
@@ -157,6 +162,22 @@ def _callers(names) -> dict[str, set[str]]:
 
 def test_validators_run_only_where_tables_enter():
     assert _callers(VALIDATOR_CALLERS) == VALIDATOR_CALLERS
+
+
+def test_composition_is_stored_once_as_rows():
+    # no package function reads the G.comp view, no field of a groupoid
+    # holds a pair-keyed dict, and the view is made afresh on each access
+    package = Path(groupoidlab.__file__).resolve().parent
+    assert [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "comp"] == []
+    assert [f.name for f in dataclasses.fields(core.FiniteGroupoid)] == [
+        "n", "units", "src", "rng", "rows", "inv", "labels", "out_of", "into", "pos"]
+    for G in (generators.klein_cross(), generators.pair_groupoid(3), generators.random_groupoid(7)):
+        assert G.comp is not G.comp and G.comp == G.comp   # made on each access
+        assert vars(G).keys() == {f.name for f in dataclasses.fields(G)}   # never stored
+        assert not [name for name, value in vars(G).items()
+                    if isinstance(value, dict) and any(isinstance(k, tuple) for k in value)]
 
 
 def test_one_character_row_type():

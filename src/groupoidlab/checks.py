@@ -102,7 +102,7 @@ def _run(name: str, instance: str, fn: Callable[[], object]) -> CheckResult:
 # --- per-instance checks ---------------------------------------------------
 
 def _check_axioms(G: FiniteGroupoid | core.MalformedTable):
-    bad = G.violations if isinstance(G, core.MalformedTable) else core.validate(G)
+    bad = core.violations_of(G)
     if bad:
         return [{"kind": v.kind, "message": v.message} for v in bad[:3]]
     return None

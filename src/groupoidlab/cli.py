@@ -28,10 +28,12 @@ EXIT_INPUT = 2
 # over a generating set (126 middles), one row gather per arrow out of each
 # middle's range, and on trivial:4096 the bundle transform holds
 # sum |A_x|^2 exponents.  So a larger --kind or --budget is refused before any
-# table is built, and a larger document before it is validated, instead of
-# running for minutes or ending in a MemoryError.  quotients.MAX_FAMILY_ARROWS
-# bounds the quotients check takes; a corpus instance within this limit stays
-# under it, as a library component has at most 6 normal subgroupoids.
+# table is built, and a larger document once read, before anything that can
+# outgrow it (rows its triples do not fill, the pairs they miss) is made,
+# instead of running for minutes or ending in a MemoryError.
+# quotients.MAX_FAMILY_ARROWS bounds the quotients check takes; a corpus
+# instance within this limit stays under it, as a library component has at
+# most 6 normal subgroupoids.
 MAX_ARROWS = 4096
 
 # The most instances one check --corpus run takes.  The report holds six
@@ -130,19 +132,19 @@ def _load(args, validate_axioms: bool = True) -> core.FiniteGroupoid | core.Malf
     """The groupoid a request names, refused with exit 1 if it breaks an
     axiom; without validate_axioms, a malformed document's MalformedTable."""
     if getattr(args, "input", None):
+        within = functools.partial(_within_limit, what=f"document {args.input!r}")
         try:
-            G = document.decode_groupoid(_read_document(args.input))
+            G = document.decode_groupoid(_read_document(args.input), admit=within)
         except document.DocumentError as exc:
             raise CliError(EXIT_INPUT, {"error": str(exc)}) from exc
         except core.MalformedTable as exc:
             G = exc
-        _within_limit(G.n, f"document {args.input!r}")
     elif getattr(args, "kind", None):
         G = _model(args.kind, args.seed, args.budget)
     else:
         raise CliError(EXIT_INPUT, {"error": "provide --input FILE or --kind KIND"})
     if validate_axioms:
-        bad = G.violations if isinstance(G, core.MalformedTable) else core.validate(G)
+        bad = core.violations_of(G)
         if bad:
             raise CliError(EXIT_SEMANTIC, {
                 "error": "axiom violations",
@@ -167,7 +169,7 @@ def _emit(payload: dict, path: str | None) -> None:
 
 def _cmd_validate(args) -> tuple[dict, int]:
     G = _load(args, validate_axioms=False)
-    bad = G.violations if isinstance(G, core.MalformedTable) else core.validate(G)
+    bad = core.violations_of(G)
     return ({"valid": not bad,
              "elements": G.n,
              "units": len(G.units),

@@ -63,14 +63,11 @@ class FiniteGroupoid:
         """The groupoid whose products are comp, from each composable pair
         (a, b) to a.b; raises ``MalformedTable`` unless every index is in
         range, src and rng land on units and comp has exactly those pairs."""
-        into = _arrows_by(rng)[0]
-        rows = tuple(tuple([comp.get((a, b)) for b in into.get(x, ())]) for a, x in enumerate(src))
-        G = cls(n, units, src, rng, rows, inv, labels)
-        # each composable pair has a product, and comp has no other key
-        if (None not in chain.from_iterable(rows) and len(comp) == sum(map(len, rows))
-                and _well_shaped(G)):
-            return G
-        raise MalformedTable(malformed_listing(n, units, src, rng, comp, inv, labels), n, units)
+        G = _from_products(n, units, src, rng, [(a, b, c) for (a, b), c in comp.items()],
+                           inv, labels)
+        if G is None:
+            raise MalformedTable(malformed_listing(n, units, src, rng, comp, inv, labels), n, units)
+        return G
 
     @property
     def comp(self) -> Mapping[tuple[int, int], int]:
@@ -85,6 +82,31 @@ class FiniteGroupoid:
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid(n={self.n}, units={len(self.units)})"
+
+
+def _from_products(n, units, src, rng, products: Sequence[tuple[int, int, int]], inv,
+                   labels) -> FiniteGroupoid | None:
+    """The groupoid whose products are the (a, b, a.b) triples, or None
+    unless each is a composable pair in range, they fill every slot of the
+    rows and the tables are well shaped.  The rows are laid out only when
+    there are as many products as slots, so they are never larger than the
+    products; then a repeated pair leaves a slot empty, which the shape
+    check finds as a product out of range."""
+    into, pos = _arrows_by(rng)
+    widths = [len(into.get(x, ())) for x in src]
+    if len(products) != sum(widths):
+        return None
+    rows = [[None] * k for k in widths]
+    try:
+        for a, b, c in products:
+            row, j = rows[a], pos[b]
+            if src[a] != rng[b] or a < 0 or b < 0:   # a negative index wraps
+                return None
+            row[j] = c
+    except IndexError:   # a pair past the tables
+        return None
+    G = FiniteGroupoid(n, units, src, rng, tuple(map(tuple, rows)), inv, labels)
+    return G if _well_shaped(G) else None
 
 
 class _Products(Mapping):
@@ -168,6 +190,11 @@ class MalformedTable(ValueError):
         self.violations, self.n, self.units = violations, n, units
 
 
+def violations_of(G: FiniteGroupoid | MalformedTable) -> list[AxiomViolation]:
+    """validate(G), or the listing of a table refused where it entered."""
+    return G.violations if isinstance(G, MalformedTable) else validate(G)
+
+
 def malformed_listing(n, units, src, rng, comp, inv, labels) -> list[AxiomViolation]:
     """Every malformed-table violation of raw tables, comp from pairs (a, b)
     to a.b, entry by entry; comp None stands for rows that do not fit."""
@@ -207,10 +234,9 @@ def _well_shaped(G: FiniteGroupoid) -> bool:
     range, src and rng land on units, and each row has one slot for each
     arrow into its source: a few C-level passes."""
     n, units, rows = G.n, G.units, G.rows
-    products = tuple(chain.from_iterable(rows))
     return (len(G.src) == len(G.rng) == len(G.inv) == len(G.labels) == len(rows) == n
             and units.issuperset(G.src) and units.issuperset(G.rng)
-            and all(min(t) >= 0 and max(t) < n for t in (units, G.inv, products) if t)
+            and units.union(G.inv, chain.from_iterable(rows)).issubset(range(n))
             and tuple(map(len, rows)) == _gather(G.src)({x: len(G.into.get(x, ())) for x in units}))
 
 

@@ -2,14 +2,15 @@
 
 The document schema is strict: exactly the expected fields, string labels
 unique across elements, and every referenced label declared.  Decoding never
-checks the groupoid axioms — that is the validator's job — but it fills each
-arrow's row of products from the [a, b, ab] triples and raises
-``core.MalformedTable`` when they fill no rows, so decode(encode(G)) == G.
+checks the groupoid axioms — that is the validator's job — but the
+[a, b, ab] triples must fill each arrow's row of products, or
+``FiniteGroupoid.from_comp`` raises ``core.MalformedTable`` with the malformed
+listing, so decode(encode(G)) == G.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from . import core
 from .core import FiniteGroupoid
@@ -42,7 +43,11 @@ def _expect(cond: bool, message: str):
         raise DocumentError(message)
 
 
-def decode_groupoid(doc: Any) -> FiniteGroupoid:
+def decode_groupoid(doc: Any, admit: Callable[[int], object] = lambda n: None) -> FiniteGroupoid:
+    """The groupoid a document describes.  admit(n) is called with its
+    element count once every field and triple is read, before any work that
+    can outgrow the document, such as listing the pairs a short comp
+    misses: a caller refuses a table too large to take there."""
     _expect(isinstance(doc, dict), "document must be a JSON object")
     unknown = sorted(set(doc) - set(_FIELDS))
     _expect(not unknown, f"unknown fields: {unknown}")
@@ -83,11 +88,23 @@ def decode_groupoid(doc: Any) -> FiniteGroupoid:
 
     comp_entries = doc["comp"]
     _expect(isinstance(comp_entries, list), "comp must be a list of triples")
-
+    # The triples of a groupoid's table resolve in one pass and fill its
+    # rows.  Any others are read entry by entry below, which names the first
+    # bad one or hands the pairs to from_comp to list what is malformed.
     n, units, labels = len(elements), frozenset(unit_idx), tuple(elements)
-    into, pos = core._arrows_by(rng)
-    rows = [[None] * len(into.get(x, ())) for x in src]
-    stray: dict[tuple[int, int], int] = {}   # products on pairs that do not compose
+    G = None
+    if set(map(type, comp_entries)) <= {list}:
+        try:
+            triples = [(index[a], index[b], index[c]) for a, b, c in comp_entries]
+        except (KeyError, TypeError, ValueError):   # an unknown or unhashable label, no triple
+            pass
+        else:
+            G = core._from_products(n, units, src, rng, triples, inv, labels)
+    if G is not None:
+        admit(n)
+        return G
+
+    comp: dict[tuple[int, int], int] = {}
     for entry in comp_entries:
         # raise directly: _expect would format its message for every entry
         if not (isinstance(entry, list) and len(entry) == 3):
@@ -96,21 +113,9 @@ def decode_groupoid(doc: Any) -> FiniteGroupoid:
             a, b, c = index[entry[0]], index[entry[1]], index[entry[2]]
         except (KeyError, TypeError):
             a, b, c = resolve(entry, "comp")
-        if src[a] == rng[b]:
-            row, j = rows[a], pos[b]
-            seen, row[j] = row[j] is not None, c
-        else:
-            seen, stray[(a, b)] = (a, b) in stray, c
-        if seen:
+        if (a, b) in comp:
             raise DocumentError(f"duplicate comp entry for {entry[:2]!r}")
+        comp[(a, b)] = c
 
-    G = FiniteGroupoid(n=n, units=units, src=src, rng=rng, rows=tuple(map(tuple, rows)),
-                       inv=inv, labels=labels)
-    # every label resolved in range, and the rows fit src and rng as built
-    if (stray or len(comp_entries) != sum(map(len, rows))
-            or not (units.issuperset(src) and units.issuperset(rng))):
-        # from_comp lists what is malformed and raises; the stray pairs come
-        # last, in document order, as the listing reports them
-        comp = {pair: c for pair, c in core._Products(G).items() if c is not None}
-        return FiniteGroupoid.from_comp(n, units, src, rng, comp | stray, inv, labels)
-    return G
+    admit(n)
+    return FiniteGroupoid.from_comp(n, units, src, rng, comp, inv, labels)

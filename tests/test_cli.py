@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -162,6 +163,40 @@ class TestGenerateAndValidate:
                      ["check", "--input", str(big)]):
             code, data = run(args, capsys)
             assert code == 2 and "error" in data, args
+
+
+    def test_oversize_document_is_refused_before_its_rows_are_laid_out(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        # the rows of 4,097 arrows on one unit would hold 16.8 million slots,
+        # though the document lists no product: the element count is refused
+        # before they or the listing of the missing pairs are made, and a
+        # document error still comes first
+        n = cli.MAX_ARROWS + 1
+        labels = [f"g{i}" for i in range(n)]
+        doc = {"schema_version": "1", "elements": labels, "units": ["g0"],
+               "src": dict.fromkeys(labels, "g0"), "rng": dict.fromkeys(labels, "g0"),
+               "comp": [], "inv": {g: g for g in labels}}
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "comp": [["g0", "g0", "nowhere"]]}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pairs were listed")
+
+        monkeypatch.setattr(core.FiniteGroupoid, "from_comp", refuse)
+        tracemalloc.start()
+        try:
+            for command in ("validate", "check", "quotient", "abelianize", "dual", "characters"):
+                assert run([command, "--input", str(big)], capsys) == (2, {
+                    "error": f"document {str(big)!r} means up to {n} arrows; "
+                             f"the limit is {cli.MAX_ARROWS}"})
+                assert run([command, "--input", str(bad)], capsys) == (2, {
+                    "error": "comp: unknown label 'nowhere'"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20   # the rows alone would take 134 MB
 
 
 class TestQuotientCommand:

@@ -85,10 +85,23 @@ class TestStrictDecoding:
         doc["comp"][0] = doc["comp"][0][:2]
         with pytest.raises(document.DocumentError, match="triples"):
             document.decode_groupoid(doc)
+        # three labels that are not a list are no triple either, even where
+        # they would fill the one slot of a one-arrow table
+        point = {"schema_version": "1", "elements": ["x"], "units": ["x"], "src": {"x": "x"},
+                 "rng": {"x": "x"}, "comp": [["x", "x", "x"]], "inv": {"x": "x"}}
+        assert document.decode_groupoid(point).rows == ((0,),)
+        for entry in ("xxx", ("x", "x", "x"), {"x": 1, "y": 2, "z": 3}):
+            with pytest.raises(document.DocumentError, match="triples"):
+                document.decode_groupoid({**point, "comp": [entry]})
 
     def test_rejects_duplicate_comp_pair(self):
         doc = _doc()
         doc["comp"].append(list(doc["comp"][0]))
+        with pytest.raises(document.DocumentError, match="duplicate comp"):
+            document.decode_groupoid(doc)
+        # in place of another pair, as many triples as products
+        doc = _doc()
+        doc["comp"][1] = list(doc["comp"][0])
         with pytest.raises(document.DocumentError, match="duplicate comp"):
             document.decode_groupoid(doc)
 

@@ -52,9 +52,9 @@ VALIDATOR_CALLERS = {
     "group_action": {"generators.klein_cross"},
     "is_normal": {"cli._cmd_quotient", "quotients.normal_subgroupoid"},
     "normal_subgroupoid": {"quotients.quotient"},
-    # a table given as pairs enters through from_comp, which document
-    # decoding calls for a table its triples do not fill; validate lists a
-    # row table built directly that fails its shape check
+    # a table given as pairs enters through from_comp, as do a document's
+    # triples when they fill no rows; validate lists a row table built
+    # directly that fails its shape check
     "malformed_listing": {"core.FiniteGroupoid.from_comp", "core.validate"},
 }
 

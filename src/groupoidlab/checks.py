@@ -128,9 +128,8 @@ def _check_quotient_family(G: FiniteGroupoid):
     from, and no quotient groupoid is built.
     """
     for GC, inclusion, normals in quotients.component_normal_subgroupoids(G):
-        others = G.units - {inclusion[x] for x in GC.units}
-
         def in_G(members):
+            others = G.units - {inclusion[x] for x in GC.units}
             return _carrier_labels(G, others.union(inclusion[a] for a in members))
         for H in normals:
             class_map = quotients.quotient_map(GC, H)

@@ -29,8 +29,8 @@ EXIT_INPUT = 2
 # middle's range, and on trivial:4096 the bundle transform holds
 # sum |A_x|^2 exponents.  So a larger --kind or --budget is refused before any
 # table is built, and a larger document once read, before anything that can
-# outgrow it (rows its triples do not fill, the pairs they miss) is made,
-# instead of running for minutes or ending in a MemoryError.
+# outgrow it (the listing of the pairs its triples miss) is made, instead of
+# running for minutes or ending in a MemoryError.
 # quotients.MAX_FAMILY_ARROWS bounds the quotients check takes; a corpus
 # instance within this limit stays under it, as a library component has at
 # most 6 normal subgroupoids.
@@ -132,13 +132,13 @@ def _load(args, validate_axioms: bool = True) -> core.FiniteGroupoid | core.Malf
     """The groupoid a request names, refused with exit 1 if it breaks an
     axiom; without validate_axioms, a malformed document's MalformedTable."""
     if getattr(args, "input", None):
-        within = functools.partial(_within_limit, what=f"document {args.input!r}")
         try:
-            G = document.decode_groupoid(_read_document(args.input), admit=within)
+            G = document.decode_groupoid(_read_document(args.input))
         except document.DocumentError as exc:
             raise CliError(EXIT_INPUT, {"error": str(exc)}) from exc
-        except core.MalformedTable as exc:
-            G = exc
+        except core.MalformedTable as exc:   # listed only when read, below
+            G = exc.with_traceback(None)   # which would hold this frame, and so G
+        _within_limit(G.n, f"document {args.input!r}")
     elif getattr(args, "kind", None):
         G = _model(args.kind, args.seed, args.budget)
     else:
@@ -325,36 +325,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the groupoid axioms")
     _add_source(p)
-    p.add_argument("--output", metavar="FILE")
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("generate", help="emit a built-in model as a document")
     _add_source(p, require_kind=True)
-    p.add_argument("--output", metavar="FILE")
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("quotient", help="quotient by a normal subgroupoid")
     _add_source(p)
     p.add_argument("--by", default="isotropy", metavar="SPEC",
                    help="carrier: 'isotropy', 'units', or semicolon-separated arrow labels")
-    p.add_argument("--output", metavar="FILE")
     p.set_defaults(fn=_cmd_quotient)
 
     p = sub.add_parser("abelianize",
                        help="restrict to fixed points and abelianize fiberwise")
     _add_source(p)
-    p.add_argument("--output", metavar="FILE")
     p.set_defaults(fn=_cmd_abelianize)
 
     p = sub.add_parser("dual", help="character dual of an abelian group bundle")
     _add_source(p)
-    p.add_argument("--output", metavar="FILE")
     p.set_defaults(fn=_cmd_dual)
 
     p = sub.add_parser("characters",
                        help="one-dimensional representations of the convolution algebra")
     _add_source(p)
-    p.add_argument("--output", metavar="FILE")
     p.set_defaults(fn=_cmd_characters)
 
     p = sub.add_parser("check", help="run the verification suite")
@@ -364,9 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"number of corpus instances, at most {MAX_COUNT}")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the corpus, at most the CPU count")
-    p.add_argument("--output", metavar="FILE")
     p.set_defaults(fn=_cmd_check)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", metavar="FILE")
     return parser
 
 

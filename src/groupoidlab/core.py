@@ -5,10 +5,11 @@ source/range maps into the units, the composition as rows of products, and a
 total inversion map.  Everything is finite, so the usual axioms become
 decidable table properties.  rows[a][j] is a.c for c the j-th arrow,
 ascending, whose range is src(a): a row holds exactly the defined products.
-``G.comp``, each composable pair (a, b) to a.b, is a read-only view of the
-rows made on each access.  A table given as such a mapping enters through
-``FiniteGroupoid.from_comp``, which raises ``MalformedTable`` with the
-malformed listing when its products fill no rows.
+Raw tables, their products as (a, b, a.b) triples, enter through one row
+filler: ``FiniteGroupoid.from_comp`` for a mapping from pairs (a, b) to a.b,
+and ``document.decode_groupoid`` for a document's triples.  Triples that
+fill no rows raise ``MalformedTable``, which lists what is malformed when
+its violations are first read.
 
 Each groupoid carries three indices, built at construction: ``out_of`` and
 ``into``, the arrows out of and into each unit, and ``pos``, each arrow's
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -63,16 +65,8 @@ class FiniteGroupoid:
         """The groupoid whose products are comp, from each composable pair
         (a, b) to a.b; raises ``MalformedTable`` unless every index is in
         range, src and rng land on units and comp has exactly those pairs."""
-        G = _from_products(n, units, src, rng, [(a, b, c) for (a, b), c in comp.items()],
-                           inv, labels)
-        if G is None:
-            raise MalformedTable(malformed_listing(n, units, src, rng, comp, inv, labels), n, units)
-        return G
-
-    @property
-    def comp(self) -> Mapping[tuple[int, int], int]:
-        """Each composable pair (a, b) to a.b, read from the rows."""
-        return _Products(self)
+        return _from_products(n, units, src, rng, [(a, b, c) for (a, b), c in comp.items()],
+                              inv, labels)
 
     def arrows(self) -> range:
         return range(self.n)
@@ -85,49 +79,30 @@ class FiniteGroupoid:
 
 
 def _from_products(n, units, src, rng, products: Sequence[tuple[int, int, int]], inv,
-                   labels) -> FiniteGroupoid | None:
-    """The groupoid whose products are the (a, b, a.b) triples, or None
-    unless each is a composable pair in range, they fill every slot of the
-    rows and the tables are well shaped.  The rows are laid out only when
-    there are as many products as slots, so they are never larger than the
-    products; then a repeated pair leaves a slot empty, which the shape
-    check finds as a product out of range."""
+                   labels) -> FiniteGroupoid:
+    """The groupoid whose products are the (a, b, a.b) triples; raises
+    ``MalformedTable`` unless each is a composable pair in range, they fill
+    every slot of the rows and the tables are well shaped.  The rows are
+    laid out only when there are as many products as slots, so they are
+    never larger than the products; then a repeated pair leaves a slot
+    empty, which the shape check finds as a product out of range."""
     into, pos = _arrows_by(rng)
     widths = [len(into.get(x, ())) for x in src]
-    if len(products) != sum(widths):
-        return None
-    rows = [[None] * k for k in widths]
-    try:
-        for a, b, c in products:
-            row, j = rows[a], pos[b]
-            if src[a] != rng[b] or a < 0 or b < 0:   # a negative index wraps
-                return None
-            row[j] = c
-    except IndexError:   # a pair past the tables
-        return None
-    G = FiniteGroupoid(n, units, src, rng, tuple(map(tuple, rows)), inv, labels)
-    return G if _well_shaped(G) else None
-
-
-class _Products(Mapping):
-    """``G.comp``: the rows keyed by composable pairs, (a, b) ascending."""
-
-    def __init__(self, G: FiniteGroupoid):
-        self._G = G
-
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        a, b = pair
-        G = self._G
-        if not (0 <= a < G.n and 0 <= b < G.n and G.src[a] == G.rng[b]):
-            raise KeyError(pair)
-        return G.rows[a][G.pos[b]]
-
-    def __iter__(self):
-        G = self._G
-        return ((a, b) for a, x in enumerate(G.src) for b in G.into.get(x, ()))
-
-    def __len__(self) -> int:
-        return sum(map(len, self._G.rows))
+    if len(products) == sum(widths):
+        rows = [[None] * k for k in widths]
+        try:
+            for a, b, c in products:
+                row, j = rows[a], pos[b]
+                if src[a] != rng[b] or a < 0 or b < 0:   # a negative index wraps
+                    break
+                row[j] = c
+            else:
+                G = FiniteGroupoid(n, units, src, rng, tuple(map(tuple, rows)), inv, labels)
+                if _well_shaped(G):
+                    return G
+        except IndexError:   # a pair past the tables
+            pass
+    raise MalformedTable(n, units, src, rng, products, inv, labels)
 
 
 def _arrows_by(table: tuple[int, ...]) -> tuple[dict[int, list[int]], tuple[int, ...]]:
@@ -182,12 +157,18 @@ class AxiomViolation:
 
 
 class MalformedTable(ValueError):
-    """Raised where a table enters when its products fill no rows: violations
-    is the malformed listing, n and units what the table declared."""
+    """Raised where raw tables enter when their products fill no rows.  It
+    keeps the tables as ``malformed_listing`` takes them; n and units are
+    what they declared, and violations, their malformed listing, is made
+    when first read, so a caller can refuse a table too large to list first."""
 
-    def __init__(self, violations: list[AxiomViolation], n: int, units: Iterable[int]):
-        super().__init__(f"malformed table: {len(violations)} violations")
-        self.violations, self.n, self.units = violations, n, units
+    def __init__(self, n: int, units: Iterable[int], *tables):
+        super().__init__("malformed table: its products fill no rows")
+        self.n, self.units, self._tables = n, units, (n, units, *tables)
+
+    @cached_property
+    def violations(self) -> list[AxiomViolation]:
+        return malformed_listing(*self._tables)
 
 
 def violations_of(G: FiniteGroupoid | MalformedTable) -> list[AxiomViolation]:
@@ -195,13 +176,13 @@ def violations_of(G: FiniteGroupoid | MalformedTable) -> list[AxiomViolation]:
     return G.violations if isinstance(G, MalformedTable) else validate(G)
 
 
-def malformed_listing(n, units, src, rng, comp, inv, labels) -> list[AxiomViolation]:
-    """Every malformed-table violation of raw tables, comp from pairs (a, b)
-    to a.b, entry by entry; comp None stands for rows that do not fit."""
-    out = []
+def malformed_listing(n, units, src, rng, products, inv, labels) -> list[AxiomViolation]:
+    """Every malformed-table violation of raw tables, products the (a, b, a.b)
+    triples, no pair repeated, entry by entry; products None stands for rows
+    that do not fit."""
     if len(src) != n or len(rng) != n or len(inv) != n or len(labels) != n:
-        out.append(AxiomViolation(MALFORMED, "table lengths disagree with n", (n,)))
-        return out
+        return [AxiomViolation(MALFORMED, "table lengths disagree with n", (n,))]
+    out = []
     for x in units:
         if not (0 <= x < n):
             out.append(AxiomViolation(MALFORMED, "unit index out of range", (x,)))
@@ -215,17 +196,18 @@ def malformed_listing(n, units, src, rng, comp, inv, labels) -> list[AxiomViolat
         for name, table in (("src", src), ("rng", rng)):
             if table[g] not in units:
                 out.append(AxiomViolation(MALFORMED, f"{name}({g}) is not a unit", (g, table[g])))
-    if comp is None:
+    if products is None:
         out.append(AxiomViolation(MALFORMED, "rows do not fit src and rng", (n,)))
         return out
-    for (a, b), c in comp.items():
+    for a, b, c in products:
         if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
             out.append(AxiomViolation(MALFORMED, "comp entry out of range", (a, b, c)))
         elif src[a] != rng[b]:
             out.append(AxiomViolation(MALFORMED, "comp defined on non-composable pair", (a, b)))
+    pairs = {(a, b) for a, b, _ in products}
     by_rng = _arrows_by(rng)[0]
     out.extend(AxiomViolation(MALFORMED, "comp undefined on composable pair", (a, b))
-               for a in range(n) for b in by_rng.get(src[a], ()) if (a, b) not in comp)
+               for a in range(n) for b in by_rng.get(src[a], ()) if (a, b) not in pairs)
     return out
 
 
@@ -306,8 +288,9 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
     if not _well_shaped(G):
         fits = len(rows) == len(src) and all(
             len(row) == len(into.get(x, ())) for row, x in zip(rows, src))
-        return malformed_listing(G.n, G.units, src, rng, _Products(G) if fits else None, G.inv,
-                                 G.labels)
+        products = [(a, b, c) for a, row in enumerate(rows)
+                    for b, c in zip(into.get(src[a], ()), row)] if fits else None
+        return malformed_listing(G.n, G.units, src, rng, products, G.inv, G.labels)
 
     out = [AxiomViolation(UNIT_LAW, "unit not fixed by src/rng", (x,))
            for x in sorted(G.units) if src[x] != x or rng[x] != x]

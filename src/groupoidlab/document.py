@@ -3,14 +3,14 @@
 The document schema is strict: exactly the expected fields, string labels
 unique across elements, and every referenced label declared.  Decoding never
 checks the groupoid axioms — that is the validator's job — but the
-[a, b, ab] triples must fill each arrow's row of products, or
-``FiniteGroupoid.from_comp`` raises ``core.MalformedTable`` with the malformed
-listing, so decode(encode(G)) == G.
+[a, b, ab] triples must fill each arrow's row of products, or decoding raises
+``core.MalformedTable``, whose malformed listing is made when first read.
+decode(encode(G)) == G.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from . import core
 from .core import FiniteGroupoid
@@ -43,11 +43,10 @@ def _expect(cond: bool, message: str):
         raise DocumentError(message)
 
 
-def decode_groupoid(doc: Any, admit: Callable[[int], object] = lambda n: None) -> FiniteGroupoid:
-    """The groupoid a document describes.  admit(n) is called with its
-    element count once every field and triple is read, before any work that
-    can outgrow the document, such as listing the pairs a short comp
-    misses: a caller refuses a table too large to take there."""
+def decode_groupoid(doc: Any) -> FiniteGroupoid:
+    """The groupoid a document describes.  Raises ``DocumentError`` for the
+    first field, or comp entry in document order, that breaks the schema,
+    and ``core.MalformedTable`` when the triples fill no rows."""
     _expect(isinstance(doc, dict), "document must be a JSON object")
     unknown = sorted(set(doc) - set(_FIELDS))
     _expect(not unknown, f"unknown fields: {unknown}")
@@ -88,34 +87,23 @@ def decode_groupoid(doc: Any, admit: Callable[[int], object] = lambda n: None) -
 
     comp_entries = doc["comp"]
     _expect(isinstance(comp_entries, list), "comp must be a list of triples")
-    # The triples of a groupoid's table resolve in one pass and fill its
-    # rows.  Any others are read entry by entry below, which names the first
-    # bad one or hands the pairs to from_comp to list what is malformed.
+    # The triples resolve in one pass and fill the rows.  Where they do not,
+    # one scan raises for the first entry, in document order, that is no
+    # triple, names an unknown label or repeats a pair; a document with none
+    # of these fills no rows, and its MalformedTable is raised.
     n, units, labels = len(elements), frozenset(unit_idx), tuple(elements)
-    G = None
-    if set(map(type, comp_entries)) <= {list}:
-        try:
-            triples = [(index[a], index[b], index[c]) for a, b, c in comp_entries]
-        except (KeyError, TypeError, ValueError):   # an unknown or unhashable label, no triple
-            pass
-        else:
-            G = core._from_products(n, units, src, rng, triples, inv, labels)
-    if G is not None:
-        admit(n)
-        return G
-
-    comp: dict[tuple[int, int], int] = {}
-    for entry in comp_entries:
-        # raise directly: _expect would format its message for every entry
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise DocumentError(f"comp entries must be [a, b, ab] triples, got {entry!r}")
-        try:
-            a, b, c = index[entry[0]], index[entry[1]], index[entry[2]]
-        except (KeyError, TypeError):
-            a, b, c = resolve(entry, "comp")
-        if (a, b) in comp:
-            raise DocumentError(f"duplicate comp entry for {entry[:2]!r}")
-        comp[(a, b)] = c
-
-    admit(n)
-    return FiniteGroupoid.from_comp(n, units, src, rng, comp, inv, labels)
+    try:
+        if not set(map(type, comp_entries)) <= {list}:   # a str or tuple of three would unpack
+            raise TypeError("a comp entry is no list")
+        triples = [(index[a], index[b], index[c]) for a, b, c in comp_entries]
+        return core._from_products(n, units, src, rng, triples, inv, labels)
+    except (KeyError, TypeError, ValueError):   # MalformedTable is a ValueError
+        pairs = set()
+        for entry in comp_entries:   # raise directly: _expect formats per entry
+            if not (type(entry) is list and len(entry) == 3):
+                raise DocumentError(f"comp entries must be [a, b, ab] triples, got {entry!r}")
+            a, b, _ = resolve(entry, "comp")
+            if (a, b) in pairs:
+                raise DocumentError(f"duplicate comp entry for {entry[:2]!r}")
+            pairs.add((a, b))
+        raise

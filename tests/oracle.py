@@ -13,7 +13,9 @@ import cmath
 import dataclasses
 import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable
 
 from groupoidlab import abelian, core, generators, groups, quotients
@@ -25,6 +27,32 @@ from groupoidlab.linalg import BinomialSpan, Echelon, Qi, as_qi, vec_iadd_scaled
 from groupoidlab.snf import smith_normal_form
 
 QI0, QI1, QI_I = Qi(0), Qi(1), Qi(0, 1)
+
+
+# --- products keyed by pair -------------------------------------------------
+
+# id(G) -> (G, its products) for the last groupoids read; an entry keeps its
+# groupoid alive, so no other object can take its id while it is here.
+_PRODUCTS: dict[int, tuple] = {}
+PRODUCTS_KEPT = 16
+
+
+def products(G) -> Mapping[tuple[int, int], int]:
+    """Each composable pair (a, b) of G to a.b, (a, b) ascending: the
+    pair-keyed table every reference reads.  It is read from a groupoid's
+    rows once per groupoid, kept for the last PRODUCTS_KEPT and shared
+    read-only, so a caller that changes it changes a copy; a RawTable's
+    comp is its own."""
+    if isinstance(G, RawTable):
+        return G.comp
+    hit = _PRODUCTS.get(id(G))
+    if hit is None:
+        if len(_PRODUCTS) >= PRODUCTS_KEPT:
+            del _PRODUCTS[next(iter(_PRODUCTS))]
+        pairs = {(a, b): c for a, row in enumerate(G.rows)
+                 for b, c in zip(G.into.get(G.src[a], ()), row)}
+        hit = _PRODUCTS[id(G)] = (G, MappingProxyType(pairs))
+    return hit[1]
 
 
 # --- the reference algebra ------------------------------------------------
@@ -98,7 +126,7 @@ def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """(f*g)(c) sums f(a) g(b) over factorizations c = a.b."""
     f._same_host(g)
     G = f.host
-    comp = G.comp
+    comp = products(G)
     out: dict[int, Qi] = {}
     for a, ca in f.coeffs.items():
         for b, cb in g.coeffs.items():
@@ -228,7 +256,7 @@ def hom_is_surjective(h: AlgebraHom) -> bool:
 
 def shifts(G: FiniteGroupoid, g: int, row: dict) -> tuple[tuple[str, dict], ...]:
     """Translates of row by arrow g: d_g * row on the left, row * d_g on the right."""
-    comp = G.comp
+    comp = products(G)
     return (("left", {comp[g, b]: c for b, c in row.items() if (g, b) in comp}),
             ("right", {comp[a, g]: c for a, c in row.items() if (a, g) in comp}))
 
@@ -256,12 +284,13 @@ def functional_multiplicativity_violations(phi: CharacterFunctional,
                                            limit: int = 1) -> list[tuple[int, int]]:
     """Basis pairs where phi(d_a * d_b) != phi(d_a) phi(d_b), checked in exponents."""
     G = phi.host
+    comp = products(G)
     out = []
     for a in G.arrows():
         ea = phi.exponents.get(a)
         for b in G.arrows():
             eb = phi.exponents.get(b)
-            ab = G.comp.get((a, b))
+            ab = comp.get((a, b))
             eab = None if ab is None else phi.exponents.get(ab)
             expected = None if (ea is None or eb is None) else (ea + eb) % phi.modulus
             if expected != eab:
@@ -307,8 +336,9 @@ def groupoid_associativity_violations(G: FiniteGroupoid) -> list[tuple[int, int,
     by_rng: dict[int, list[int]] = {}
     for g in G.arrows():
         by_rng.setdefault(G.rng[g], []).append(g)
-    return [(a, b, c) for (a, b), ab in G.comp.items() for c in by_rng.get(G.src[b], ())
-            if G.comp[(ab, c)] != G.comp[(a, G.comp[(b, c)])]]
+    comp = products(G)
+    return [(a, b, c) for (a, b), ab in comp.items() for c in by_rng.get(G.src[b], ())
+            if comp[(ab, c)] != comp[(a, comp[(b, c)])]]
 
 
 def generating_arrows_by_definition(G: FiniteGroupoid) -> list[int]:
@@ -316,14 +346,15 @@ def generating_arrows_by_definition(G: FiniteGroupoid) -> list[int]:
     is kept iff it lies outside the closure of the units under right
     multiplication by the arrows kept before it, the closure recomputed
     from scratch for every arrow."""
+    comp = products(G)
     kept: list[int] = []
     for g in G.arrows():
         closure = set(G.units)
         grew = True
         while grew:
-            products = {G.comp[(r, s)] for r in closure for s in kept if G.src[r] == G.rng[s]}
-            grew = not products <= closure
-            closure |= products
+            reached = {comp[(r, s)] for r in closure for s in kept if G.src[r] == G.rng[s]}
+            grew = not reached <= closure
+            closure |= reached
         if g not in closure:
             kept.append(g)
     return kept
@@ -512,6 +543,7 @@ def normal_subgroupoids_by_filter(G: FiniteGroupoid) -> list[quotients.NormalSub
         g, arrows = core.isotropy_group(G, x)
         per_unit[x] = [frozenset(arrows[i] for i in sub) for sub in normal_subgroups_by_filter(g)]
 
+    comp = products(G)
     component_choices = []
     for comp_units in core.unit_components(G):
         units = sorted(comp_units)
@@ -519,7 +551,7 @@ def normal_subgroupoids_by_filter(G: FiniteGroupoid) -> list[quotients.NormalSub
         component_choices.append([
             choice for choice in (dict(zip(units, combo))
                                   for combo in itertools.product(*(per_unit[x] for x in units)))
-            if all(G.comp[(G.comp[(a, h)], G.inv[a])] in choice[G.rng[a]]
+            if all(comp[(comp[(a, h)], G.inv[a])] in choice[G.rng[a]]
                    for a in arrows for h in choice[G.src[a]])])
 
     out = [quotients.NormalSubgroupoid(G, frozenset().union(*(
@@ -548,7 +580,7 @@ def restriction_by_scan(G: FiniteGroupoid, F) -> tuple[FiniteGroupoid, tuple[int
         src=tuple(index[G.src[g]] for g in kept),
         rng=tuple(index[G.rng[g]] for g in kept),
         comp={(index[a], index[b]): index[c]
-              for (a, b), c in G.comp.items() if a in index and b in index},
+              for (a, b), c in products(G).items() if a in index and b in index},
         inv=tuple(index[G.inv[g]] for g in kept),
         labels=tuple(G.labels[g] for g in kept),
     ), kept
@@ -592,7 +624,8 @@ def quotient_comp_by_pairs(G: FiniteGroupoid, qr: quotients.QuotientResult) -> d
     for a in G.arrows():
         first.setdefault(qr.class_map[a], a)
     reps = [first[i] for i in range(len(first))]
-    return {(i, j): qr.class_map[G.comp[(a, b)]]
+    comp = products(G)
+    return {(i, j): qr.class_map[comp[(a, b)]]
             for i, a in enumerate(reps) for j, b in enumerate(reps) if G.src[a] == G.rng[b]}
 
 
@@ -610,7 +643,7 @@ def commutator_ideal_over_all_pairs(G: FiniteGroupoid) -> BinomialSpan:
         if span.union(*arrows) if len(arrows) == 2 else span.kill(*arrows):
             grown.append(arrows)
 
-    comp = G.comp
+    comp = products(G)
     left: dict[int, dict[int, int]] = {}    # left[u][g] = g.u
     right: dict[int, dict[int, int]] = {}   # right[u][g] = u.g
     for (a, b), ab in comp.items():

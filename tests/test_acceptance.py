@@ -179,9 +179,10 @@ def test_criterion_7_bundle_transform_invertible_and_multiplicative(corpus):
         if algebra.gelfand_violations(gm) is not None:
             mult_failures.append(name)
             continue
+        products = oracle.products(B)
         for a in B.arrows():
             for b in B.arrows():
-                c = B.comp.get((a, b))
+                c = products.get((a, b))
                 want = matrix[:, a] * matrix[:, b]
                 got = matrix[:, c] if c is not None else np.zeros(gm.size)
                 if np.max(np.abs(want - got)) > NUM_TOL:

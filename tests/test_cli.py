@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, payload shapes, file handling."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -184,7 +186,7 @@ class TestGenerateAndValidate:
         def refuse(*args, **kwargs):
             raise AssertionError("the pairs were listed")
 
-        monkeypatch.setattr(core.FiniteGroupoid, "from_comp", refuse)
+        monkeypatch.setattr(core, "malformed_listing", refuse)
         tracemalloc.start()
         try:
             for command in ("validate", "check", "quotient", "abelianize", "dual", "characters"):
@@ -197,6 +199,34 @@ class TestGenerateAndValidate:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20   # the rows alone would take 134 MB
+
+    def test_a_malformed_document_is_freed_when_its_command_returns(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        # _load keeps the MalformedTable decode raised without its traceback,
+        # which would hold _load's frame and so the table: no cycle is left
+        # for the collector, which is off here
+        doc = document.encode_groupoid(generators.klein_cross())
+        doc["comp"] = doc["comp"][:-3]
+        path = tmp_path / "holed.json"
+        path.write_text(json.dumps(doc))
+        refused = []
+        decode = document.decode_groupoid
+
+        def recording(doc):
+            try:
+                return decode(doc)
+            except core.MalformedTable as exc:
+                refused.append(weakref.ref(exc))
+                raise
+
+        monkeypatch.setattr(document, "decode_groupoid", recording)
+        gc.disable()
+        try:
+            for command in ("validate", "check", "quotient"):
+                assert run([command, "--input", str(path)], capsys)[0] == 1
+            assert len(refused) == 3 and [ref() for ref in refused] == [None] * 3
+        finally:
+            gc.enable()
 
 
 class TestQuotientCommand:

@@ -43,8 +43,22 @@ class TestValidate:
                                   src=(99,) + klein_cross.src[1:])
         assert _kinds(core.validate(bad)) == {core.MALFORMED}
 
+    def test_row_table_built_directly_is_listed_by_its_triples(self, klein_cross):
+        # a row table that fails the shape check is listed as from_comp lists
+        # its triples: a product out of range is named with its pair, and
+        # rows that do not fit src and rng are one violation
+        G = klein_cross
+        rows = [list(row) for row in G.rows]
+        rows[3][0] = G.n
+        bad = dataclasses.replace(G, rows=tuple(map(tuple, rows)))
+        assert [(v.message, v.witness) for v in core.validate(bad)] == [
+            ("comp entry out of range", (3, G.into[G.src[3]][0], G.n))]
+        short = dataclasses.replace(G, rows=G.rows[:-1])
+        assert [(v.message, v.witness) for v in core.validate(short)] == [
+            ("rows do not fit src and rng", (G.n,))]
+
     def test_missing_composable_pair_is_malformed(self, klein_cross):
-        comp = dict(klein_cross.comp)
+        comp = dict(oracle.products(klein_cross))
         pair = next((a, b) for (a, b) in comp
                     if a not in klein_cross.units and b not in klein_cross.units)
         del comp[pair]
@@ -56,19 +70,37 @@ class TestValidate:
         # count is right, and the missing pair is still listed
         G = klein_cross
         a = next(g for g in G.arrows() if G.src[g] != G.rng[g])
-        pair = next((x, y) for (x, y) in G.comp if x not in G.units and y not in G.units)
-        comp = dict(G.comp)
+        products = oracle.products(G)
+        pair = next((x, y) for (x, y) in products if x not in G.units and y not in G.units)
+        comp = dict(products)
         del comp[pair]
         comp[(a, a)] = a
-        assert len(comp) == len(G.comp)
+        assert len(comp) == len(products)
         assert [(v.message, v.witness) for v in _refused(G, comp)] == [
             ("comp defined on non-composable pair", (a, a)),
             ("comp undefined on composable pair", pair)]
 
+    def test_entry_that_would_fill_a_missing_pairs_slot_is_refused(self, klein_cross):
+        # (a, b) does not compose, but b has the place of the missing (a, c)
+        # among the arrows into its range; and (a - n, c) is out of range,
+        # but a negative index wraps to a: either product would fill the
+        # slot that (a, c) leaves empty
+        G = klein_cross
+        a, b, c = next((a, b, c) for a in G.arrows() for c in G.into[G.src[a]]
+                       for b in G.arrows() if G.rng[b] != G.src[a] and G.pos[b] == G.pos[c])
+        comp = dict(oracle.products(G))
+        ac = comp.pop((a, c))
+        assert [(v.message, v.witness) for v in _refused(G, {**comp, (a, b): ac})] == [
+            ("comp defined on non-composable pair", (a, b)),
+            ("comp undefined on composable pair", (a, c))]
+        assert [(v.message, v.witness) for v in _refused(G, {**comp, (a - G.n, c): ac})] == [
+            ("comp entry out of range", (a - G.n, c, ac)),
+            ("comp undefined on composable pair", (a, c))]
+
     def test_non_composable_entry_is_malformed(self, klein_cross):
         G = klein_cross
         a = next(g for g in G.arrows() if G.src[g] != G.rng[g])
-        comp = dict(G.comp)
+        comp = dict(oracle.products(G))
         comp[(a, a)] = a   # src(a) != rng(a), so (a, a) is not composable
         assert _kinds(_refused(G, comp)) == {core.MALFORMED}
 
@@ -83,7 +115,7 @@ class TestValidate:
         G = klein_cross
         c = G.label_index("(e,c)")
         s = G.label_index("(s,c)")
-        comp = dict(G.comp)
+        comp = dict(oracle.products(G))
         comp[(c, c)] = s
         bad = _with_comp(G, comp)
         assert core.IDENTITY_LAW in _kinds(core.validate(bad))
@@ -92,7 +124,7 @@ class TestValidate:
         G = klein_cross
         s_c = G.label_index("(s,c)")
         s_far = G.label_index("(s,x+)")
-        comp = dict(G.comp)
+        comp = dict(oracle.products(G))
         comp[(s_c, s_c)] = s_far
         bad = _with_comp(G, comp)
         assert core.COMPATIBILITY in _kinds(core.validate(bad))
@@ -102,7 +134,7 @@ class TestValidate:
         s = G.label_index("s@p")
         t = G.label_index("t@p")
         e = G.label_index("e@p")
-        comp = dict(G.comp)
+        comp = dict(oracle.products(G))
         comp[(s, t)] = e   # wrong element of the same one-object fiber
         bad = _with_comp(G, comp)
         assert core.ASSOCIATIVITY in _kinds(core.validate(bad))
@@ -129,7 +161,7 @@ def _bent_tables(draw):
         st.sampled_from([generators.klein_cross(), generators.s3_a3_bundle(),
                          generators.group_bundle([("p", groups.LIBRARY_BUILDERS["Q8"]())])]),
         st.builds(generators.random_groupoid, st.integers(0, 10**6), st.integers(1, 40))))
-    comp = dict(G.comp)
+    comp = dict(oracle.products(G))
     pairs = sorted(comp)
     for _ in range(draw(st.integers(1, 3))):
         pair = draw(st.sampled_from(pairs))
@@ -153,7 +185,8 @@ def _corrupted_tables(draw):
         st.builds(lambda seed: generators.random_groupoid(seed, checks.corpus_budget(seed)),
                   st.integers(0, 199))))
     n = G.n
-    units, comp = set(G.units), dict(G.comp)
+    products = oracle.products(G)
+    units, comp = set(G.units), dict(products)
     tables = {"src": list(G.src), "rng": list(G.rng), "inv": list(G.inv)}
     arrow = st.integers(0, n - 1)
     outside = st.sampled_from([-1, -2, n, n + 3])
@@ -163,7 +196,7 @@ def _corrupted_tables(draw):
         kind = draw(st.sampled_from(["change", "remove", "add", "key-out", "value-out",
                                      "table-out", "unit-out", "off-units", "unit-dropped",
                                      "fake-unit", "inverse", "bent", "bent"]))
-        pair = draw(st.sampled_from(sorted(G.comp)))
+        pair = draw(st.sampled_from(sorted(products)))
         if kind == "change":
             comp[pair] = draw(arrow)
         elif kind == "remove":
@@ -188,7 +221,7 @@ def _corrupted_tables(draw):
         elif kind == "inverse":
             tables["inv"][draw(arrow)] = draw(arrow)
         elif kind == "bent":
-            comp[pair] = draw(st.sampled_from(_same_ends(G, G.comp[pair])))
+            comp[pair] = draw(st.sampled_from(_same_ends(G, products[pair])))
     return oracle.RawTable(n=n, units=frozenset(units), src=tuple(tables["src"]),
                            rng=tuple(tables["rng"]), comp=comp, inv=tuple(tables["inv"]),
                            labels=G.labels)
@@ -212,7 +245,7 @@ class TestLightsTest:
         # middles outside {e, g}; Light's test still finds a failure at g.
         G = generators.group_bundle([("p", groups.cyclic(5))])
         e, g, g2 = (G.label_index(f"{x}@p") for x in ("e", "g", "g2"))
-        comp = dict(G.comp)
+        comp = dict(oracle.products(G))
         comp[(g2, g2)] = g
         bad = _with_comp(G, comp)
         assert core.generating_arrows(bad) == [g]
@@ -235,7 +268,7 @@ class TestLightsTest:
                 other = next((h for h in _same_ends(G, g) if h != g), None)
                 if other is None:
                     continue
-                comp = dict(G.comp)
+                comp = dict(oracle.products(G))
                 comp[(g, G.src[g])] = other
                 bad = _with_comp(G, comp)
                 found = core.validate(bad)
@@ -260,11 +293,12 @@ class TestLightsTest:
         assert found == oracle.validate_by_lookups(T)
 
     def test_reads_no_comp(self, klein_cross, monkeypatch):
-        # the laws, the generating set and Light's test read the rows alone
+        # the laws, the generating set and Light's test read the rows alone:
+        # a pair-keyed comp, which a groupoid no longer has, is never asked for
         def keyed_read(G):
             raise AssertionError("validate read G.comp")
 
-        monkeypatch.setattr(core.FiniteGroupoid, "comp", property(keyed_read))
+        monkeypatch.setattr(core.FiniteGroupoid, "comp", property(keyed_read), raising=False)
         for G in (generators.pair_groupoid(16), klein_cross):
             assert core.validate(G) == []
 
@@ -454,7 +488,8 @@ class TestIsotropyFiber:
                 assert groups.group_violations(g) == []
                 assert g.identity == arrows.index(x)
                 assert arrows == tuple(a for a in G.arrows() if G.src[a] == x == G.rng[a])
-                assert g.table == tuple(tuple(arrows.index(G.comp[(a, b)]) for b in arrows)
+                comp = oracle.products(G)
+                assert g.table == tuple(tuple(arrows.index(comp[(a, b)]) for b in arrows)
                                         for a in arrows)
                 units += 1
         assert units == 2498

@@ -105,6 +105,25 @@ class TestStrictDecoding:
         with pytest.raises(document.DocumentError, match="duplicate comp"):
             document.decode_groupoid(doc)
 
+    def test_comp_entry_errors_are_reported_in_entry_order(self):
+        # the first bad entry in document order is the one named: a repeated
+        # pair before a short entry, an unknown label or a string is reported
+        # as the repeat, and any of them before a repeated pair as itself
+        first = _doc()["comp"][0]
+        repeat = f"duplicate comp entry for {first[:2]!r}"
+        bad_entries = [
+            (first[:2], f"comp entries must be [a, b, ab] triples, got {first[:2]!r}"),
+            ([first[0], "ghost", first[2]], "comp: unknown label 'ghost'"),
+            ("abc", "comp entries must be [a, b, ab] triples, got 'abc'"),
+        ]
+        for bad, message in bad_entries:
+            for (i, j), expected in (((3, 5), repeat), ((5, 3), message)):
+                doc = _doc()
+                doc["comp"][i], doc["comp"][j] = list(first), bad
+                with pytest.raises(document.DocumentError) as err:
+                    document.decode_groupoid(doc)
+                assert str(err.value) == expected, (bad, i)
+
     def test_decoding_skips_axiom_checks(self):
         # a structurally well-formed document that is not a groupoid decodes
         # fine; the validator is the place that rejects it.  One whose

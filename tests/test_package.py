@@ -22,8 +22,9 @@ from groupoidlab import (abelian, algebra, checks, cli, core, document, generato
 # and helpers folded into their one caller (restricted_arrows into restrict)
 # or into a value (fiber_unit into Abelianization.fixed_points), the
 # three isotropy builders that core.isotropy_group replaced, the axioms
-# check that instance_checks runs for itself, and validate's rebuild of comp
-# as rows, now the stored form, with its fallback, now malformed_listing.
+# check that instance_checks runs for itself, validate's rebuild of comp
+# as rows, now the stored form, with its fallback, now malformed_listing,
+# and the pair-keyed view of the rows, which no package function read.
 GONE = (
     "AlgebraElement", "from_coeffs", "zero", "delta", "unit_element", "convolve",
     "involute", "compose_homs", "restriction_hom", "quotient_hom", "encode_element",
@@ -34,7 +35,7 @@ GONE = (
     "Character.is_trivial", "Qi.to_complex", "FiniteGroupoid.is_unit", "trivial_action",
     "abelianized", "restricted_arrows", "Abelianization.fiber_unit",
     "quotient_hom_from_result", "isotropy_fiber", "fiber_group", "abelian_fiber",
-    "axioms_check", "_product_rows", "_check_malformed",
+    "axioms_check", "_product_rows", "_check_malformed", "FiniteGroupoid.comp", "_Products",
 )
 
 # Each validator, with the functions that call it.  Tables and carriers are
@@ -52,10 +53,10 @@ VALIDATOR_CALLERS = {
     "group_action": {"generators.klein_cross"},
     "is_normal": {"cli._cmd_quotient", "quotients.normal_subgroupoid"},
     "normal_subgroupoid": {"quotients.quotient"},
-    # a table given as pairs enters through from_comp, as do a document's
-    # triples when they fill no rows; validate lists a row table built
-    # directly that fails its shape check
-    "malformed_listing": {"core.FiniteGroupoid.from_comp", "core.validate"},
+    # raw tables whose triples fill no rows, from from_comp or a document,
+    # are listed when their MalformedTable's violations are first read;
+    # validate lists a row table built directly that fails its shape check
+    "malformed_listing": {"core.MalformedTable.violations", "core.validate"},
 }
 
 
@@ -103,6 +104,12 @@ def test_one_check_pipeline():
                quotients.component_normal_subgroupoids):
         assert [p.name for p in inspect.signature(fn).parameters.values()
                 if p.default is not p.empty] == [], fn.__name__
+
+
+def test_a_document_decodes_one_way():
+    # decode takes the document alone: the CLI refuses a table too large
+    # from the n of the groupoid decode returns or the MalformedTable it raises
+    assert list(inspect.signature(document.decode_groupoid).parameters) == ["doc"]
 
 
 def test_no_module_imports_cmath():
@@ -165,8 +172,8 @@ def test_validators_run_only_where_tables_enter():
 
 
 def test_composition_is_stored_once_as_rows():
-    # no package function reads the G.comp view, no field of a groupoid
-    # holds a pair-keyed dict, and the view is made afresh on each access
+    # no package function reads a .comp attribute, no field of a groupoid
+    # holds a pair-keyed dict, and a groupoid holds nothing beside its fields
     package = Path(groupoidlab.__file__).resolve().parent
     assert [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -174,8 +181,7 @@ def test_composition_is_stored_once_as_rows():
     assert [f.name for f in dataclasses.fields(core.FiniteGroupoid)] == [
         "n", "units", "src", "rng", "rows", "inv", "labels", "out_of", "into", "pos"]
     for G in (generators.klein_cross(), generators.pair_groupoid(3), generators.random_groupoid(7)):
-        assert G.comp is not G.comp and G.comp == G.comp   # made on each access
-        assert vars(G).keys() == {f.name for f in dataclasses.fields(G)}   # never stored
+        assert vars(G).keys() == {f.name for f in dataclasses.fields(G)}
         assert not [name for name, value in vars(G).items()
                     if isinstance(value, dict) and any(isinstance(k, tuple) for k in value)]
 

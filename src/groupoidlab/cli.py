@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 
 from . import abelian, algebra, checks, core, document, generators, groups, quotients
 
@@ -152,8 +153,52 @@ def _load(args, validate_axioms: bool = True) -> core.FiniteGroupoid | core.Malf
     return G
 
 
+# The one JSON writer's parts.  With indent set, json runs its pure-Python
+# encoder, a call per value; the writer joins each flat container in C and
+# hands the encoder only what it does not lay out itself.
+_quote = json.encoder.encode_basestring_ascii
+# A scalar's text is the same compact or indented, and compact is json's C
+# encoder.  type(True) is bool, not int.
+_LEAVES = {str: _quote, int: int.__repr__, float: json.dumps, bool: json.dumps,
+           type(None): json.dumps}
+_encode = json.JSONEncoder(indent=2).encode
+
+
+def _json(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2), each line after the first indented by
+    pad.  A str-keyed dict or a list whose values are all of one scalar type,
+    and a list of equal-width rows of str, is laid out by C-level maps and
+    joins; any other such dict or list recurses, and the rest is the stdlib
+    encoder's text re-indented, where every newline is a line break, as no
+    JSON string holds one."""
+    kind = type(value)
+    if kind in _LEAVES:
+        return _LEAVES[kind](value)
+    if not value:   # [] or {}, as compact
+        return json.dumps(value)
+    if kind is not list and (kind is not dict or set(map(type, value)) != {str}):
+        return _encode(value).replace("\n", "\n" + pad)
+    inner = pad + "  "
+    values = value.values() if kind is dict else value
+    kinds = set(map(type, values))
+    if (kind is list and kinds == {list} and len(widths := set(map(len, value))) == 1
+            and 0 not in widths and set(map(type, chain.from_iterable(value))) == {str}):
+        cells = map(_quote, chain.from_iterable(value))
+        rows = map(f",\n{inner}  ".join, zip(*[cells] * widths.pop()))
+        body = f"\n{inner}],\n{inner}[\n{inner}  ".join(rows)
+        return f"[\n{inner}[\n{inner}  {body}\n{inner}]\n{pad}]"
+    if len(kinds) == 1 and (leaf := _LEAVES.get(*kinds)):
+        items = map(leaf, values)
+    else:
+        items = [_json(v, inner) for v in values]
+    if kind is dict:
+        items = map(": ".join, zip(map(_quote, value), items))
+    body = f",\n{inner}".join(items)
+    return f"{{\n{inner}{body}\n{pad}}}" if kind is dict else f"[\n{inner}{body}\n{pad}]"
+
+
 def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    text = _json(payload) + "\n"
     if path and path != "-":
         try:
             with open(path, "w", encoding="utf-8") as fh:

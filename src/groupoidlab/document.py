@@ -87,23 +87,32 @@ def decode_groupoid(doc: Any) -> FiniteGroupoid:
 
     comp_entries = doc["comp"]
     _expect(isinstance(comp_entries, list), "comp must be a list of triples")
+
+    def entry_triple(entry) -> list[int]:   # raise directly: _expect formats per entry
+        if not (type(entry) is list and len(entry) == 3):
+            raise DocumentError(f"comp entries must be [a, b, ab] triples, got {entry!r}")
+        return resolve(entry, "comp")
+
     # The triples resolve in one pass and fill the rows.  Where they do not,
-    # one scan raises for the first entry, in document order, that is no
-    # triple, names an unknown label or repeats a pair; a document with none
-    # of these fills no rows, and its MalformedTable is raised.
+    # one scan raises for the first entry, in document order, that repeats a
+    # pair or, where the pass failed, is no triple or names an unknown label;
+    # a document with none of these fills no rows, and its MalformedTable is
+    # raised.
     n, units, labels = len(elements), frozenset(unit_idx), tuple(elements)
     try:
         if not set(map(type, comp_entries)) <= {list}:   # a str or tuple of three would unpack
             raise TypeError("a comp entry is no list")
         triples = [(index[a], index[b], index[c]) for a, b, c in comp_entries]
-        return core._from_products(n, units, src, rng, triples, inv, labels)
-    except (KeyError, TypeError, ValueError):   # MalformedTable is a ValueError
-        pairs = set()
-        for entry in comp_entries:   # raise directly: _expect formats per entry
-            if not (type(entry) is list and len(entry) == 3):
-                raise DocumentError(f"comp entries must be [a, b, ab] triples, got {entry!r}")
-            a, b, _ = resolve(entry, "comp")
-            if (a, b) in pairs:
-                raise DocumentError(f"duplicate comp entry for {entry[:2]!r}")
-            pairs.add((a, b))
-        raise
+    except (KeyError, TypeError, ValueError):
+        triples = map(entry_triple, comp_entries)   # raises at the first bad entry
+    else:
+        try:
+            return core._from_products(n, units, src, rng, triples, inv, labels)
+        except core.MalformedTable as exc:
+            malformed = exc
+    pairs = set()
+    for (a, b, _), entry in zip(triples, comp_entries):
+        if (a, b) in pairs:
+            raise DocumentError(f"duplicate comp entry for {entry[:2]!r}")
+        pairs.add((a, b))
+    raise malformed   # only a pass that resolved gets here: else an entry raised

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -505,11 +506,25 @@ class TestContract:
 
 
 class TestPlumbing:
-    def test_output_flag_writes_file(self, tmp_path, capsys):
+    def test_output_flag_writes_file(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "out.json"
         code, _ = run(["characters", "--kind", "s3", "--output", str(path)], capsys)
         assert code == 0
         assert json.loads(path.read_text())["count"] == 2
+        # the file holds the bytes stdout gets, check's timings held still
+        monkeypatch.setattr(checks, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        for args in (["validate", "--kind", "klein-cross"],
+                     ["generate", "--kind", "s3-a3-bundle"],
+                     ["quotient", "--kind", "s3-a3-bundle", "--by", "units"],
+                     ["abelianize", "--kind", "klein-cross"],
+                     ["dual", "--kind", "group:V4"],
+                     ["characters", "--kind", "klein-cross"],
+                     ["check", "--kind", "s3"]):
+            code = cli.main(args)
+            out = capsys.readouterr().out
+            assert cli.main([*args, "--output", str(path)]) == code
+            assert capsys.readouterr().out == ""
+            assert path.read_bytes() == out.encode(), args
 
     def test_unwritable_output_exits_two_with_the_error_on_stdout(self, tmp_path, capsys):
         # on a success, and on a failure whose exit-1 payload cannot be written
@@ -634,3 +649,65 @@ class TestParser:
             payloads[" ".join(args)] = data
         assert len(payloads["quotient --kind klein-cross"]["by"]) == 12   # the isotropy
         assert {c["instance"] for c in payloads["check --kind s3"]["checks"]} == {"s3"}
+
+
+# Label characters that JSON output escapes: a non-ASCII letter, an astral
+# character (written as a surrogate pair), a quote, a backslash and a tab.
+ESCAPED = ("\u00e9", "\U0001d11e", '"', "\\", "\t")
+
+
+def _escaped_document(kind):
+    """The document of a built-in model, each label carrying one of ESCAPED."""
+    doc = document.encode_groupoid(cli._model(kind, 0, 60))
+    return _swapped(doc, {lab: f"{lab}{ESCAPED[i % len(ESCAPED)]}x"
+                          for i, lab in enumerate(doc["elements"])})
+
+
+class TestOutputBytes:
+    """Every payload is printed as json.dumps(payload, indent=2) and one
+    newline: two-space indentation, the payload's key order, ASCII."""
+
+    def test_every_subcommand_prints_the_indented_dump(self, tmp_path, capsys):
+        bundle, group = tmp_path / "bundle.json", tmp_path / "group.json"
+        doc = _escaped_document("s3-a3-bundle")
+        bundle.write_text(json.dumps(doc), encoding="utf-8")
+        group.write_text(json.dumps(_escaped_document("group:V4")), encoding="utf-8")
+        units = ";".join(doc["units"])
+        requests = [
+            (["validate", "--input", str(bundle)], cli.EXIT_OK),
+            (["generate", "--kind", "s3-a3-bundle"], cli.EXIT_OK),
+            (["quotient", "--input", str(bundle)], cli.EXIT_OK),
+            (["quotient", "--input", str(bundle), "--by", "units"], cli.EXIT_OK),
+            (["quotient", "--input", str(bundle), "--by", units], cli.EXIT_OK),
+            (["abelianize", "--input", str(bundle)], cli.EXIT_OK),
+            (["characters", "--input", str(bundle)], cli.EXIT_OK),
+            (["dual", "--input", str(group)], cli.EXIT_OK),
+            (["dual", "--input", str(bundle)], cli.EXIT_SEMANTIC),
+            (["check", "--input", str(bundle)], cli.EXIT_OK),
+            (["check", "--corpus", "--count", "3"], cli.EXIT_OK),
+            (["quotient", "--input", str(bundle), "--bogus"], cli.EXIT_INPUT),
+        ]
+        seen = ""
+        for args, code in requests:
+            assert cli.main(args) == code, args
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", args
+            seen += out
+        for text in ("\\u00e9", "\\ud834\\udd1e", '\\"', "\\\\", "\\t"):
+            assert text in seen, text
+        assert seen.isascii()
+
+    @pytest.mark.parametrize("value", [
+        {}, [], {"a": {}}, [[]], {"a": [{}]}, [{"b": [[]]}], [[{"c": {}}, []]],
+        {"a": [[[]]]}, [True, 1], {"yes": True, "one": 1}, [1, True], [False, 0],
+        None, [None], {"a": None}, 1e-07, [1e-07, float("nan")], {"x": float("nan")},
+        [float("inf"), -0.0], {1: "a", 2: "b"}, {"a": {1: [2, 3]}}, {True: 1, None: 2},
+        [["a"], ["b"]], [["a", "b"], ["c"]], [["a", 1], ["b", 2]], [["a", "b"], ["c", None]],
+        [["a", "b"], []], [[], []], [["a", ["b"]]], ["a", 1], [1, 2, 3], ["a", "b"],
+        {"a": "b", "c": "d"}, {"a": 1, "b": "c"}, {"a": [["x", "y"]], "b": (1, 2)},
+        (1, [2, "z"]), ["\u00e9", "\U0001d11e", '"', "\\", "\t", ""],
+        {"\u00e9": "\U0001d11e", '"': "\\", "\t": ""}, [["\u00e9", '"'], ["\\", "\t"]],
+        "x", 7, True,
+    ], ids=repr)
+    def test_the_writer_is_the_indented_dump(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)

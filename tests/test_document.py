@@ -124,6 +124,28 @@ class TestStrictDecoding:
                     document.decode_groupoid(doc)
                 assert str(err.value) == expected, (bad, i)
 
+    def test_a_large_document_names_its_last_bad_entry(self):
+        # on pair:64 the scan finds a repeat among the resolved triples, in
+        # the place of the last entry or after it, and walks the entries
+        # only for a short entry or an unknown label
+        doc = _doc(generators.pair_groupoid(64))
+        comp = doc["comp"]
+        first, last = comp[0], comp[-1]
+        repeat = f"duplicate comp entry for {first[:2]!r}"
+        for bad, message in (
+                (list(first), repeat),
+                (last[:2], f"comp entries must be [a, b, ab] triples, got {last[:2]!r}"),
+                ([last[0], "ghost", last[2]], "comp: unknown label 'ghost'")):
+            comp[-1] = bad
+            with pytest.raises(document.DocumentError) as err:
+                document.decode_groupoid(doc)
+            assert str(err.value) == message, bad
+        comp[-1] = last
+        comp.append(list(first))
+        with pytest.raises(document.DocumentError) as err:
+            document.decode_groupoid(doc)
+        assert str(err.value) == repeat
+
     def test_decoding_skips_axiom_checks(self):
         # a structurally well-formed document that is not a groupoid decodes
         # fine; the validator is the place that rejects it.  One whose

@@ -112,6 +112,18 @@ def test_a_document_decodes_one_way():
     assert list(inspect.signature(document.decode_groupoid).parameters) == ["doc"]
 
 
+def test_one_json_writer():
+    # the CLI's writer lays out indented JSON and hands what it does not lay
+    # out to one indenting encoder: no json.dumps call, nor any other, under
+    # src passes indent=
+    package = Path(groupoidlab.__file__).resolve().parent
+    assert [(path.name, getattr(node.func, "attr", getattr(node.func, "id", None)))
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and any(k.arg == "indent" for k in node.keywords)] == [("cli.py", "JSONEncoder")]
+
+
 def test_no_module_imports_cmath():
     # complex numbers are the tests' business: the package computes exactly;
     # and the package never reaches into the tests or their oracle

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FiniteGroup
 
@@ -223,20 +223,25 @@ def _well_shaped(G: FiniteGroupoid) -> bool:
 
 
 def generating_arrows(G: FiniteGroupoid) -> list[int]:
-    """A greedy generating set S: each arrow, in order, that right-multiplying
-    the units by earlier members of S has not reached.
+    """``greedy_generators`` on G's tables."""
+    return greedy_generators(G.rows, G.pos, G.src, G.rng, G.units)
+
+
+def greedy_generators(rows, pos, src, rng, units) -> list[int]:
+    """A greedy generating set S of the groupoid with these tables: each
+    arrow, in order, that right-multiplying the units by earlier members of
+    S has not reached.  A group is the one-unit case (``groups.generating_set``).
 
     Every arrow is in S or a left-nested product ((u s1) s2)... of a unit and
     members of S.  Building S reads the rows and assumes no associativity.
     ``validate`` tests associativity on the units and S alone, and
     ``algebra.commutator_ideal`` closes its ideal over them.
     """
-    rows, pos, src, rng = G.rows, G.pos, G.src, G.rng
-    reached = set(G.units)
-    reached_by_src: dict[int, list[int]] = {x: [x] for x in G.units}
+    reached = set(units)
+    reached_by_src: dict[int, list[int]] = {x: [x] for x in units}
     gens: list[int] = []
-    gens_by_rng: dict[int, list[int]] = {x: [] for x in G.units}
-    for g in G.arrows():
+    gens_by_rng: dict[int, list[int]] = {x: [] for x in units}
+    for g in range(len(rows)):
         if g in reached:
             continue
         gens.append(g)
@@ -253,6 +258,25 @@ def generating_arrows(G: FiniteGroupoid) -> list[int]:
                     new.append(p)
             frontier = [rows[p][pos[t]] for p in new for t in gens_by_rng[src[p]]]
     return gens
+
+
+def associativity_failures(rows, pos, src, rng, out_of, into,
+                           middles: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """Each (a, b, c) with (ab)c != a(bc) in the groupoid with these tables,
+    for each middle b in turn, then a and c ascending, yielded as found.
+
+    For a middle b and each a out of rng b, (ab)c for every c into src b is
+    the row of ab, and a(bc) is one ``itemgetter`` gather from the row of a
+    at the places of b's row: a middle costs |arrows out of rng b| gathers.
+    """
+    for b in middles:
+        gather = _gather([pos[bc] for bc in rows[b]])
+        j = pos[b]
+        for a in out_of.get(rng[b], ()):
+            row = rows[a]
+            left, right = rows[row[j]], gather(row)   # (ab)c, a(bc) for c into src(b)
+            if left != right:
+                yield from ((a, b, c) for c, x, y in zip(into[src[b]], left, right) if x != y)
 
 
 def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
@@ -279,10 +303,9 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
     a.src(a) = a and rng(c).c = c.  Both are checked on every arrow first,
     so the units are middles only on a table that breaks the identity law.
     Either way a failing table lists exactly its failing triples (a, b, c)
-    with b among the units and S, in order of b.  For a middle b and each a
-    out of rng b, (ab)c for every c into src b is the row of ab, and a(bc)
-    is one ``itemgetter`` gather from the row of a at the places of b's
-    row: a middle costs |arrows out of rng b| gathers.
+    with b among the units and S, in order of b (``associativity_failures``).
+    A group is the one-unit groupoid: ``groups.group_violations`` runs the
+    same test on its table.
     """
     src, rng, rows, pos, into = G.src, G.rng, G.rows, G.pos, G.into
     if not _well_shaped(G):
@@ -320,15 +343,8 @@ def validate(G: FiniteGroupoid) -> list[AxiomViolation]:
     middles = generating_arrows(G)
     if not identity_law_holds:
         middles = sorted([*G.units, *middles])
-    for b in middles:
-        gather = _gather([pos[bc] for bc in rows[b]])
-        j = pos[b]
-        for a in G.out_of.get(rng[b], ()):
-            row = rows[a]
-            left, right = rows[row[j]], gather(row)   # (ab)c, a(bc) for c into src(b)
-            if left != right:
-                out.extend(AxiomViolation(ASSOCIATIVITY, "(ab)c != a(bc)", (a, b, c))
-                           for c, x, y in zip(into[src[b]], left, right) if x != y)
+    out.extend(AxiomViolation(ASSOCIATIVITY, "(ab)c != a(bc)", t)
+               for t in associativity_failures(rows, pos, src, rng, G.out_of, into, middles))
 
     for g, h in enumerate(G.inv):
         if (src[h] != rng[g] or rows[h][pos[g]] != src[g]

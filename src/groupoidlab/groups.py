@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import lcm
-from operator import itemgetter
 
 # Entries kept by each table_memo function, so a long run's memory stays fixed: a seed-0
 # check --corpus --count 200 decomposes 13 distinct tables on the instance path, 178 in all.
@@ -106,53 +105,33 @@ def _shape_violations(name: str, n: int, table: tuple) -> list[str]:
 
 
 def group_violations(g: FiniteGroup) -> list[str]:
-    """Group-axiom check, exact on any table: row shape, entry range,
-    associativity, inverses.
+    """Group-axiom check, exact on any table: row shape, entry range, the
+    declared identity, associativity, inverses.
 
     Rows are shape-checked and entries range-checked first, because the
     later checks index the table by them, and a table built with the
-    dataclass constructor has had neither checked.  Associativity is decided
-    by Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups*
-    I, 1961, section 1.2) in O(n^2 k) instead of O(n^3): (x*a)*y == x*(a*y)
-    for all x, y and each middle element a in the identity and
-    ``generating_set(g)``.  The middle elements that pass form a submagma, since if a and b pass then
-        (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y).
-    That submagma holds the identity and the generators, so it holds every
-    left-nested product ((a1*a2)*...)*ak of generators.  Those products and
-    the identity are what ``closure`` collects, with no associativity
-    assumed, and ``generating_set`` makes that the whole table: every middle
-    element passes.
+    dataclass constructor has had neither checked; an identity out of range
+    is reported alone for the same reason.  Each x with e*x != x or
+    x*e != x is listed.  Associativity is decided by ``core.validate``'s
+    Light's test on g as the one-unit groupoid, whose rows are the table
+    and where each element is its own place: (x*a)*y == x*(a*y) is tested
+    for the middles a in ``generating_set(g)``, and in the identity too
+    when it fails, and the first failing triple is reported.
     """
-    n = g.order
-    out = _shape_violations(g.name, n, g.table) or [
+    from . import core   # core imports this module
+    n, t, e = g.order, g.table, g.identity
+    out = _shape_violations(g.name, n, t) or [
         f"entry ({i},{j}) out of range"
-        for i in range(n) for j in range(n) if not 0 <= g.table[i][j] < n]
-    if out:
-        return out
-    witness = _light_witness(g)
+        for i in range(n) for j in range(n) if not 0 <= t[i][j] < n]
+    if out or not 0 <= e < n:
+        return out or [f"identity {e} out of range"]
+    out = [f"identity fails at {x}" for x in range(n) if t[e][x] != x or t[x][e] != x]
+    middles = sorted([e, *generating_set(g)]) if out else generating_set(g)
+    one, ends = {e: range(n)}, (e,) * n
+    witness = next(core.associativity_failures(t, range(n), ends, ends, one, one, middles), None)
     if witness:
         out.append("associativity fails at ({},{},{})".format(*witness))
-    for i in range(n):
-        if g.identity not in g.table[i]:
-            out.append(f"no inverse for {i}")
-    return out
-
-
-def _light_witness(g: FiniteGroup) -> tuple[int, int, int] | None:
-    """A triple (x, a, y) with (x*a)*y != x*(a*y) and a a tested middle
-    element, or None when Light's test passes."""
-    t = g.table
-    for a in (g.identity, *generating_set(g)):
-        ta = t[a]
-        if len(ta) == 1:   # the table is ((0,),); a one-index gather returns a bare item
-            continue
-        gather = itemgetter(*ta)
-        for x, tx in enumerate(t):
-            left = tuple(t[tx[a]])   # (x*a)*y for every y
-            right = gather(tx)       # x*(a*y) for every y
-            if left != right:
-                return x, a, next(y for y in range(g.order) if left[y] != right[y])
-    return None
+    return out + [f"no inverse for {i}" for i in range(n) if e not in t[i]]
 
 
 def is_abelian(g: FiniteGroup) -> bool:
@@ -300,7 +279,7 @@ def closure(g: FiniteGroup, seed) -> frozenset[int]:
     the subgroup: each element has finite order, so an inverse is a positive
     power, and positive words already give every element of the group the
     seed generates.  On any other table the result is the set of left-nested
-    products, which is what Light's test in ``group_violations`` needs.
+    products.
     """
     t = g.table
     seed = list(seed)
@@ -317,16 +296,12 @@ def closure(g: FiniteGroup, seed) -> frozenset[int]:
 
 @table_memo
 def generating_set(g: FiniteGroup) -> list[int]:
-    """A generating set, chosen greedily: each element, in order, that the
-    elements chosen before it do not reach under ``closure``.  Every element
-    is then the identity, a member or a left-nested product of members."""
-    gens: list[int] = []
-    reached = closure(g, gens)
-    for x in range(g.order):
-        if x not in reached:
-            gens.append(x)
-            reached = closure(g, gens)
-    return gens
+    """A generating set, chosen greedily: ``core.greedy_generators`` on g as
+    the one-unit groupoid.  Every element is then the identity, a member or
+    a left-nested product of members."""
+    from . import core   # core imports this module
+    ends = (g.identity,) * g.order
+    return core.greedy_generators(g.table, range(g.order), ends, ends, (g.identity,))
 
 
 class TooManySubgroups(ValueError):

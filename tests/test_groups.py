@@ -87,6 +87,19 @@ class TestLibrary:
                                     [[0, 1, 2], [1, 2, entry], [2, 0, 1]])
             assert groups.group_violations(g) == ["entry (1,2) out of range"]
 
+    def test_violations_flag_a_declared_identity_that_is_not_one(self):
+        # the tables are groups, but under another identity
+        c2 = groups.FiniteGroup("C2", ("e", "a"), ((0, 1), (1, 0)), 1)
+        assert groups.group_violations(c2) == ["identity fails at 0", "identity fails at 1"]
+        c3 = dataclasses.replace(groups.cyclic(3), identity=2)
+        assert groups.group_violations(c3) == [
+            "identity fails at 0", "identity fails at 1", "identity fails at 2"]
+
+    def test_an_identity_out_of_range_is_reported_not_indexed(self):
+        for e in (5, 3, -1):
+            c3 = dataclasses.replace(groups.cyclic(3), identity=e)
+            assert groups.group_violations(c3) == [f"identity {e} out of range"]
+
     def test_generating_set_generates(self):
         for g in groups.library():
             gens = groups.generating_set(g)
@@ -151,15 +164,37 @@ def _tables_with_identity(draw) -> groups.FiniteGroup:
     return groups.finite_group("t", [str(i) for i in range(n)], relabelled)
 
 
+@st.composite
+def _tables_with_a_declared_identity(draw) -> groups.FiniteGroup:
+    """A table of ``_tables_with_identity`` declaring its identity or any
+    other element."""
+    g = draw(_tables_with_identity())
+    return dataclasses.replace(g, identity=draw(st.one_of(
+        st.just(g.identity), st.integers(0, g.order - 1))))
+
+
 class TestLightsTest:
     @settings(max_examples=400, deadline=None)
-    @given(_tables_with_identity())
+    @given(_tables_with_a_declared_identity())
     def test_agrees_with_the_cubic_loop(self, g):
-        failures = [v for v in groups.group_violations(g) if v.startswith("associativity")]
+        bad = groups.group_violations(g)
+        t, e = g.table, g.identity
+        assert [v for v in bad if v.startswith("identity")] == [
+            f"identity fails at {x}" for x in range(g.order) if (t[e][x], t[x][e]) != (x, x)]
+        failures = [v for v in bad if v.startswith("associativity")]
         assert bool(failures) == bool(oracle.associativity_violations(g))
         if failures:
             x, a, y = map(int, failures[0].split("(")[1].rstrip(")").split(","))
             assert (x, a, y) in oracle.associativity_violations(g)
+
+
+class TestOneUnitGroupoid:
+    def test_generating_set_is_the_groupoid_generating_set(self, abelian_family, corpus200):
+        # a group is the one-unit groupoid, and the greedy choice is the same
+        fibers = [core.isotropy_group(G, x)[0] for _, G in corpus200 for x in sorted(G.units)]
+        for g in groups.library() + abelian_family + fibers:
+            assert groups.generating_set(g) == core.generating_arrows(
+                generators.group_bundle([("p", g)])), g
 
 
 class TestSubgroups:

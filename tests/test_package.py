@@ -24,7 +24,8 @@ from groupoidlab import (abelian, algebra, checks, cli, core, document, generato
 # three isotropy builders that core.isotropy_group replaced, the axioms
 # check that instance_checks runs for itself, validate's rebuild of comp
 # as rows, now the stored form, with its fallback, now malformed_listing,
-# and the pair-keyed view of the rows, which no package function read.
+# the pair-keyed view of the rows, which no package function read, and the
+# groups' copy of Light's test, now core.validate's on the one-unit groupoid.
 GONE = (
     "AlgebraElement", "from_coeffs", "zero", "delta", "unit_element", "convolve",
     "involute", "compose_homs", "restriction_hom", "quotient_hom", "encode_element",
@@ -36,6 +37,7 @@ GONE = (
     "abelianized", "restricted_arrows", "Abelianization.fiber_unit",
     "quotient_hom_from_result", "isotropy_fiber", "fiber_group", "abelian_fiber",
     "axioms_check", "_product_rows", "_check_malformed", "FiniteGroupoid.comp", "_Products",
+    "_light_witness",
 )
 
 # Each validator, with the functions that call it.  Tables and carriers are
@@ -88,8 +90,8 @@ def test_removed_names_do_not_resolve():
             obj = getattr(obj, part, None)
         return obj is not None
 
-    modules = (groupoidlab, abelian, algebra, checks, cli, core, document, generators, linalg,
-               quotients)
+    modules = (groupoidlab, abelian, algebra, checks, cli, core, document, generators, groups,
+               linalg, quotients)
     found = [f"{module.__name__}.{name}" for module in modules for name in GONE
              if resolves(module, name)]
     assert found == []

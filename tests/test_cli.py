@@ -14,6 +14,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+import outputs
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -711,3 +712,17 @@ class TestOutputBytes:
     ], ids=repr)
     def test_the_writer_is_the_indented_dump(self, value):
         assert cli._json(value) == json.dumps(value, indent=2)
+
+
+class TestPinnedOutputs:
+    """Outputs against the digests of tests/outputs.json, which
+    tests/outputs.py writes; the corpus report is pinned in test_acceptance."""
+
+    def test_requests_match_the_fixture(self, tmp_path, monkeypatch):
+        fixture = json.loads(outputs.FIXTURE.read_text(encoding="utf-8"))
+        monkeypatch.chdir(tmp_path)
+        got = outputs.request_outputs(tmp_path)
+        expected = {k: v for k, v in fixture.items() if k != " ".join(outputs.CORPUS)}
+        assert list(got) == list(expected)
+        differ = next((k for k in got if got[k] != expected[k]), None)
+        assert differ is None, f"{differ}: {got[differ]}, fixture {expected[differ]}"

@@ -21,24 +21,19 @@ class FiniteAbelianGroup(FiniteGroup):
 
 
 def finite_abelian_group(labels, table, name: str = "A") -> FiniteAbelianGroup:
-    """Build and validate a finite abelian group from a multiplication table."""
+    """A finite abelian group from a multiplication table: validated as a
+    group by ``groups.finite_group``, then checked to commute."""
     g = groups.finite_group(name, list(labels), [list(r) for r in table])
-    bad = groups.group_violations(g)
-    if bad:
-        raise ValueError(f"{name}: not a group: {bad[0]}")
     if not groups.is_abelian(g):
         raise ValueError(f"{name}: multiplication table is not commutative")
-    return FiniteAbelianGroup(name=g.name, labels=g.labels, table=g.table,
-                              identity=g.identity, exponent=g.exponent())
+    return _with_exponent(g)
 
 
-def _powers(a: FiniteAbelianGroup, g: int) -> list[int]:
-    """g^0, g^1, ..., g^(k-1) for k the order of g, so that g^e is
-    ``_powers(a, g)[e % k]`` for any integer e."""
-    out = [a.identity]
-    while (x := a.table[out[-1]][g]) != a.identity:
-        out.append(x)
-    return out
+def _with_exponent(g: FiniteGroup) -> FiniteAbelianGroup:
+    """Abelian group g with its exponent read off the table, as the lcm of
+    its element orders."""
+    return FiniteAbelianGroup(g.name, g.labels, g.table, g.identity,
+                              lcm(*(g.order_of(i) for i in range(g.order))))
 
 
 @dataclass(frozen=True)
@@ -76,28 +71,27 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
     """
     n = a.order
     table = a.table
-    gens: list[int] = []
+    gen_powers: list[list[int]] = []   # the powers of g_1..g_k
     words: dict[int, tuple[int, ...]] = {a.identity: ()}   # trailing zeros left off
     relations: list[tuple[int, ...]] = []
     for g in range(n):
         if g in words:
             continue
-        i = len(gens)
+        i = len(gen_powers)
         below = {h: w + (0,) * (i - len(w)) for h, w in words.items()}   # H_{i-1}
-        y, m = g, 1   # y = g^m
-        while y not in below:
+        pw, m = a.powers(g), 1   # m <= len(pw), as g^len(pw) = e is in H_{i-1}
+        while m < len(pw) and pw[m] not in below:
             for h, w in below.items():
-                words[table[h][y]] = w + (m,)
-            y, m = table[y][g], m + 1
-        relations.append(tuple(-c for c in below[y]) + (m,))
-        gens.append(g)
+                words[table[h][pw[m]]] = w + (m,)
+            m += 1
+        relations.append(tuple(-c for c in below[pw[m % len(pw)]]) + (m,))
+        gen_powers.append(pw)
     assert len(words) == n
-    k = len(gens)
+    k = len(gen_powers)
 
     s = smith_normal_form([r + (0,) * (k - len(r)) for r in relations], width=k)
     assert all(d > 0 for d in s.diagonal), "relation lattice must have full rank"
 
-    gen_powers = [_powers(a, g) for g in gens]
     factors = []
     powers = []   # powers[j][e] = generators[j] ** e
     for j, d in enumerate(s.diagonal):
@@ -106,7 +100,7 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
             for pw, e in zip(gen_powers, s.vinv[j]):
                 t = a.table[t][pw[e % len(pw)]]
             factors.append(d)
-            powers.append(_powers(a, t))
+            powers.append(a.powers(t))
             assert len(powers[-1]) == d
 
     total = 1
@@ -297,6 +291,6 @@ def dual_bundle(G: core.FiniteGroupoid) -> DualBundle:
         if not groups.is_abelian(g):
             raise ValueError(f"fiber at unit {G.labels[x]} is not abelian: "
                              f"{g.name}: multiplication table is not commutative")
-        fiber_groups[x] = FiniteAbelianGroup(g.name, g.labels, g.table, g.identity, g.exponent())
+        fiber_groups[x] = _with_exponent(g)
     return DualBundle(host=G, base=base, fiber_groups=fiber_groups,
                       fibers={x: tuple(characters(a)) for x, a in fiber_groups.items()})

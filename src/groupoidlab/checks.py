@@ -13,7 +13,7 @@ import functools
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import abelian, algebra, core, generators, groups, quotients
@@ -310,8 +310,9 @@ def abelian_groups_of_order(n: int):
 
     Yields (expected_invariant_factors, group); the expectation comes from
     the prime-power partitions directly, independent of the matrix route.
-    Products of cyclic groups are abelian groups: not validated again, with
-    the exponent read off the table, not the partition.  n must be positive.
+    Each is a product of cyclic groups, a group by construction, not
+    validated again; its exponent is read off the table, as the lcm of
+    element orders, not off the partition.  n must be positive.
     """
     if n < 1:
         raise ValueError(f"no group has order {n}")
@@ -333,9 +334,8 @@ def abelian_groups_of_order(n: int):
         cyclic_orders = sorted(itertools.chain.from_iterable(per_prime))
         # from the first factor: cyclic(1) only stands for the empty product
         g = functools.reduce(groups.direct_product, map(groups.cyclic, cyclic_orders or [1]))
-        yield expected, abelian.FiniteAbelianGroup(
-            name=f"A{n}:" + "x".join(map(str, cyclic_orders)), labels=g.labels,
-            table=g.table, identity=g.identity, exponent=g.exponent())
+        yield expected, abelian._with_exponent(replace(
+            g, name=f"A{n}:" + "x".join(map(str, cyclic_orders))))
 
 
 def _duality_family(max_order: int = 64):

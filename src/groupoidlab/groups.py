@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import lcm
 
 # Entries kept by each table_memo function, so a long run's memory stays fixed: a seed-0
 # check --corpus --count 200 decomposes 13 distinct tables on the instance path, 178 in all.
@@ -31,15 +30,19 @@ class FiniteGroup:
     def inverse(self, i: int) -> int:
         return self.table[i].index(self.identity)
 
-    def order_of(self, i: int) -> int:
-        k, x = 1, i
-        while x != self.identity:
-            x = self.table[x][i]
-            k += 1
-        return k
+    def powers(self, i: int) -> list[int]:
+        """i^0, i^1, ..., i^(k-1) for k the order of i, so that i^m is
+        ``powers(i)[m % k]``.  Raises ValueError once i^1..i^order all miss
+        the identity, which only a non-group built directly allows."""
+        out = [self.identity]
+        while (x := self.table[out[-1]][i]) != self.identity:
+            if len(out) == self.order:
+                raise ValueError(f"{self.name}: powers 1..{self.order} of {i} miss the identity")
+            out.append(x)
+        return out
 
-    def exponent(self) -> int:
-        return lcm(*(self.order_of(i) for i in range(self.order)))
+    def order_of(self, i: int) -> int:
+        return len(self.powers(i))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -76,21 +79,21 @@ def table_memo(fn):
 
 
 def finite_group(name: str, labels: list[str], table: list[list[int]]) -> FiniteGroup:
-    """A table of n rows of n entries for n labels; the group axioms are
-    left to ``group_violations``."""
+    """The validating constructor: n rows of n entries for n labels, with an
+    identity, that ``group_violations`` finds a group, or ValueError with the
+    first fault.  A group by construction is built with the dataclass."""
     tbl = tuple(tuple(row) for row in table)
     n = len(labels)
-    bad = _shape_violations(name, n, tbl)
-    if bad:
+    if bad := _shape_violations(name, n, tbl):
         raise ValueError(bad[0])
-    identity = None
-    for i in range(n):
-        if all(tbl[i][j] == j and tbl[j][i] == j for j in range(n)):
-            identity = i
-            break
+    identity = next((i for i in range(n)
+                     if all(tbl[i][j] == j and tbl[j][i] == j for j in range(n))), None)
     if identity is None:
         raise ValueError(f"{name}: table has no identity")
-    return FiniteGroup(name=name, labels=tuple(labels), table=tbl, identity=identity)
+    g = FiniteGroup(name=name, labels=tuple(labels), table=tbl, identity=identity)
+    if bad := group_violations(g):
+        raise ValueError(f"{name}: not a group: {bad[0]}")
+    return g
 
 
 def _shape_violations(name: str, n: int, table: tuple) -> list[str]:
@@ -142,20 +145,20 @@ def is_abelian(g: FiniteGroup) -> bool:
 # --- library -------------------------------------------------------------
 
 def _from_permutations(name: str, perms: list[tuple[str, tuple[int, ...]]]) -> FiniteGroup:
-    """Build a group from permutations under (p * q)(x) = p(q(x))."""
-    labels = [lab for lab, _ in perms]
+    """Permutations closed under (p * q)(x) = p(q(x)), as the index lookups
+    check, form a group: built directly."""
     index = {perm: i for i, (_, perm) in enumerate(perms)}
-    pts = range(len(perms[0][1]))
-    table = [[index[tuple(p[q[x]] for x in pts)] for _, q in perms] for _, p in perms]
-    return finite_group(name, labels, table)
+    pts = tuple(range(len(perms[0][1])))
+    table = tuple(tuple(index[tuple(p[q[x]] for x in pts)] for _, q in perms) for _, p in perms)
+    return FiniteGroup(name, tuple(lab for lab, _ in perms), table, index[pts])
 
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    labels = ["e"] + [f"g{k}" if k > 1 else "g" for k in range(1, n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return finite_group(f"C{n}", labels, table)
+    labels = ("e", *(f"g{k}" if k > 1 else "g" for k in range(1, n)))
+    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return FiniteGroup(f"C{n}", labels, table, 0)   # addition mod n: a group
 
 
 def klein() -> FiniteGroup:

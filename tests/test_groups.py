@@ -3,13 +3,19 @@
 import dataclasses
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from math import lcm
+from pathlib import Path
 
 import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupoidlab
 from groupoidlab import abelian, checks, cli, core, document, generators, groups, quotients
 
 # A loop of order 5 (a Latin square with identity 0) that is not associative:
@@ -19,6 +25,10 @@ LOOP5 = [[0, 1, 2, 3, 4],
          [2, 4, 0, 1, 3],
          [3, 2, 4, 0, 1],
          [4, 3, 1, 2, 0]]
+
+
+def _exponent(g: groups.FiniteGroup) -> int:
+    return lcm(*map(g.order_of, range(g.order)))
 
 
 class TestLibrary:
@@ -33,11 +43,11 @@ class TestLibrary:
         assert orders["A3"] == 3 and orders["D4"] == 8 and orders["Q8"] == 8
 
     def test_exponents(self):
-        assert groups.cyclic(12).exponent() == 12
-        assert groups.klein().exponent() == 2
-        assert groups.sym3().exponent() == 6
-        assert groups.dihedral4().exponent() == 4
-        assert groups.quaternion8().exponent() == 4
+        assert _exponent(groups.cyclic(12)) == 12
+        assert _exponent(groups.klein()) == 2
+        assert _exponent(groups.sym3()) == 6
+        assert _exponent(groups.dihedral4()) == 4
+        assert _exponent(groups.quaternion8()) == 4
 
     def test_abelian_flags(self):
         flags = {g.name: groups.is_abelian(g) for g in groups.library()}
@@ -70,22 +80,45 @@ class TestLibrary:
 
     def test_violations_flag_missing_inverses(self):
         # has an identity but the second row is not a permutation
-        g = groups.finite_group("broken", ["e", "a"], [[0, 1], [1, 1]])
-        assert groups.group_violations(g) != []
+        g = groups.FiniteGroup("broken", ("e", "a"), ((0, 1), (1, 1)), 0)
+        assert groups.group_violations(g) == ["no inverse for 1"]
+        with pytest.raises(ValueError, match="^broken: not a group: no inverse for 1$"):
+            groups.finite_group("broken", ["e", "a"], [[0, 1], [1, 1]])
 
     def test_violations_flag_a_non_associative_loop(self):
-        g = groups.finite_group("loop5", list("eabcd"), LOOP5)
+        g = groups.FiniteGroup("loop5", tuple("eabcd"), tuple(map(tuple, LOOP5)), 0)
         assert oracle.associativity_violations(g)
         bad = groups.group_violations(g)
         assert len(bad) == 1 and bad[0].startswith("associativity fails at")
+        with pytest.raises(ValueError, match=r"^loop5: not a group: associativity fails at \("):
+            groups.finite_group("loop5", list("eabcd"), LOOP5)
         with pytest.raises(ValueError, match="not a group: associativity"):
             abelian.finite_abelian_group(list("eabcd"), LOOP5)
 
     def test_out_of_range_entries_are_reported_not_indexed(self):
         for entry in (3, -1):
-            g = groups.finite_group("broken", ["e", "a", "b"],
-                                    [[0, 1, 2], [1, 2, entry], [2, 0, 1]])
+            table = ((0, 1, 2), (1, 2, entry), (2, 0, 1))
+            g = groups.FiniteGroup("broken", ("e", "a", "b"), table, 0)
             assert groups.group_violations(g) == ["entry (1,2) out of range"]
+            with pytest.raises(ValueError, match=r"^broken: not a group: entry \(1,2\) out of range$"):
+                groups.finite_group("broken", ["e", "a", "b"], table)
+
+    def test_the_power_walk_stops_on_a_table_that_is_not_a_group(self):
+        # the powers of 1 never reach the identity; a walk that did not stop
+        # would hang, so it runs in a child interpreter with a timeout
+        script = (
+            "from groupoidlab import groups\n"
+            "g = groups.FiniteGroup('broken', ('e', 'a'), ((0, 1), (1, 1)), 0)\n"
+            "for walk in ('order_of', 'powers'):\n"
+            "    try:\n"
+            "        print(getattr(g, walk)(1))\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+        root = str(Path(groupoidlab.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": root}, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["broken: powers 1..2 of 1 miss the identity"] * 2
 
     def test_violations_flag_a_declared_identity_that_is_not_one(self):
         # the tables are groups, but under another identity
@@ -112,6 +145,10 @@ class TestLibrary:
         assert s3.order_of(s3.labels.index("t")) == 2
         assert s3.order_of(s3.labels.index("s")) == 3
         assert s3.order_of(s3.identity) == 1
+        assert s3.powers(s3.labels.index("s")) == [s3.identity, *map(s3.labels.index, ("s", "s2"))]
+        for g in groups.library():
+            assert [g.order_of(i) for i in range(g.order)] == [
+                len(g.powers(i)) for i in range(g.order)], g.name
 
 
 def _latin_square(n: int, seed: int) -> list[list[int]]:
@@ -161,7 +198,9 @@ def _tables_with_identity(draw) -> groups.FiniteGroup:
     for i in range(n):
         for j in range(n):
             relabelled[p[i]][p[j]] = p[table[i][j]]
-    return groups.finite_group("t", [str(i) for i in range(n)], relabelled)
+    # built with the dataclass, as most are not groups; identity 0 becomes p[0]
+    return groups.FiniteGroup("t", tuple(str(i) for i in range(n)),
+                              tuple(map(tuple, relabelled)), p[0])
 
 
 @st.composite
@@ -276,19 +315,19 @@ class TestDirectProduct:
         assert groups.group_violations(p) == []
         assert p.order == 6
         assert groups.is_abelian(p)
-        assert p.exponent() == 6
+        assert _exponent(p) == 6
 
     def test_library_products_equal_the_validated_build(self):
-        # direct_product builds its group without finite_group; a C2 whose
-        # identity is not element 0 tests the identity it computes
+        # cyclic, the permutation groups and direct_product build their
+        # groups without finite_group; a C2 whose identity is not element 0
+        # tests the identity direct_product computes
         lib = groups.library() + [groups.finite_group("C2'", ["g", "e"], [[1, 0], [0, 1]])]
-        for a in lib:
-            for b in lib:
-                if a.order * b.order <= 24:
-                    p = groups.direct_product(a, b)
-                    assert groups.group_violations(p) == [], p.name
-                    assert p == groups.finite_group(p.name, list(p.labels),
-                                                    [list(row) for row in p.table])
+        built = lib + [groups.direct_product(a, b) for a in lib for b in lib
+                       if a.order * b.order <= 24]
+        for p in built:
+            assert groups.group_violations(p) == [], p.name
+            assert p == groups.finite_group(p.name, list(p.labels),
+                                            [list(row) for row in p.table])
 
     def test_rows_match_the_entrywise_formula(self, abelian_family):
         # direct_product builds each row from one row of each factor; the
@@ -322,8 +361,7 @@ def _reached_groups(corpus200):
             fibers += [a, abelian.char_group_structure(list(ab.dual.fibers[y]))]
         for g in fibers:
             if groups.is_abelian(g) and not isinstance(g, abelian.FiniteAbelianGroup):
-                g = abelian.FiniteAbelianGroup(g.name, g.labels, g.table, g.identity,
-                                               g.exponent())
+                g = abelian._with_exponent(g)
             out.setdefault((g.table, g.identity), g)
     return list(out.values())
 

@@ -24,8 +24,9 @@ from groupoidlab import (abelian, algebra, checks, cli, core, document, generato
 # three isotropy builders that core.isotropy_group replaced, the axioms
 # check that instance_checks runs for itself, validate's rebuild of comp
 # as rows, now the stored form, with its fallback, now malformed_listing,
-# the pair-keyed view of the rows, which no package function read, and the
-# groups' copy of Light's test, now core.validate's on the one-unit groupoid.
+# the pair-keyed view of the rows, which no package function read, the
+# groups' copy of Light's test, now core.validate's on the one-unit groupoid,
+# and FiniteGroup.exponent(), which FiniteAbelianGroup's exponent field shadowed.
 GONE = (
     "AlgebraElement", "from_coeffs", "zero", "delta", "unit_element", "convolve",
     "involute", "compose_homs", "restriction_hom", "quotient_hom", "encode_element",
@@ -37,19 +38,21 @@ GONE = (
     "abelianized", "restricted_arrows", "Abelianization.fiber_unit",
     "quotient_hom_from_result", "isotropy_fiber", "fiber_group", "abelian_fiber",
     "axioms_check", "_product_rows", "_check_malformed", "FiniteGroupoid.comp", "_Products",
-    "_light_witness",
+    "_light_witness", "FiniteGroup.exponent",
 )
 
 # Each validator, with the functions that call it.  Tables and carriers are
 # checked where they enter: document decode, CLI input, public constructors
-# and the library's literal tables.  What the package builds from checked
-# parts is a group, an action or a normal subgroupoid by construction and is
-# not checked again; the tests check each such builder on its inputs.
-# group_action is pinned too: it is the validating constructor of actions.
+# and the library's literal tables.  finite_group is the one validating
+# constructor of groups, and runs group_violations itself; klein and
+# quaternion8 pass it their literal tables.  What the package builds from
+# checked parts or by construction (cyclic groups, permutation groups,
+# products) is a group, an action or a normal subgroupoid and is not checked
+# again; the tests check each such builder on its inputs.  group_action is
+# pinned too: it is the validating constructor of actions.
 VALIDATOR_CALLERS = {
-    "finite_group": {"abelian.finite_abelian_group", "groups._from_permutations",
-                     "groups.cyclic", "groups.klein", "groups.quaternion8"},
-    "group_violations": {"abelian.finite_abelian_group"},
+    "finite_group": {"abelian.finite_abelian_group", "groups.klein", "groups.quaternion8"},
+    "group_violations": {"groups.finite_group"},
     "finite_abelian_group": set(),
     "action_violations": {"generators.group_action"},
     "group_action": {"generators.klein_cross"},

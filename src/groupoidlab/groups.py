@@ -34,12 +34,14 @@ class FiniteGroup:
         """i^0, i^1, ..., i^(k-1) for k the order of i, so that i^m is
         ``powers(i)[m % k]``.  Raises ValueError once i^1..i^order all miss
         the identity, which only a non-group built directly allows."""
-        out = [self.identity]
-        while (x := self.table[out[-1]][i]) != self.identity:
-            if len(out) == self.order:
-                raise ValueError(f"{self.name}: powers 1..{self.order} of {i} miss the identity")
+        t, e = self.table, self.identity
+        out, x = [e], i
+        for _ in range(self.order):
+            if x == e:
+                return out
             out.append(x)
-        return out
+            x = t[x][i]
+        raise ValueError(f"{self.name}: powers 1..{self.order} of {i} miss the identity")
 
     def order_of(self, i: int) -> int:
         return len(self.powers(i))

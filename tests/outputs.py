@@ -38,6 +38,10 @@ GROUP_COMMANDS = ("generate", "dual", "characters", "check")
 TIMINGS = ("seconds", "total_seconds")
 
 
+def fixture() -> dict[str, str]:
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
 def _masked(value):
     if isinstance(value, dict):
         return {k: 0 if k in TIMINGS else _masked(v) for k, v in value.items()}

@@ -7,7 +7,6 @@ root-of-unity arithmetic uses 1e-9.  The corpus is seeds 0..199 with size
 budgets cycling 1..60.
 """
 
-import json
 import time
 
 import numpy as np
@@ -234,13 +233,10 @@ def test_criterion_9_full_check_run_under_five_minutes(capsys):
     ok = code == 0 and elapsed < 300.0 and '"status": "pass"' in out
     _report(9, ok, f"command-line corpus verification (200 instances, fixed "
                    f"regressions, duality family) exits {code} in {elapsed:.2f}s")
-    assert outputs.entry(code, out) == _pinned_corpus_entry()
-
-
-def _pinned_corpus_entry() -> str:
-    return json.loads(outputs.FIXTURE.read_text(encoding="utf-8"))[" ".join(outputs.CORPUS)]
+    assert outputs.entry(code, out) == outputs.fixture()[" ".join(outputs.CORPUS)]
 
 
 def test_corpus_report_with_two_jobs_matches_the_fixture(capsys):
     code = cli.main([*outputs.CORPUS, "--jobs", "2"])
-    assert outputs.entry(code, capsys.readouterr().out) == _pinned_corpus_entry()
+    pinned = outputs.fixture()[" ".join(outputs.CORPUS)]
+    assert outputs.entry(code, capsys.readouterr().out) == pinned

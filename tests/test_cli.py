@@ -719,10 +719,9 @@ class TestPinnedOutputs:
     tests/outputs.py writes; the corpus report is pinned in test_acceptance."""
 
     def test_requests_match_the_fixture(self, tmp_path, monkeypatch):
-        fixture = json.loads(outputs.FIXTURE.read_text(encoding="utf-8"))
         monkeypatch.chdir(tmp_path)
         got = outputs.request_outputs(tmp_path)
-        expected = {k: v for k, v in fixture.items() if k != " ".join(outputs.CORPUS)}
+        expected = {k: v for k, v in outputs.fixture().items() if k != " ".join(outputs.CORPUS)}
         assert list(got) == list(expected)
         differ = next((k for k in got if got[k] != expected[k]), None)
         assert differ is None, f"{differ}: {got[differ]}, fixture {expected[differ]}"

@@ -68,6 +68,8 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
     the g_i generate A; a sublattice of L with the same index is L.  Smith
     normal form of this k x k matrix therefore gives the invariant factors
     of Z^k / L = A, and a realizing generator tuple from the rows of Vinv.
+    Each m_i is at least 2, so k <= log2 |A|: at most 6 on the duality
+    family.
     """
     n = a.order
     table = a.table

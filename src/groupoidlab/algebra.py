@@ -205,8 +205,8 @@ class GelfandMatrix:
     Row r is the CharacterFunctional of one character of the fiber at its
     unit; columns follow arrow order.  A row stores the exponents of its
     values on its fiber only and is zero on every other arrow, so the
-    block-diagonal matrix holds sum |A_x|^2 exponents, not n^2, and stays
-    exact.
+    block-diagonal matrix holds sum |A_x|^2 exponents, not n^2 (4,096
+    instead of 16.8 million on trivial:4096), and stays exact.
     """
 
     host: FiniteGroupoid

@@ -4,7 +4,8 @@ Each check pairs a quantity computed one way (enumeration, group theory)
 with the same quantity computed another way (quotient class maps, partitions
 of arrows spanning kernels and the commutator ideal, character exponents), so
 a pass is two independent computations agreeing — not a tautology.  Reports
-are plain data, ready for JSON.
+are plain data, ready for JSON.  No verdict is cached: the table memos in
+``groups`` hold group-theoretic values only.
 """
 
 from __future__ import annotations

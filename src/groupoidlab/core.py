@@ -13,10 +13,12 @@ its violations are first read.
 
 Each groupoid carries three indices, built at construction: ``out_of`` and
 ``into``, the arrows out of and into each unit, and ``pos``, each arrow's
-place among the arrows into its range.  They are fields outside the
-constructor, equality and repr, not ``cached_property``s: a write to an
-instance's ``__dict__`` after construction makes each later attribute read on
-it (``G.src``, ``G.rows``) about 3x slower on CPython 3.11.
+place among the arrows into its range.  Fibers, restrictions, components,
+fixed points and quotients read them, so a per-unit lookup costs that
+unit's arrows, not all n.  They are fields outside the constructor,
+equality and repr, not ``cached_property``s: a write to an instance's
+``__dict__`` after construction makes each later attribute read on it
+(``G.src``, ``G.rows``) about 3x slower on CPython 3.11.
 """
 
 from __future__ import annotations

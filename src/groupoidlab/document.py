@@ -25,6 +25,9 @@ class DocumentError(ValueError):
 
 
 def encode_groupoid(G: FiniteGroupoid) -> dict:
+    """G's document: elements in arrow order, units ascending, and comp
+    listed row by row, each arrow a ascending with its products a.b for
+    the arrows b into src(a), ascending."""
     lab = G.labels
     return {
         "schema_version": SCHEMA_VERSION,

@@ -28,7 +28,12 @@ class FiniteGroup:
         return len(self.labels)
 
     def inverse(self, i: int) -> int:
-        return self.table[i].index(self.identity)
+        """The j with i*j the identity; ValueError if row i holds none,
+        which only a non-group built directly allows."""
+        try:
+            return self.table[i].index(self.identity)
+        except ValueError:
+            raise ValueError(f"{self.name}: no inverse for {i}") from None
 
     def powers(self, i: int) -> list[int]:
         """i^0, i^1, ..., i^(k-1) for k the order of i, so that i^m is
@@ -53,13 +58,14 @@ class FiniteGroup:
 def table_memo(fn):
     """fn(g, ...) memoized on g's table, identity and other arguments, for an
     fn whose result needs nothing else of g; the key is hashed once a call.
-    A miss runs fn on the caller's own g, so an exception names it and
-    stores nothing.  A ``limit`` keyword is passed on to fn but is not part
-    of the key: fn raises TooManySubgroups once its list would pass the
-    limit, so only a complete list is stored, and it answers every limit, a
-    hit longer than the caller's limit raising as fn would.  Past
-    TABLE_CACHE_SIZE entries the oldest is dropped.  A list is copied on
-    return."""
+    Every named copy of one table, such as each instance's fiber@<unit>,
+    shares one entry.  A miss runs fn on the caller's own g, so an
+    exception names it and stores nothing.  A ``limit`` keyword is passed
+    on to fn but is not part of the key: fn raises TooManySubgroups once
+    its list would pass the limit, so only a complete list is stored, and
+    it answers every limit, a hit longer than the caller's limit raising as
+    fn would.  Past TABLE_CACHE_SIZE entries the oldest is dropped.  A list
+    is copied on return."""
     memo: dict = {}
     @functools.wraps(fn)
     def memoized(g, *args, limit=None):
@@ -116,12 +122,14 @@ def group_violations(g: FiniteGroup) -> list[str]:
     Rows are shape-checked and entries range-checked first, because the
     later checks index the table by them, and a table built with the
     dataclass constructor has had neither checked; an identity out of range
-    is reported alone for the same reason.  Each x with e*x != x or
-    x*e != x is listed.  Associativity is decided by ``core.validate``'s
-    Light's test on g as the one-unit groupoid, whose rows are the table
-    and where each element is its own place: (x*a)*y == x*(a*y) is tested
-    for the middles a in ``generating_set(g)``, and in the identity too
-    when it fails, and the first failing triple is reported.
+    is reported alone for the same reason.  Each of these three ends the
+    list.  Each x with e*x != x or x*e != x is listed.  Associativity is
+    decided by ``core.validate``'s Light's test on g as the one-unit
+    groupoid, whose rows are the table and where each element is its own
+    place: (x*a)*y == x*(a*y) is tested for the middles a in
+    ``generating_set(g)``, and in the identity too when it fails, and the
+    first failing triple is reported.  An empty list means g is a group
+    with identity e.
     """
     from . import core   # core imports this module
     n, t, e = g.order, g.table, g.identity
@@ -350,7 +358,7 @@ def normal_subgroups(g: FiniteGroup, *, limit: int | None = None) -> list[frozen
     does; the memo keeps one complete list per table, whatever the limit.
     """
     t, e = g.table, g.identity
-    inv = [row.index(e) for row in t]
+    inv = [g.inverse(x) for x in range(g.order)]
 
     def join(sub, k):
         # N<K> is a union of cosets xN, reached from N by right factors in K
@@ -368,5 +376,5 @@ def normal_subgroups(g: FiniteGroup, *, limit: int | None = None) -> list[frozen
 @table_memo
 def commutator_subgroup(g: FiniteGroup) -> frozenset[int]:
     t = g.table
-    inv = [row.index(g.identity) for row in t]
+    inv = [g.inverse(x) for x in range(g.order)]
     return closure(g, {t[t[a][b]][inv[t[b][a]]] for a in range(g.order) for b in range(g.order)})

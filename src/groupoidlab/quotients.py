@@ -171,7 +171,12 @@ def commutator_subgroupoid(G: FiniteGroupoid) -> NormalSubgroupoid:
 @dataclass(frozen=True)
 class Abelianization:
     """g_ab = g_fix / commutator, where g_fix is the host restricted to its
-    fixed points (a group bundle), with maps back to the host groupoid."""
+    fixed points (a group bundle), with maps back to the host groupoid.
+
+    The one source for what is derived from it: its ``dual``, the
+    characters (``algebra.enumerate_characters``), pi (``algebra.pi_hom``,
+    whose arrow map is ``arrow_map``) and each abelianized fiber
+    (``algebra.abelianized_fiber``, which reads the same map)."""
 
     host: FiniteGroupoid
     g_fix: FiniteGroupoid

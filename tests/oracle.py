@@ -7,6 +7,30 @@ Each checker tests an identity from its definition by brute force.  The hom
 checkers read a hom only through ``apply(h, delta(...))``, never through its
 arrow map, so they stay independent of the partition ``AlgebraHom.kernel``
 reads.
+
+What it holds:
+- the reference algebra: sparse elements with ``Fraction`` real and
+  imaginary parts, convolution, the involution, ``apply(h, f)`` for an
+  induced hom, the restriction hom and hom composition;
+- the complex values of characters, character functionals and the bundle
+  transform, the only floating point in the tests' references; numpy's
+  determinant of the transform's dense complex matrix is the tests'
+  independent check of ``algebra.gelfand_violations``' exact verdict;
+- the ``is_effective`` and ``is_group_bundle`` predicates;
+- checkers of a hom's multiplicativity, *-preservation and surjectivity,
+  of an ideal's two-sided closure, and of characters and character
+  functionals as homomorphisms;
+- brute-force routes that package routines are tested against:
+  - the cubic associativity loop, for ``groups.group_violations``, which
+    is ``core.validate``'s Light's test on the one-unit groupoid;
+  - the filter over every subgroup, for ``groups.normal_subgroups``;
+  - the filter over every per-unit product of normal subgroups, for the
+    transport in ``quotients.enumerate_normal_subgroupoids``;
+  - the validator by tuple-keyed lookups and the generating set
+    recomputed from its definition, for ``core.validate`` and
+    ``core.generating_arrows``;
+  - the two-sided subgroup closure and the per-value character formula,
+    for ``groups.closure`` and ``abelian.characters``.
 """
 
 import cmath

@@ -85,6 +85,18 @@ class TestLibrary:
         with pytest.raises(ValueError, match="^broken: not a group: no inverse for 1$"):
             groups.finite_group("broken", ["e", "a"], [[0, 1], [1, 1]])
 
+    def test_a_missing_inverse_is_named_not_indexed(self):
+        # a table built with the dataclass skips finite_group's check: each
+        # reader of inverses names the group and the element, in
+        # group_violations' words, and no memo keeps the failure
+        g = groups.FiniteGroup("broken", ("e", "a"), ((0, 1), (1, 1)), 0)
+        for call in (lambda: g.inverse(1), lambda: groups.normal_subgroups(g),
+                     lambda: groups.commutator_subgroup(g)):
+            with pytest.raises(ValueError, match="^broken: no inverse for 1$"):
+                call()
+        assert g.inverse(0) == 0
+        assert (g.table, g.identity) not in groups.normal_subgroups.memo
+
     def test_violations_flag_a_non_associative_loop(self):
         g = groups.FiniteGroup("loop5", tuple("eabcd"), tuple(map(tuple, LOOP5)), 0)
         assert oracle.associativity_violations(g)

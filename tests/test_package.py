@@ -70,21 +70,103 @@ def test_every_exported_name_resolves_once():
     assert [name for name in groupoidlab.__all__ if not hasattr(groupoidlab, name)] == []
 
 
-def test_every_traced_target_resolves():
-    # perfbench/spans.py wraps each target by name, so a renamed or deleted
-    # one breaks every traced benchmark run.
+def _traced_targets() -> tuple:
+    """perfbench/spans.py's TARGETS: (module, attribute, stats, tally)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+def test_every_traced_target_resolves():
+    # perfbench/spans.py wraps each target by name, so a renamed or deleted
+    # one breaks every traced benchmark run.
+    targets = _traced_targets()
     missing = []
-    for module_name, attr, _, _ in spans.TARGETS:
+    for module_name, attr, _, _ in targets:
         obj = importlib.import_module(f"groupoidlab.{module_name}")
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         if not callable(obj):
             missing.append(f"{module_name}.{attr}")
-    assert spans.TARGETS and missing == []
+    assert targets and missing == []
+
+
+# Definitions that nothing in the package names but that run all the same:
+# argparse calls error() on the parser class it was given.
+CALLED_FROM_OUTSIDE = {"cli._Parser.error"}
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(node: ast.AST):
+    """The identifiers read below node, as names and attributes.  A function
+    or class defined below it is a definition of its own, of which only the
+    decorators, defaults and bases are read where it stands."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            heads = [*child.decorator_list, *child.bases, *child.keywords]
+        elif isinstance(child, DEFINITIONS):
+            heads = [*child.decorator_list, *child.args.defaults,
+                     *filter(None, child.args.kw_defaults)]
+        else:
+            heads = [child]
+        for head in heads:
+            if isinstance(head, ast.Name):
+                yield head.id
+            elif isinstance(head, ast.Attribute):
+                yield head.attr
+            yield from _references(head)
+
+
+def _definitions(node: ast.AST, prefix: str):
+    """(dotted name, node) for each function, class and method below node,
+    at any depth."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, DEFINITIONS):
+            yield f"{prefix}.{child.name}", child
+            yield from _definitions(child, f"{prefix}.{child.name}")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_definition_is_reached():
+    # A walk by name from what runs: cli.main, the exported names with the
+    # public methods of exported classes, the benchmark's traced targets and
+    # every module-level statement.  A definition is reached once a reached
+    # one names it, a dunder method once its class is; anything left is code
+    # with no caller.  Method names collide (any .order reaches every method
+    # called order), so the walk is approximate: it can miss dead code, and
+    # flags only a definition whose name nothing reached reads.
+    package = Path(groupoidlab.__file__).resolve().parent
+    exported = set(groupoidlab.__all__)
+    definitions, seen = {}, {"main", *exported}
+    for _, attr, _, _ in _traced_targets():
+        seen.update(attr.split("."))
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        seen.update(_references(tree))
+        definitions.update(_definitions(tree, path.stem))
+    exported_classes = {name for name, node in definitions.items()
+                        if isinstance(node, ast.ClassDef) and name.count(".") == 1
+                        and name.split(".")[1] in exported}
+    reached, grown = set(), True
+    while grown:
+        grown = False
+        for name, node in definitions.items():
+            if name in reached:
+                continue
+            owner, bare = name.rsplit(".", 1)
+            dunder = bare.startswith("__") and bare.endswith("__")
+            public = owner in exported_classes and not bare.startswith("_")
+            if bare in seen or (dunder and owner in reached) or public:
+                reached.add(name)
+                seen.update(_references(node))
+                grown = True
+    assert len(definitions) > 200
+    assert sorted(set(definitions) - reached) == sorted(CALLED_FROM_OUTSIDE)
 
 
 def test_removed_names_do_not_resolve():

@@ -1,5 +1,6 @@
-"""README against the package: the names it cites resolve, and its library
-example prints what its comments say."""
+"""README against the package: the names it cites resolve, the checks it
+lists and the bounds it states are the package's, and its library example
+prints what its comments say."""
 
 import importlib
 import os
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import groupoidlab
+from groupoidlab import checks
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 # The directory holding the imported package, so that a child interpreter
@@ -33,6 +35,33 @@ def test_every_cited_module_name_resolves():
         if obj is None:
             missing.append(name)
     assert missing == []
+
+
+def test_every_reported_check_is_listed():
+    # the six instance checks, the duality family and the four regressions
+    names = {r.name for r in checks.corpus_report(seed=0, count=1).results}
+    assert len(names) == 11
+    assert sorted(name for name in names if f"`{name}`" not in README) == []
+
+
+BOUNDS = ("cli.MAX_ARROWS", "cli.MAX_COUNT", "quotients.MAX_FAMILY_ARROWS",
+          "groups.TABLE_CACHE_SIZE")
+
+
+def test_every_bound_is_stated_with_its_value():
+    stated = {name: int(value.replace(",", ""))
+              for name, value in re.findall(r"`(\w+\.\w+)` = (\d[\d,]*)", README)}
+    for name in BOUNDS:
+        module, attr = name.split(".")
+        assert stated.get(name) == getattr(importlib.import_module(f"groupoidlab.{module}"), attr)
+
+
+def test_no_pointer_to_history_or_private_name():
+    # README states the contract: no benchmark record or change log to
+    # follow, and no name outside the public surface
+    assert "BENCH_" not in README and "CHANGES.md" not in README
+    spans = re.findall(r"`([^`\n]+)`", README)
+    assert [span for span in spans if re.search(r"(?<!\w)_\w", span)] == []
 
 
 def test_library_example_prints_what_its_comments_say():

@@ -31,9 +31,21 @@ def finite_abelian_group(labels, table, name: str = "A") -> FiniteAbelianGroup:
 
 def _with_exponent(g: FiniteGroup) -> FiniteAbelianGroup:
     """Abelian group g with its exponent read off the table, as the lcm of
-    its element orders."""
-    return FiniteAbelianGroup(g.name, g.labels, g.table, g.identity,
-                              lcm(*(g.order_of(i) for i in range(g.order))))
+    its element orders.
+
+    Assumes g is a group, as each caller has checked or built it: the
+    orders come from one sweep of power walks, each started at an element
+    no earlier walk reached, since in a group x^j has order m / gcd(m, j)
+    for m the order of x.  ``powers`` still raises ValueError on a walk
+    that misses the identity."""
+    orders = [0] * g.order
+    for x in range(g.order):
+        if not orders[x]:
+            pw = g.powers(x)
+            m = len(pw)
+            for j, y in enumerate(pw):
+                orders[y] = m // gcd(m, j)
+    return FiniteAbelianGroup(g.name, g.labels, g.table, g.identity, lcm(*orders))
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,14 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
     of Z^k / L = A, and a realizing generator tuple from the rows of Vinv.
     Each m_i is at least 2, so k <= log2 |A|: at most 6 on the duality
     family.
+
+    The coordinates come from the elements listed in the order of their
+    residue tuples, the last factor's residue varying fastest: the list
+    starts as the first factor's powers, and each later factor replaces
+    every element x by x g^0, ..., x g^(d-1), a gather of x's row at the
+    factor's d >= 2 powers.  A gather of one index returns a bare item, not
+    a 1-tuple; the list has at least two elements before its rows are
+    gathered, and the order-1 group, with no factor, lists its identity.
     """
     n = a.order
     table = a.table
@@ -110,11 +130,12 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
         total *= d
     assert total == n
 
+    elements = powers[0] if powers else [a.identity]
+    for pw in powers[1:]:
+        rows = itemgetter(*elements)(table)
+        elements = list(itertools.chain.from_iterable(map(itemgetter(*pw), rows)))
     coords = [None] * n
-    for residues in itertools.product(*(range(d) for d in factors)):
-        x = a.identity
-        for pw, e in zip(powers, residues):
-            x = a.table[x][pw[e]]
+    for x, residues in zip(elements, itertools.product(*map(range, factors))):
         assert coords[x] is None
         coords[x] = residues
     return CyclicDecomposition(factors=tuple(factors), generators=tuple(pw[1] for pw in powers),
@@ -172,9 +193,9 @@ def characters(a: FiniteAbelianGroup) -> list[Character]:
 def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     """The character group under pointwise multiplication of values.
 
-    Expects the complete character list of one group; exponents add modulo
-    the host exponent.  The result has the same invariant factors as the
-    original group.
+    Expects the complete character list of one group, each character with
+    one value per element; exponents add modulo the host exponent.  The
+    result has the same invariant factors as the original group.
 
     Each character is first checked to be a homomorphism on the generators,
     chi(x*g) = chi(x) + chi(g) for every x and each generator g, one tuple
@@ -199,30 +220,35 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     K; they include every looked-up key, so they include every key.
 
     Each gather is one ``itemgetter`` call.  A gather of one index returns a
-    bare item, not a 1-tuple, so the order-1 host's one row is set directly;
-    every other gather has at least two indices, and a one-generator key
-    (a cyclic group's) is a 1-tuple that zip builds.
+    bare item, not a 1-tuple, so the order-1 host's one row is set directly,
+    and a host with fewer than two generators (a cyclic group) builds each
+    key as a tuple instead of gathering it; every other gather has at least
+    two indices, and a one-generator sum is a 1-tuple that zip builds.
     """
     if not fiber:
         raise ValueError("empty character list")
     host = fiber[0].host
-    if any(chi.host != host for chi in fiber):
+    if any(chi.host is not host and chi.host != host for chi in fiber):
         raise ValueError("characters of different groups")
     nn = host.exponent
     wrap = tuple(range(nn)) * 2   # wrap[s] = s % nn for 0 <= s < 2 nn
     gens = groups.generating_set(host)
     # products[g](values) reads the value at x*g for every x
     products = [(g, itemgetter(*(row[g] for row in host.table))) for g in gens]
+    key_of = itemgetter(*gens) if len(gens) > 1 else lambda e: tuple(e[g] for g in gens)
     keys = []
     for i, chi in enumerate(fiber):
         e = chi.exps
+        if len(e) != host.order:
+            raise ValueError(f"character {i} has {len(e)} values; "
+                             f"{host.name} has {host.order} elements")
         if min(e) < 0 or max(e) >= nn:
             e = tuple(v % nn for v in e)
         add_to = itemgetter(*e)   # add_to(wrap[c:c + nn]) is every chi(x) + c mod nn
         for g, at_products in products:
             if at_products(e) != add_to(wrap[e[g]:e[g] + nn]):
                 raise ValueError(f"character {i} is not a homomorphism at generator {g}")
-        keys.append(tuple(e[g] for g in gens))
+        keys.append(key_of(e))
     index = {key: i for i, key in enumerate(keys)}
     if len(index) != len(fiber) or len(fiber) != host.order:
         raise ValueError("character list is not the complete dual")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, itemgetter
 
 # Entries kept by each table_memo function, so a long run's memory stays fixed: a seed-0
 # check --corpus --count 200 decomposes 13 distinct tables on the instance path, 178 in all.
@@ -164,11 +166,15 @@ def _from_permutations(name: str, perms: list[tuple[str, tuple[int, ...]]]) -> F
 
 
 def cyclic(n: int) -> FiniteGroup:
+    """Addition mod n, a group built directly: row i is (i + j) % n for
+    j = 0..n-1, which is range(n) rotated left by i, one slice of range(n)
+    written twice."""
     if n < 1:
         raise ValueError("cyclic group order must be positive")
     labels = ("e", *(f"g{k}" if k > 1 else "g" for k in range(1, n)))
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return FiniteGroup(f"C{n}", labels, table, 0)   # addition mod n: a group
+    twice = tuple(range(n)) * 2
+    table = tuple(twice[i:i + n] for i in range(n))
+    return FiniteGroup(f"C{n}", labels, table, 0)
 
 
 def klein() -> FiniteGroup:
@@ -272,12 +278,26 @@ def library_subgroups() -> tuple[tuple[FiniteGroup, tuple[frozenset[int], ...]],
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """a x b, with (i, j) at index i * |b| + j.  Built directly, not through
     ``finite_group``: a product of groups is a group, with identity
-    (a.identity, b.identity)."""
+    (a.identity, b.identity).
+
+    Row (I, i) lists the products (I, i)(J, j) = (IJ, ij), J-major like the
+    columns.  With e either identity, (I, i) = (I, e)(e, i), so row (I, i)
+    is row (I, e) read at the places row (e, i) lists: one ``itemgetter``
+    gather per row.  Row (I, e) sends (J, j) to (IJ, j): a's row I with
+    each entry x replaced by block x, the places (x, 0), ..., (x, |b| - 1),
+    gathered from the blocks.  Row (e, i) sends (J, j) to (J, ij): b's row
+    i shifted into each block.  A gather of one index returns a bare item,
+    not a 1-tuple: so when a has order 1 its one row (e, e) is the one
+    block, and when b has order 1 the rows (I, e) are the product's rows.
+    """
     labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
-    nb = b.order
-    # row (I, i) is the products (I, i)(J, j) = (IJ, ij), J-major like the columns
-    table = tuple(tuple(x * nb + y for x in row_a for y in row_b)
-                  for row_a in a.table for row_b in b.table)
+    na, nb = a.order, b.order
+    blocks = [tuple(range(x, x + nb)) for x in range(0, na * nb, nb)]
+    left = blocks if na == 1 else [
+        tuple(chain.from_iterable(itemgetter(*row)(blocks))) for row in a.table]
+    offsets = [x for x in range(0, na * nb, nb) for _ in range(nb)]   # J * nb at (J, j)
+    right = [itemgetter(*map(add, offsets, row * na)) for row in b.table]
+    table = tuple(left) if nb == 1 else tuple(at(row) for row in left for at in right)
     return FiniteGroup(f"{a.name}x{b.name}", labels, table, a.identity * nb + b.identity)
 
 

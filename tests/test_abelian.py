@@ -268,6 +268,17 @@ class TestCharGroupStructure:
         with pytest.raises(ValueError, match="^character 3 is not a homomorphism at generator 1$"):
             abelian.char_group_structure(chars)
 
+    def test_rejects_a_character_of_the_wrong_length(self):
+        # checked before any value is read: no IndexError from a short list,
+        # no min() of an empty one, no homomorphism fault for a long one
+        chars = abelian.characters(_ab(groups.cyclic(4)))
+        for exps in (chars[2].exps[:3], (), chars[2].exps + (0,)):
+            bad = list(chars)
+            bad[2] = dataclasses.replace(chars[2], exps=exps)
+            with pytest.raises(ValueError,
+                               match=f"^character 2 has {len(exps)} values; C4 has 4 elements$"):
+                abelian.char_group_structure(bad)
+
     def test_rejects_a_duplicated_character(self):
         chars = self._fiber()
         chars[3] = chars[4]

@@ -1,6 +1,7 @@
 """The verification suite: reports, witnesses, and failure detection."""
 
 import dataclasses
+import functools
 import math
 from collections import Counter
 from pathlib import Path
@@ -272,6 +273,17 @@ class TestBudgetSchedule:
         assert all(1 <= checks.corpus_budget(s) <= 60 for s in range(200))
 
 
+def _cyclic_reference(d: int) -> groups.FiniteGroup:
+    return groups.FiniteGroup(f"C{d}", ("e", "g", *(f"g{k}" for k in range(2, d)))[:d],
+                              tuple(tuple((i + j) % d for j in range(d)) for i in range(d)), 0)
+
+
+def _product_reference(a: groups.FiniteGroup, b: groups.FiniteGroup) -> groups.FiniteGroup:
+    return groups.FiniteGroup(f"{a.name}x{b.name}",
+                              tuple(f"({la},{lb})" for la in a.labels for lb in b.labels),
+                              oracle.direct_product_table(a, b), a.identity * b.order + b.identity)
+
+
 class TestAbelianGroupFamily:
     def test_partition_counts_drive_group_counts(self):
         # the number of abelian groups of order p^k equals the number of
@@ -288,10 +300,20 @@ class TestAbelianGroupFamily:
                 list(checks.abelian_groups_of_order(n))
 
     def test_groups_equal_the_validated_build(self, abelian_family):
-        # abelian_groups_of_order builds its groups without finite_abelian_group
+        # abelian_groups_of_order builds its groups without finite_abelian_group,
+        # from cyclic and direct_product; the reference folds the entrywise
+        # (i + j) % d tables of the named cyclic orders by
+        # oracle.direct_product_table, with the lcm of those orders as exponent
         for a in abelian_family:
             assert groups.group_violations(a) == [] and groups.is_abelian(a), a.name
             assert abelian.finite_abelian_group(a.labels, a.table, a.name) == a
+            n, orders = a.name[1:].split(":")
+            orders = [int(d) for d in orders.split("x") if d]   # none for order 1
+            ref = functools.reduce(_product_reference, map(_cyclic_reference, orders or [1]))
+            assert math.prod(orders) == int(n) == a.order
+            assert (a.name, a.labels, a.table, a.identity, a.exponent) == (
+                f"A{n}:" + "x".join(map(str, orders)), ref.labels, ref.table, 0,
+                math.lcm(*orders)), a.name
 
     def test_expected_factors_have_divisibility_chains(self):
         for n in (8, 12, 16, 24, 36):

@@ -42,7 +42,11 @@ class TestLibrary:
         assert orders["V4"] == 4 and orders["S3"] == 6
         assert orders["A3"] == 3 and orders["D4"] == 8 and orders["Q8"] == 8
 
-    def test_exponents(self):
+    def test_exponents(self, abelian_family, corpus200):
+        # _with_exponent reads the orders from one sweep of power walks;
+        # the lcm of every order_of is the reference
+        for g in abelian_family + _reached_groups(corpus200):
+            assert abelian._with_exponent(g).exponent == _exponent(g), g.name
         assert _exponent(groups.cyclic(12)) == 12
         assert _exponent(groups.klein()) == 2
         assert _exponent(groups.sym3()) == 6
@@ -119,18 +123,18 @@ class TestLibrary:
         # the powers of 1 never reach the identity; a walk that did not stop
         # would hang, so it runs in a child interpreter with a timeout
         script = (
-            "from groupoidlab import groups\n"
+            "from groupoidlab import abelian, groups\n"
             "g = groups.FiniteGroup('broken', ('e', 'a'), ((0, 1), (1, 1)), 0)\n"
-            "for walk in ('order_of', 'powers'):\n"
+            "for walk in (g.order_of, g.powers, lambda x: abelian._with_exponent(g)):\n"
             "    try:\n"
-            "        print(getattr(g, walk)(1))\n"
+            "        print(walk(1))\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n")
         root = str(Path(groupoidlab.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": root}, timeout=20)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["broken: powers 1..2 of 1 miss the identity"] * 2
+        assert proc.stdout.splitlines() == ["broken: powers 1..2 of 1 miss the identity"] * 3
 
     def test_violations_flag_a_declared_identity_that_is_not_one(self):
         # the tables are groups, but under another identity
@@ -339,12 +343,20 @@ class TestDirectProduct:
                                             [list(row) for row in p.table])
 
     def test_rows_match_the_entrywise_formula(self, abelian_family):
-        # direct_product builds each row from one row of each factor; the
-        # entry-by-entry formula is the reference
+        # cyclic cuts its rows from slices, and direct_product gathers each
+        # row from a row of a x b that moves only one factor; the
+        # entry-by-entry formula is the reference.  C2' has identity 1, and
+        # a product with cyclic(1) on either side may have order 1
+        for n in range(1, 65):
+            assert groups.cyclic(n).table == tuple(
+                tuple((i + j) % n for j in range(n)) for i in range(n)), n
         lib = groups.library()
+        c2_prime = groups.finite_group("C2'", ["g", "e"], [[1, 0], [0, 1]])
         for a, b in [(a, b) for a in lib for b in lib] + [
                 (groups.cyclic(1), f) for f in abelian_family] + [
-                (f, groups.cyclic(2)) for f in abelian_family if f.order <= 32]:
+                (f, groups.cyclic(1)) for f in abelian_family] + [
+                (f, groups.cyclic(2)) for f in abelian_family if f.order <= 32] + [
+                pair for g in lib + [c2_prime] for pair in ((c2_prime, g), (g, c2_prime))]:
             assert groups.direct_product(a, b).table == oracle.direct_product_table(a, b), \
                 (a.name, b.name)
 

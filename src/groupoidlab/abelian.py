@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import add
 
 from . import core, groups
 from .groups import FiniteGroup
@@ -85,11 +85,8 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
 
     The coordinates come from the elements listed in the order of their
     residue tuples, the last factor's residue varying fastest: the list
-    starts as the first factor's powers, and each later factor replaces
-    every element x by x g^0, ..., x g^(d-1), a gather of x's row at the
-    factor's d >= 2 powers.  A gather of one index returns a bare item, not
-    a 1-tuple; the list has at least two elements before its rows are
-    gathered, and the order-1 group, with no factor, lists its identity.
+    starts as the identity, and each factor replaces every element x by
+    x g^0, ..., x g^(d-1), a gather of x's row at the factor's d powers.
     """
     n = a.order
     table = a.table
@@ -108,6 +105,11 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
             m += 1
         relations.append(tuple(-c for c in below[pw[m % len(pw)]]) + (m,))
         gen_powers.append(pw)
+    gens = [pw[1] for pw in gen_powers]
+    # a table built directly need not commute; the g_i generate it, so it
+    # commutes exactly when they commute pairwise
+    if any(table[g][h] != table[h][g] for i, g in enumerate(gens) for h in gens[:i]):
+        raise ValueError(f"{a.name}: multiplication table is not commutative")
     assert len(words) == n
     k = len(gen_powers)
 
@@ -130,10 +132,10 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
         total *= d
     assert total == n
 
-    elements = powers[0] if powers else [a.identity]
-    for pw in powers[1:]:
-        rows = itemgetter(*elements)(table)
-        elements = list(itertools.chain.from_iterable(map(itemgetter(*pw), rows)))
+    elements = [a.identity]
+    for pw in powers:
+        rows = core._gather(elements)(table)
+        elements = list(itertools.chain.from_iterable(map(core._gather(pw), rows)))
     coords = [None] * n
     for x, residues in zip(elements, itertools.product(*map(range, factors))):
         assert coords[x] is None
@@ -170,9 +172,7 @@ def characters(a: FiniteAbelianGroup) -> list[Character]:
     predecessor in residue order, the character whose last nonzero residue
     is one less, by adding basis character j's exponents: one addition
     mod N per value instead of a k-term sum.  The sums, each below 2N, are
-    reduced by one ``itemgetter`` gather from ``wrap``.  A gather of one
-    index returns a bare item, not a 1-tuple; only the order-1 host has one
-    value, and it has no factor, so its trivial character is never grown.
+    reduced by one ``core._gather`` from ``wrap``.
     """
     dec = invariant_factors(a)
     nn = a.exponent
@@ -184,7 +184,7 @@ def characters(a: FiniteAbelianGroup) -> list[Character]:
         for exps in chars:
             for r in range(d):
                 if r:
-                    exps = itemgetter(*map(add, exps, basis))(wrap)
+                    exps = core._gather([*map(add, exps, basis)])(wrap)
                 grown.append(exps)
         chars = grown
     return [Character(host=a, exps=exps) for exps in chars]
@@ -219,11 +219,8 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     are closed under addition, as (g + h) + K = g + (h + K) is in g + K, in
     K; they include every looked-up key, so they include every key.
 
-    Each gather is one ``itemgetter`` call.  A gather of one index returns a
-    bare item, not a 1-tuple, so the order-1 host's one row is set directly,
-    and a host with fewer than two generators (a cyclic group) builds each
-    key as a tuple instead of gathering it; every other gather has at least
-    two indices, and a one-generator sum is a 1-tuple that zip builds.
+    The order-1 host has no generator, so no column lists a sum to look up
+    and its one row, (zero,), is set directly.
     """
     if not fiber:
         raise ValueError("empty character list")
@@ -234,8 +231,8 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     wrap = tuple(range(nn)) * 2   # wrap[s] = s % nn for 0 <= s < 2 nn
     gens = groups.generating_set(host)
     # products[g](values) reads the value at x*g for every x
-    products = [(g, itemgetter(*(row[g] for row in host.table))) for g in gens]
-    key_of = itemgetter(*gens) if len(gens) > 1 else lambda e: tuple(e[g] for g in gens)
+    products = [(g, core._gather([row[g] for row in host.table])) for g in gens]
+    key_of = core._gather(gens)
     keys = []
     for i, chi in enumerate(fiber):
         e = chi.exps
@@ -244,7 +241,7 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
                              f"{host.name} has {host.order} elements")
         if min(e) < 0 or max(e) >= nn:
             e = tuple(v % nn for v in e)
-        add_to = itemgetter(*e)   # add_to(wrap[c:c + nn]) is every chi(x) + c mod nn
+        add_to = core._gather(e)   # add_to(wrap[c:c + nn]) is every chi(x) + c mod nn
         for g, at_products in products:
             if at_products(e) != add_to(wrap[e[g]:e[g] + nn]):
                 raise ValueError(f"character {i} is not a homomorphism at generator {g}")
@@ -253,12 +250,12 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     if len(index) != len(fiber) or len(fiber) != host.order:
         raise ValueError("character list is not the complete dual")
     # columns[j](wrap[c:c + nn]) is (y_j + c) mod nn for every key y, in order
-    columns = [itemgetter(*col) for col in zip(*keys)]
+    columns = [core._gather(col) for col in zip(*keys)]
 
     def looked_up(i: int) -> tuple[int, ...]:
         sums = zip(*[col(wrap[c:c + nn]) for col, c in zip(columns, keys[i])])
         try:
-            return itemgetter(*sums)(index)
+            return core._gather([*sums])(index)
         except KeyError:
             raise ValueError("character list is not closed under products") from None
 
@@ -266,13 +263,13 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     if zero is None:   # a finite set of keys closed under addition holds 0
         raise ValueError("character list is not closed under products")
     rows: list[tuple[int, ...] | None] = [None] * len(keys)
-    rows[zero] = looked_up(zero) if len(keys) > 1 else (zero,)
+    rows[zero] = looked_up(zero) if gens else (zero,)
     filled, looked = [zero], []
     for i in range(len(rows)):
         if rows[i] is None:
             rows[i] = looked_up(i)
             filled.append(i)
-            looked.append((rows[i], itemgetter(*rows[i])))
+            looked.append((rows[i], core._gather(rows[i])))
             for a in filled:   # grows while it is walked
                 row_a = rows[a]
                 for row_g, compose in looked:
@@ -296,7 +293,7 @@ class DualBundle:
     """Per-unit character lists of an abelian group bundle.
 
     Element i of fiber_groups[x] is host.out_of[x][i] (``core.isotropy_group``),
-    so a character chi of that fiber takes the value of chi.exps[i] there.
+    the arrow g at place host.pos[g] = i, so chi takes the value chi.exps[i] at g.
     """
 
     host: core.FiniteGroupoid

@@ -144,15 +144,14 @@ def abelianized_fiber(ab: quotients.Abelianization,
     """The abelianized isotropy group at a fixed point x of ab.host.
 
     Read off ab.dual at the class of x.  Returns the group together with the
-    class map sending each host arrow at x to its element index.
+    class map sending each host arrow g at x to its element index
+    ab.g_ab.pos[pi(g)], as ``abelian.DualBundle`` places the elements.
     """
     G = ab.host
     if x not in ab.fixed_points:
         raise ValueError(f"unit {G.labels[x]} is not a fixed point")
-    y = ab.fixed_points[x]
-    elem_of_arrow = {arrow: i for i, arrow in enumerate(ab.g_ab.out_of[y])}
-    class_of = {g: elem_of_arrow[ab.arrow_map[g]] for g in G.out_of[x]}
-    return ab.dual.fiber_groups[y], class_of
+    class_of = {g: ab.g_ab.pos[ab.arrow_map[g]] for g in G.out_of[x]}
+    return ab.dual.fiber_groups[ab.fixed_points[x]], class_of
 
 
 @dataclass
@@ -160,14 +159,17 @@ class CharacterFunctional:
     """A one-dimensional representation evaluated on the delta basis.
 
     Supported on the isotropy at one fixed point; values there are roots of
-    unity stored as exponents modulo the abelianized fiber's exponent.
+    unity stored as exponents modulo chi's modulus, its fiber's exponent.
     """
 
     host: FiniteGroupoid
     unit: int
     chi: Character
     exponents: dict[int, int]
-    modulus: int
+
+    @property
+    def modulus(self) -> int:
+        return self.chi.modulus
 
     @property
     def support(self) -> frozenset[int]:
@@ -179,11 +181,10 @@ def enumerate_characters(ab: quotients.Abelianization) -> list[CharacterFunction
     points paired with the characters of their abelianized fibers."""
     out = []
     for x, y in ab.fixed_points.items():
-        a, class_of = abelianized_fiber(ab, x)
+        class_of = abelianized_fiber(ab, x)[1]
         for chi in ab.dual.fibers[y]:
             exponents = {g: chi.exps[cls] for g, cls in class_of.items()}
-            out.append(CharacterFunctional(host=ab.host, unit=x, chi=chi,
-                                           exponents=exponents, modulus=a.exponent))
+            out.append(CharacterFunctional(host=ab.host, unit=x, chi=chi, exponents=exponents))
     return out
 
 
@@ -227,8 +228,7 @@ def gelfand_transform(bundle: abelian.DualBundle) -> GelfandMatrix:
     """
     G = bundle.host
     return GelfandMatrix(host=G, rows=tuple(
-        CharacterFunctional(host=G, unit=x, chi=chi, exponents=dict(zip(G.out_of[x], chi.exps)),
-                            modulus=chi.modulus)
+        CharacterFunctional(host=G, unit=x, chi=chi, exponents=dict(zip(G.out_of[x], chi.exps)))
         for x in bundle.base for chi in bundle.fibers[x]))
 
 

@@ -365,6 +365,8 @@ def duality_family_check(max_order: int = 64) -> CheckResult:
 
 def corpus_budget(seed: int, cap: int = 60) -> int:
     """Instance size budget for a corpus seed: cycles through 1..cap."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     return 1 + seed % cap
 
 

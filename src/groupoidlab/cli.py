@@ -264,8 +264,8 @@ def _cmd_quotient(args) -> tuple[dict, int]:
 def _cmd_abelianize(args) -> tuple[dict, int]:
     G = _load(args)
     ab = quotients.abelianize_groupoid(G)
-    class_map = {G.labels[ab.inclusion[i]]: ab.g_ab.labels[ab.class_map[i]]
-                 for i in range(ab.g_fix.n)}
+    class_map = {G.labels[g]: ab.g_ab.labels[c] for g, c in enumerate(ab.arrow_map)
+                 if c is not None}
     return ({"fixed_points": sorted(G.labels[x] for x in ab.fixed_points),
              "restricted": document.encode_groupoid(ab.g_fix),
              "abelianized": document.encode_groupoid(ab.g_ab),

@@ -27,7 +27,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
+import operator
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FiniteGroup
@@ -120,12 +120,12 @@ def _arrows_by(table: tuple[int, ...]) -> tuple[dict[int, list[int]], tuple[int,
 
 
 def _gather(keys: Sequence) -> Callable[[Sequence], tuple]:
-    """itemgetter(*keys), but returning a tuple for any number of keys: an
-    itemgetter of one key returns the bare item, and one of none is refused."""
+    """The package's one gather: the tuple of table[k] for k in keys, for any
+    number of keys, which ``operator.itemgetter(*keys)`` returns for two or more."""
     if len(keys) == 1:
         key = keys[0]
         return lambda table: (table[key],)
-    return itemgetter(*keys) if keys else lambda table: ()
+    return operator.itemgetter(*keys) if keys else lambda table: ()
 
 
 def arrow_set(G: FiniteGroupoid, arrows: Iterable[int]) -> frozenset[int]:
@@ -268,8 +268,8 @@ def associativity_failures(rows, pos, src, rng, out_of, into,
     for each middle b in turn, then a and c ascending, yielded as found.
 
     For a middle b and each a out of rng b, (ab)c for every c into src b is
-    the row of ab, and a(bc) is one ``itemgetter`` gather from the row of a
-    at the places of b's row: a middle costs |arrows out of rng b| gathers.
+    the row of ab, and a(bc) is one ``_gather`` from the row of a at the
+    places of b's row: a middle costs |arrows out of rng b| gathers.
     """
     for b in middles:
         gather = _gather([pos[bc] for bc in rows[b]])

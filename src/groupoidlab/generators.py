@@ -27,10 +27,15 @@ class GroupAction:
 
 
 def action_violations(a: GroupAction) -> list[str]:
+    """Why a is not a left action, or []; a bad shape or entry is reported alone."""
     g, m = a.group, len(a.points)
     out = []
     if len(a.act) != g.order or any(len(row) != m for row in a.act):
         return ["action table has wrong shape"]
+    for i, row in enumerate(a.act):
+        for x, y in enumerate(row):
+            if not (isinstance(y, int) and 0 <= y < m):
+                return [f"act[{i}][{x}] is {y!r}, not a point index in 0..{m - 1}"]
     for x in range(m):
         if a.act[g.identity][x] != x:
             out.append(f"identity moves point {a.points[x]}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import chain
-from operator import add, itemgetter
+from operator import add
 
 # Entries kept by each table_memo function, so a long run's memory stays fixed: a seed-0
 # check --corpus --count 200 decomposes 13 distinct tables on the instance path, 178 in all.
@@ -121,7 +121,7 @@ def group_violations(g: FiniteGroup) -> list[str]:
     """Group-axiom check, exact on any table: row shape, entry range, the
     declared identity, associativity, inverses.
 
-    Rows are shape-checked and entries range-checked first, because the
+    Rows are shape-checked and entries checked as ints in range first: the
     later checks index the table by them, and a table built with the
     dataclass constructor has had neither checked; an identity out of range
     is reported alone for the same reason.  Each of these three ends the
@@ -136,8 +136,9 @@ def group_violations(g: FiniteGroup) -> list[str]:
     from . import core   # core imports this module
     n, t, e = g.order, g.table, g.identity
     out = _shape_violations(g.name, n, t) or [
-        f"entry ({i},{j}) out of range"
-        for i in range(n) for j in range(n) if not 0 <= t[i][j] < n]
+        f"entry ({i},{j}) " + ("out of range" if isinstance(x, int) else f"is {x!r}, not an int")
+        for i, row in enumerate(t) for j, x in enumerate(row)
+        if not (isinstance(x, int) and 0 <= x < n)]
     if out or not 0 <= e < n:
         return out or [f"identity {e} out of range"]
     out = [f"identity fails at {x}" for x in range(n) if t[e][x] != x or t[x][e] != x]
@@ -282,22 +283,20 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
     Row (I, i) lists the products (I, i)(J, j) = (IJ, ij), J-major like the
     columns.  With e either identity, (I, i) = (I, e)(e, i), so row (I, i)
-    is row (I, e) read at the places row (e, i) lists: one ``itemgetter``
-    gather per row.  Row (I, e) sends (J, j) to (IJ, j): a's row I with
-    each entry x replaced by block x, the places (x, 0), ..., (x, |b| - 1),
-    gathered from the blocks.  Row (e, i) sends (J, j) to (J, ij): b's row
-    i shifted into each block.  A gather of one index returns a bare item,
-    not a 1-tuple: so when a has order 1 its one row (e, e) is the one
-    block, and when b has order 1 the rows (I, e) are the product's rows.
+    is row (I, e) read at the places row (e, i) lists: one ``core._gather``
+    per row.  Row (I, e) sends (J, j) to (IJ, j): a's row I with each entry
+    x replaced by block x, the places (x, 0), ..., (x, |b| - 1), gathered
+    from the blocks.  Row (e, i) sends (J, j) to (J, ij): b's row i shifted
+    into each block.
     """
+    from . import core   # core imports this module
     labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
     na, nb = a.order, b.order
     blocks = [tuple(range(x, x + nb)) for x in range(0, na * nb, nb)]
-    left = blocks if na == 1 else [
-        tuple(chain.from_iterable(itemgetter(*row)(blocks))) for row in a.table]
+    left = [tuple(chain.from_iterable(core._gather(row)(blocks))) for row in a.table]
     offsets = [x for x in range(0, na * nb, nb) for _ in range(nb)]   # J * nb at (J, j)
-    right = [itemgetter(*map(add, offsets, row * na)) for row in b.table]
-    table = tuple(left) if nb == 1 else tuple(at(row) for row in left for at in right)
+    right = [core._gather([*map(add, offsets, row * na)]) for row in b.table]
+    table = tuple(at(row) for row in left for at in right)
     return FiniteGroup(f"{a.name}x{b.name}", labels, table, a.identity * nb + b.identity)
 
 

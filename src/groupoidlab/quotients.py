@@ -171,26 +171,23 @@ def commutator_subgroupoid(G: FiniteGroupoid) -> NormalSubgroupoid:
 @dataclass(frozen=True)
 class Abelianization:
     """g_ab = g_fix / commutator, where g_fix is the host restricted to its
-    fixed points (a group bundle), with maps back to the host groupoid.
+    fixed points (a group bundle), and pi, its one map: ``arrow_map`` sends
+    each host arrow to its class in g_ab, or to None off g_fix.
 
     The one source for what is derived from it: its ``dual``, the
-    characters (``algebra.enumerate_characters``), pi (``algebra.pi_hom``,
-    whose arrow map is ``arrow_map``) and each abelianized fiber
-    (``algebra.abelianized_fiber``, which reads the same map)."""
+    characters (``algebra.enumerate_characters``), pi (``algebra.pi_hom``)
+    and each abelianized fiber (``algebra.abelianized_fiber``)."""
 
     host: FiniteGroupoid
     g_fix: FiniteGroupoid
-    inclusion: tuple[int, ...]     # g_fix arrow -> host arrow
-    commutator: NormalSubgroupoid  # of g_fix
     g_ab: FiniteGroupoid
-    class_map: tuple[int, ...]     # g_fix arrow -> g_ab arrow
-    arrow_map: tuple[int | None, ...]  # host arrow -> g_ab arrow, None off g_fix
+    arrow_map: tuple[int | None, ...]  # pi: host arrow -> g_ab arrow, None off g_fix
 
     @cached_property
     def fixed_points(self) -> dict[int, int]:
         """The host's fixed points, ascending, each with the unit of g_ab it
-        maps to; inclusion is ascending, so g_fix's units are in that order."""
-        return {self.inclusion[u]: self.class_map[u] for u in sorted(self.g_fix.units)}
+        maps to: pi at the host's units, where it is not None."""
+        return {x: y for x in sorted(self.host.units) if (y := self.arrow_map[x]) is not None}
 
     @cached_property
     def dual(self) -> abelian.DualBundle:
@@ -203,11 +200,9 @@ def abelianize_groupoid(G: FiniteGroupoid) -> Abelianization:
     """Restrict to fixed points (invariant: no arrow leaves one), then
     quotient by fiberwise commutators."""
     gf, inclusion = core._restriction(G, core.fixed_points(G))
-    comm = commutator_subgroupoid(gf)
-    qr = quotient(gf, comm)
+    qr = quotient(gf, commutator_subgroupoid(gf))
     to_ab = dict(zip(inclusion, qr.class_map))
-    return Abelianization(host=G, g_fix=gf, inclusion=inclusion, commutator=comm,
-                          g_ab=qr.quotient, class_map=qr.class_map,
+    return Abelianization(host=G, g_fix=gf, g_ab=qr.quotient,
                           arrow_map=tuple(map(to_ab.get, G.arrows())))
 
 

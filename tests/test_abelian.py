@@ -126,6 +126,19 @@ class TestInvariantFactors:
         with pytest.raises(ValueError, match="not commutative"):
             _ab(groups.sym3())
 
+    @pytest.mark.parametrize("build, exponent", [
+        (groups.dihedral4, 4), (groups.sym3, 6), (groups.quaternion8, 4)])
+    def test_a_table_built_directly_that_does_not_commute(self, build, exponent):
+        # the dataclass skips finite_abelian_group's check: D4 once decomposed
+        # as (2, 4) and S3 and Q8 failed an assert; the memo keeps nothing
+        g = build()
+        a = abelian.FiniteAbelianGroup(g.name, g.labels, g.table, g.identity, exponent)
+        message = f"^{g.name}: multiplication table is not commutative$"
+        for call in (abelian.invariant_factors, abelian.characters):
+            with pytest.raises(ValueError, match=message):
+                call(a)
+        assert (a.table, a.identity) not in abelian.invariant_factors.memo
+
 
 class TestCharacters:
     @pytest.mark.parametrize("orders", [(1,), (5,), (2, 2), (2, 4), (12,), (4, 6)])
@@ -225,9 +238,9 @@ class TestCharGroupStructure:
         assert fibers > 200
 
     def test_one_index_hosts(self, abelian_family):
-        # a one-index itemgetter returns a bare item: the order-1 host has one
-        # value per character, and a group that one element generates has
-        # one-generator keys
+        # the order-1 host has one value per character and no generator, so
+        # its one row is set directly; a group that one element generates
+        # has one-generator keys, each gathered by core._gather of one index
         trivial = _ab(groups.cyclic(1))
         chars = abelian.characters(trivial)
         assert [chi.exps for chi in chars] == [(0,)]

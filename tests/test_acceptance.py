@@ -7,7 +7,11 @@ root-of-unity arithmetic uses 1e-9.  The corpus is seeds 0..199 with size
 budgets cycling 1..60.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import oracle
@@ -240,3 +244,13 @@ def test_corpus_report_with_two_jobs_matches_the_fixture(capsys):
     code = cli.main([*outputs.CORPUS, "--jobs", "2"])
     pinned = outputs.fixture()[" ".join(outputs.CORPUS)]
     assert outputs.entry(code, capsys.readouterr().out) == pinned
+
+
+def test_corpus_report_without_asserts_matches_the_fixture():
+    # python -O strips every assert, so no verdict may rest on one
+    root = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-m", "groupoidlab.cli", *outputs.CORPUS],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": root, "PYTHONDONTWRITEBYTECODE": "1"})
+    pinned = outputs.fixture()[" ".join(outputs.CORPUS)]
+    assert outputs.entry(proc.returncode, proc.stdout) == pinned, proc.stderr

@@ -272,6 +272,12 @@ class TestBudgetSchedule:
         assert checks.corpus_budget(60) == 1
         assert all(1 <= checks.corpus_budget(s) <= 60 for s in range(200))
 
+    def test_a_cap_below_one_is_refused(self):
+        for call in (lambda: checks.corpus_budget(5, 0), lambda: checks.corpus_budget(5, -1),
+                     lambda: checks.corpus_report(0, 2, cap=0)):
+            with pytest.raises(ValueError, match="^cap must be at least 1, got -?[01]$"):
+                call()
+
 
 def _cyclic_reference(d: int) -> groups.FiniteGroup:
     return groups.FiniteGroup(f"C{d}", ("e", "g", *(f"g{k}" for k in range(2, d)))[:d],

@@ -346,6 +346,12 @@ class TestSubsets:
         assert sorted(len(c) for c in core.unit_components(s3_a3)) == [1, 1]
 
 
+def test_gather_returns_a_tuple_for_any_number_of_keys():
+    table = ("a", "b", "c")
+    for keys, expected in (([], ()), ([2], ("c",)), ((2, 0), ("c", "a"))):
+        assert core._gather(keys)(table) == expected
+
+
 @pytest.mark.parametrize("call", [
     lambda G, F: quotients.is_normal(G, F),
     lambda G, F: core.restrict(G, F),

@@ -32,6 +32,13 @@ class TestTransformationGroupoid:
                                     [(0, 1, 2), (1, 2, 0)])
         with pytest.raises(ValueError):
             generators.group_action(groups.cyclic(3), ["0"], [(0,), (0,)])  # wrong shape
+        # an entry that is no point index is named, not indexed by
+        for act, entry in (([[0, 1], [1, 5]], r"act\[1\]\[1\] is 5,"),
+                           ([[0, 1], [1.0, 0]], r"act\[1\]\[0\] is 1.0,"),
+                           ([[0, -1], [1, 0]], r"act\[0\]\[1\] is -1,")):
+            with pytest.raises(ValueError, match=rf"^not a group action: {entry} not a point "
+                                                 r"index in 0\.\.1$"):
+                generators.group_action(groups.cyclic(2), ["p", "q"], act)
 
     def test_trivial_group_gives_trivial_groupoid(self):
         a = generators.group_action(groups.cyclic(1), ["x", "y", "z"], [(0, 1, 2)])

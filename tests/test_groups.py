@@ -118,6 +118,9 @@ class TestLibrary:
             assert groups.group_violations(g) == ["entry (1,2) out of range"]
             with pytest.raises(ValueError, match=r"^broken: not a group: entry \(1,2\) out of range$"):
                 groups.finite_group("broken", ["e", "a", "b"], table)
+        # 1.0 passes a range comparison but cannot index a row
+        with pytest.raises(ValueError, match=r"^F: not a group: entry \(0,0\) is 0\.0, not an int$"):
+            groups.finite_group("F", ["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
 
     def test_the_power_walk_stops_on_a_table_that_is_not_a_group(self):
         # the powers of 1 never reach the identity; a walk that did not stop

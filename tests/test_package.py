@@ -295,6 +295,21 @@ def test_one_character_row_type():
     assert names(algebra.GelfandMatrix) == ["host", "rows"]
     assert names(abelian.Character) == ["host", "exps"]
     assert "fiber_arrows" not in names(abelian.DualBundle)
+    # pi is the abelianization's one map, and a row's modulus is its chi's
+    assert names(quotients.Abelianization) == ["host", "g_fix", "g_ab", "arrow_map"]
+    assert names(algebra.CharacterFunctional) == ["host", "unit", "chi", "exponents"]
+
+
+def test_itemgetter_is_named_only_in_the_one_gather():
+    # core._gather returns a tuple for any number of keys; a bare
+    # itemgetter returns the bare item for one key and refuses none.  A
+    # reference is a name, an attribute, or an imported or defined name.
+    package = Path(groupoidlab.__file__).resolve().parent
+    assert [f"{path.stem}.{owner}" for path in sorted(package.glob("*.py"))
+            for owner, node in _owners(ast.parse(path.read_text(encoding="utf-8")))
+            for ref in ast.walk(node)
+            if "itemgetter" in (getattr(ref, key, None) for key in ("id", "attr", "name"))
+            ] == ["core._gather"]
 
 
 # Every per-process cache in the package, with the most entries it holds.

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from operator import add
 
 from . import core, groups
@@ -30,22 +30,12 @@ def finite_abelian_group(labels, table, name: str = "A") -> FiniteAbelianGroup:
 
 
 def _with_exponent(g: FiniteGroup) -> FiniteAbelianGroup:
-    """Abelian group g with its exponent read off the table, as the lcm of
-    its element orders.
-
-    Assumes g is a group, as each caller has checked or built it: the
-    orders come from one sweep of power walks, each started at an element
-    no earlier walk reached, since in a group x^j has order m / gcd(m, j)
-    for m the order of x.  ``powers`` still raises ValueError on a walk
-    that misses the identity."""
-    orders = [0] * g.order
-    for x in range(g.order):
-        if not orders[x]:
-            pw = g.powers(x)
-            m = len(pw)
-            for j, y in enumerate(pw):
-                orders[y] = m // gcd(m, j)
-    return FiniteAbelianGroup(g.name, g.labels, g.table, g.identity, lcm(*orders))
+    """Abelian group g with its exponent read off the table: the lcm of the
+    orders of ``groups.generating_set(g)``, since in an abelian group ord(xy)
+    divides lcm(ord x, ord y).  Each caller has checked or built g as one;
+    ``powers`` raises ValueError on a walk that misses the identity."""
+    return FiniteAbelianGroup(g.name, g.labels, g.table, g.identity,
+                              lcm(*map(g.order_of, groups.generating_set(g))))
 
 
 @dataclass(frozen=True)
@@ -66,12 +56,14 @@ class CyclicDecomposition:
 def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
     """Decompose a finite abelian group as a product of cyclic groups.
 
-    The generators g_1..g_k are chosen greedily, as ``groups.generating_set``
-    chooses them: g_i is the first element, in order, outside
+    A table that does not commute (``groups.is_abelian``) raises ValueError.
+    The generators g_1..g_k are ``groups.generating_set(a)``, chosen
+    greedily: g_i is the first element, in order, outside
     H_{i-1} = <g_1..g_{i-1}>.  Let m_i be the least m >= 1 with g_i^m in
     H_{i-1}.  Then H_i is the disjoint union of the cosets H_{i-1} g_i^e for
-    0 <= e < m_i, and the word table grows as w(h g_i^e) = w(h) + e e_i.
-    Each generator adds the relation r_i = m_i e_i - w(g_i^{m_i}).
+    0 <= e < m_i, and the word table grows as w(h g_i^e) = w(h) + e e_i,
+    asserted to reach every element.  Each generator adds the relation
+    r_i = m_i e_i - w(g_i^{m_i}).
 
     These k rows span the relation lattice L, the kernel of
     Z^k -> A, v -> prod g_i^{v_i}.  Each r_i lies in L, since w(h) maps to
@@ -88,15 +80,14 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
     starts as the identity, and each factor replaces every element x by
     x g^0, ..., x g^(d-1), a gather of x's row at the factor's d powers.
     """
+    if not groups.is_abelian(a):
+        raise ValueError(f"{a.name}: multiplication table is not commutative")
     n = a.order
     table = a.table
     gen_powers: list[list[int]] = []   # the powers of g_1..g_k
     words: dict[int, tuple[int, ...]] = {a.identity: ()}   # trailing zeros left off
     relations: list[tuple[int, ...]] = []
-    for g in range(n):
-        if g in words:
-            continue
-        i = len(gen_powers)
+    for i, g in enumerate(groups.generating_set(a)):
         below = {h: w + (0,) * (i - len(w)) for h, w in words.items()}   # H_{i-1}
         pw, m = a.powers(g), 1   # m <= len(pw), as g^len(pw) = e is in H_{i-1}
         while m < len(pw) and pw[m] not in below:
@@ -105,11 +96,6 @@ def invariant_factors(a: FiniteAbelianGroup) -> CyclicDecomposition:
             m += 1
         relations.append(tuple(-c for c in below[pw[m % len(pw)]]) + (m,))
         gen_powers.append(pw)
-    gens = [pw[1] for pw in gen_powers]
-    # a table built directly need not commute; the g_i generate it, so it
-    # commutes exactly when they commute pairwise
-    if any(table[g][h] != table[h][g] for i, g in enumerate(gens) for h in gens[:i]):
-        raise ValueError(f"{a.name}: multiplication table is not commutative")
     assert len(words) == n
     k = len(gen_powers)
 
@@ -173,9 +159,14 @@ def characters(a: FiniteAbelianGroup) -> list[Character]:
     is one less, by adding basis character j's exponents: one addition
     mod N per value instead of a k-term sum.  The sums, each below 2N, are
     reduced by one ``core._gather`` from ``wrap``.
+
+    N must be the largest invariant factor, 1 for the trivial group, or
+    ValueError: a group built with the dataclass may carry any exponent.
     """
     dec = invariant_factors(a)
     nn = a.exponent
+    if nn != (top := max(dec.factors, default=1)):
+        raise ValueError(f"{a.name}: exponent {nn} is not the largest invariant factor {top}")
     wrap = tuple(range(nn)) * 2   # wrap[s] = s % nn for 0 <= s < 2 nn
     chars = [(0,) * a.order]
     for j, d in enumerate(dec.factors):
@@ -276,14 +267,12 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
                     if rows[b := row_g[a]] is None:
                         rows[b] = compose(row_a)   # row_a[row_g[j]] for every j
                         filled.append(b)
-    # Built directly, not through finite_abelian_group: the table is addition
-    # of keys mod nn, so it is associative and commutative, and the
-    # completeness and closure checks above make it a subgroup.  The order of
-    # a character is nn / gcd(nn, its values on the generators).
-    return FiniteAbelianGroup(
+    # Not validated: the table is addition of keys mod nn, so it is
+    # associative and commutative, and the completeness and closure checks
+    # above make it a subgroup.  _with_exponent reads its exponent.
+    return _with_exponent(FiniteGroup(
         name=f"dual({host.name})", labels=tuple(f"chi{i}" for i in range(len(fiber))),
-        table=tuple(rows), identity=zero,
-        exponent=lcm(*(nn // gcd(nn, *key) for key in index)))
+        table=tuple(rows), identity=zero))
 
 
 # --- dual bundles over groupoids ----------------------------------------

@@ -129,12 +129,15 @@ def _gather(keys: Sequence) -> Callable[[Sequence], tuple]:
 
 
 def arrow_set(G: FiniteGroupoid, arrows: Iterable[int]) -> frozenset[int]:
-    """A carrier as a frozenset of arrow indices; raises ValueError for an
-    index outside 0..n-1, which would otherwise wrap or miss silently."""
+    """A carrier as a frozenset of arrow indices; raises ValueError naming
+    every entry that is not an int in 0..n-1, which would wrap, miss or fail
+    to index: ints ascending, then the rest by repr, as mixed lists do not sort."""
     out = frozenset(arrows)
-    bad = [g for g in out if not 0 <= g < G.n]
-    if bad:
-        raise ValueError(f"arrow indices out of range: {sorted(bad)}")
+    wide = sorted(g for g in out if isinstance(g, int) and not 0 <= g < G.n)
+    other = sorted((g for g in out if not isinstance(g, int)), key=repr)
+    faults = [f"{what}: {xs}" for what, xs in (("out of range", wide), ("not ints", other)) if xs]
+    if faults:
+        raise ValueError("arrow indices " + "; ".join(faults))
     return out
 
 

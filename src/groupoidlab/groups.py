@@ -151,8 +151,10 @@ def group_violations(g: FiniteGroup) -> list[str]:
 
 
 def is_abelian(g: FiniteGroup) -> bool:
-    return all(g.table[i][j] == g.table[j][i]
-               for i in range(g.order) for j in range(i))
+    """Whether the members of ``generating_set(g)`` commute pairwise.  g must
+    be a group, which then commutes exactly when its generators do."""
+    t, gens = g.table, generating_set(g)
+    return all(t[x][y] == t[y][x] for i, x in enumerate(gens) for y in gens[:i])
 
 
 # --- library -------------------------------------------------------------
@@ -330,7 +332,9 @@ def closure(g: FiniteGroup, seed) -> frozenset[int]:
 def generating_set(g: FiniteGroup) -> list[int]:
     """A generating set, chosen greedily: ``core.greedy_generators`` on g as
     the one-unit groupoid.  Every element is then the identity, a member or
-    a left-nested product of members."""
+    a left-nested product of members.  The one choice of generators for a
+    table: ``group_violations``, ``is_abelian``, ``abelian.invariant_factors``,
+    ``abelian._with_exponent`` and ``abelian.char_group_structure`` read it."""
     from . import core   # core imports this module
     ends = (g.identity,) * g.order
     return core.greedy_generators(g.table, range(g.order), ends, ends, (g.identity,))

@@ -30,7 +30,8 @@ What it holds:
     recomputed from its definition, for ``core.validate`` and
     ``core.generating_arrows``;
   - the two-sided subgroup closure and the per-value character formula,
-    for ``groups.closure`` and ``abelian.characters``.
+    for ``groups.closure`` and ``abelian.characters``;
+  - the full-table commutation scan, for ``groups.is_abelian``.
 """
 
 import cmath
@@ -682,6 +683,11 @@ def commutator_ideal_over_all_pairs(G: FiniteGroupoid) -> BinomialSpan:
             for g in set().union(*shifts):
                 feed(tuple(by[g] for by in shifts if g in by))
     return span
+
+
+def commutes_by_table(g: FiniteGroup) -> bool:
+    """Whether every pair of elements commutes, by the full-table scan."""
+    return all(g.table[i][j] == g.table[j][i] for i in range(g.order) for j in range(i))
 
 
 def direct_product_table(a: FiniteGroup, b: FiniteGroup) -> tuple[tuple[int, ...], ...]:

@@ -1,9 +1,13 @@
 """Cyclic decomposition, characters, and the dual of an abelian bundle."""
 
+import collections
 import dataclasses
 import functools
+import importlib.util
 import itertools
+import sys
 from math import gcd, lcm
+from pathlib import Path
 
 import oracle
 import pytest
@@ -40,6 +44,15 @@ def _relabelled(a, p):
     for x, label in enumerate(a.labels):
         labels[p[x]] = label
     return abelian.finite_abelian_group(labels, table, a.name)
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _assert_coords_respect_multiplication(a):
@@ -140,7 +153,57 @@ class TestInvariantFactors:
         assert (a.table, a.identity) not in abelian.invariant_factors.memo
 
 
+class TestOneGeneratingSet:
+    def test_each_group_fact_reads_the_generating_set(self, monkeypatch, abelian_family):
+        real = groups.generating_set
+        read = []
+        monkeypatch.setattr(groups, "generating_set", lambda g: read.append(g) or real(g))
+        for a in abelian_family[::10]:
+            for fact in (abelian.invariant_factors.__wrapped__, abelian._with_exponent,
+                         groups.is_abelian):
+                read.clear()
+                fact(a)
+                assert read and all(g is a for g in read), (fact.__name__, a.name)
+
+    def test_greedy_generators_runs_once_per_table(self, monkeypatch, abelian_family):
+        # the group facts of a family group and of its character group share
+        # one generating set per table
+        real = core.greedy_generators
+        runs = collections.Counter()
+
+        def counted(rows, *args):
+            runs[rows] += 1
+            return real(rows, *args)
+        monkeypatch.setattr(core, "greedy_generators", counted)
+        oracle.clear_table_memos()
+        for a in abelian_family:
+            dual = abelian.char_group_structure(abelian.characters(a))
+            for g in (a, dual):
+                abelian.invariant_factors(g)
+                abelian._with_exponent(g)
+                groups.is_abelian(g)
+        assert len(runs) > len(abelian_family) and set(runs.values()) == {1}
+
+
 class TestCharacters:
+    @pytest.mark.parametrize("n, exponent", [(8, 4), (8, 16), (1, 2)])
+    def test_an_exponent_other_than_the_largest_factor_is_refused(self, n, exponent):
+        # the dataclass takes any exponent: with 4 on C8 every basis
+        # exponent c * (4 // 8) is 0, and eight trivial characters came back
+        g = groups.cyclic(n)
+        a = abelian.FiniteAbelianGroup(g.name, g.labels, g.table, g.identity, exponent)
+        message = f"^C{n}: exponent {exponent} is not the largest invariant factor {n}$"
+        with pytest.raises(ValueError, match=message):
+            abelian.characters(a)
+
+    def test_groups_built_with_their_exponent_pass(self, abelian_family, tmp_path):
+        # the family's groups come from _with_exponent; the benchmark's
+        # relabelled copies pass exponent= to the dataclass
+        relabelled = [a for _, a in _perfbench_workloads().setup_family(0, "full", tmp_path)["family"]]
+        assert len(relabelled) == len(abelian_family) == 117
+        for a in abelian_family + relabelled:
+            assert len(abelian.characters(a)) == a.order, a.name
+
     @pytest.mark.parametrize("orders", [(1,), (5,), (2, 2), (2, 4), (12,), (4, 6)])
     def test_count_equals_order(self, orders):
         a = _product(*orders)

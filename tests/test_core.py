@@ -352,17 +352,33 @@ def test_gather_returns_a_tuple_for_any_number_of_keys():
         assert core._gather(keys)(table) == expected
 
 
-@pytest.mark.parametrize("call", [
+_CARRIER_READERS = pytest.mark.parametrize("call", [
     lambda G, F: quotients.is_normal(G, F),
     lambda G, F: core.restrict(G, F),
     lambda G, F: quotients.quotient(G, F),
     lambda G, F: quotients.normal_subgroupoid(G, F),
 ], ids=["is_normal", "restrict", "quotient", "normal_subgroupoid"])
+
+
+@_CARRIER_READERS
 def test_carrier_index_out_of_range_is_refused(klein_cross, call):
     # -1 would otherwise read the last arrow, and n would miss every table
     for bad in (klein_cross.n, -1):
         with pytest.raises(ValueError, match=rf"out of range: \[{bad}\]"):
             call(klein_cross, set(klein_cross.units) | {bad})
+
+
+@_CARRIER_READERS
+def test_carrier_entries_that_are_not_ints_are_named(klein_cross, call):
+    # 1.0 passes the range test but cannot index a tuple, and a mixed list
+    # does not sort: the ints come first, then the rest by repr
+    assert sorted(klein_cross.units) == [0, 1, 2, 3, 4] and klein_cross.n == 20
+    floats = [0.0, 1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(ValueError, match=r"^arrow indices not ints: \[0\.0, 1\.0, 2\.0, 3\.0, 4\.0\]$"):
+        call(klein_cross, floats)
+    with pytest.raises(ValueError, match=r"^arrow indices out of range: \[-1, 20\]; "
+                                         r"not ints: \['a', 0\.0, 1\.0, 2\.0, 3\.0, 4\.0\]$"):
+        call(klein_cross, [20, "a", *floats, -1])
 
 
 def _named_models():

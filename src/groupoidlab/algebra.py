@@ -84,50 +84,68 @@ def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
     a group the left shifts alone close to the left ideal C[G](H - 1), for H
     the subgroup generated by the s^-1 t^-1 s t with s, t in S, and H need
     not be normal (S4 with S a transposition and a 4-cycle: rank 16, not
-    22).  Translation is injective where it is defined, so a shift of
-    e_u - e_v or e_u is again a binomial, a monomial or zero, and the span
-    is closed once every growing generator has been shifted: at most n of
-    them, so O(n |S|) shifts, and O(|S|^2) seeds instead of one per
-    product.
+    22).
+
+    A monomial e_u kills u's whole connected component at once.  For g in
+    it, take an arrow b: src(g) -> src(u) and set a = g.(u.b)^-1; then
+    e_g = e_a * e_u * e_b, so every two-sided ideal that holds e_u holds
+    e_g.  A component of two or more units has a member s of S with
+    src(s) != rng(s), since the arrows between its units are products over
+    S, and its seed with the unit t = src(s) is delta_st alone: the seeds
+    kill every such component, and a binomial of a dead component is
+    dropped unshifted, as each of its shifts lies in that component.  A
+    fixed point's component is never killed, because there every seed and
+    shift is a binomial of loops at one unit, and both ends of a binomial
+    compose with the same members of S.  So the binomial closure and the
+    S4 argument stand unchanged there.  Cost: each dead component is one
+    pass over its arrows.  Translation is injective where it is defined, so
+    the span is closed once every growing binomial has been shifted: at
+    most n of them, so O(n |S|) shifts, and O(|S|^2) seeds instead of one
+    per product.
     """
     span = BinomialSpan()
-    grown: list[tuple[int, ...]] = []   # (u, v) for e_u - e_v, (u,) for e_u
-
-    def feed(arrows: tuple[int, ...]):
-        if span.union(*arrows) if len(arrows) == 2 else span.kill(*arrows):
-            grown.append(arrows)
-
-    rows, pos, src, rng = G.rows, G.pos, G.src, G.rng
+    union, kill = span.union, span.kill
+    rows, pos, src, rng, out_of = G.rows, G.pos, G.src, G.rng, G.out_of
     S = (*G.units, *core.generating_arrows(G))
     s_by_src: dict[int, list[int]] = {}
     s_by_rng: dict[int, list[int]] = {}
     for s in S:
         s_by_src.setdefault(src[s], []).append(s)
         s_by_rng.setdefault(rng[s], []).append(s)
+    dead: set[int] = set()              # the units of each killed component
+    grown: list[tuple[int, int]] = []   # (u, v) for each e_u - e_v that grew the span
     for s in S:
         for t in s_by_rng.get(src[s], ()):   # the t in S with s.t defined
-            if t != s:
-                st = rows[s][pos[t]]
-                feed((st, rows[t][pos[s]]) if src[t] == rng[s] else (st,))
+            if t == s:
+                continue
+            st = rows[s][pos[t]]
+            if src[t] == rng[s]:
+                if union(st, ts := rows[t][pos[s]]):
+                    grown.append((st, ts))
+            elif src[t] not in dead:   # e_st alone: kill its component
+                component = {rng[g] for g in out_of[src[t]]}
+                dead.update(component)
+                for x in component:
+                    for g in out_of[x]:
+                        kill(g)
 
-    def left(u: int) -> dict[int, int]:    # s -> s.u
+    def left(u: int) -> list[int]:    # s.u for each s in S out of rng(u)
         j = pos[u]
-        return {s: rows[s][j] for s in s_by_src.get(rng[u], ())}
+        return [rows[s][j] for s in s_by_src[rng[u]]]
 
-    def right(u: int) -> dict[int, int]:   # s -> u.s
+    def right(u: int) -> list[int]:   # u.s for each s in S into src(u)
         row = rows[u]
-        return {s: row[pos[s]] for s in s_by_rng.get(src[u], ())}
+        return [row[pos[s]] for s in s_by_rng[src[u]]]
 
     n = G.n
     while grown and span.rank < n:
-        u, *v = grown.pop()
-        for side in (left, right):
-            at_u, at_v = side(u), side(v[0]) if v else {}
-            for s, su in at_u.items():
-                sv = at_v.pop(s, None)
-                feed((su,) if sv is None else (su, sv))
-            for sv in at_v.values():   # s composes with v but not with u
-                feed((sv,))
+        u, v = grown.pop()
+        if src[u] in dead:
+            continue
+        for side in (left, right):   # u, v are loops at one fixed point
+            for su, sv in zip(side(u), side(v)):
+                if union(su, sv):
+                    grown.append((su, sv))
 
     return span
 

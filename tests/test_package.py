@@ -270,6 +270,24 @@ def test_validators_run_only_where_tables_enter():
     assert _callers(VALIDATOR_CALLERS) == VALIDATOR_CALLERS
 
 
+# What the abelianization route of character-count and pi-kernel is built
+# from: the fixed points and their restriction, the isotropy groups and
+# their commutator subgroups, and the quotient module.
+ABELIANIZATION_ROUTE = ("fixed_points", "_restriction", "isotropy_group", "commutator_subgroup",
+                        "commutator_subgroupoid", "abelianize_groupoid", "quotients")
+
+
+def test_the_commutator_ideal_is_its_own_route():
+    # the closure reads each component off out_of and rng, not off the
+    # fixed points, so it names nothing the other route is built from
+    package = Path(groupoidlab.__file__).resolve().parent
+    tree = ast.parse((package / "algebra.py").read_text(encoding="utf-8"))
+    closure = next(node for node in tree.body if getattr(node, "name", "") == "commutator_ideal")
+    names = {getattr(ref, key, None) for ref in ast.walk(closure) for key in ("id", "attr")}
+    assert "generating_arrows" in names
+    assert sorted(names.intersection(ABELIANIZATION_ROUTE)) == []
+
+
 def test_composition_is_stored_once_as_rows():
     # no package function reads a .comp attribute, no field of a groupoid
     # holds a pair-keyed dict, and a groupoid holds nothing beside its fields

@@ -181,20 +181,20 @@ def characters(a: FiniteAbelianGroup) -> list[Character]:
     return [Character(host=a, exps=exps) for exps in chars]
 
 
-def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
+def char_group_structure(fiber: list[Character]) -> FiniteGroup:
     """The character group under pointwise multiplication of values.
 
     Expects the complete character list of one group, each character with
     one value per element; exponents add modulo the host exponent.  The
     result has the same invariant factors as the original group.
 
-    Each character is first checked to be a homomorphism on the generators,
-    chi(x*g) = chi(x) + chi(g) for every x and each generator g, one tuple
-    comparison per generator.  The elements g that satisfy this for every x
+    The generator test of a character is chi(x*g) = chi(x) + chi(g) for
+    every x and each g in ``groups.generating_set(host)``, one tuple
+    comparison per generator.  The elements g that satisfy it for every x
     are closed under products and hold the identity, a power of any
-    generator, so the character is a homomorphism everywhere and its values
-    on the generators determine it.  Characters are therefore keyed,
-    compared and added by those k values instead of by all n.
+    generator, so a character that passes is a homomorphism everywhere and
+    its values on the generators determine it.  Characters are therefore
+    keyed, compared and added by those k values instead of by all n.
 
     Exponents already in [0, N) are used as they are; a list with any other
     integer is reduced mod N first.
@@ -210,6 +210,16 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     are closed under addition, as (g + h) + K = g + (h + K) is in g + K, in
     K; they include every looked-up key, so they include every key.
 
+    The law is tested as the rows fill: a looked-up character by the
+    generator test, any other b = row_g[a] by chi_b = chi_a + chi_g mod N,
+    value by value.  By induction over the fill order every character is a
+    sum of tested homomorphisms; a b that fails the sum fails the generator
+    test, since a homomorphism is fixed by its key, key_a + key_g.  Each
+    looked-up key lies outside the subgroup the earlier ones fill, so at
+    most log2 n + 1 are, and n^2 + k n (log2 n + 1) values are read, not
+    k n^2.  A refusal names the first character that fails the generator
+    test, in order, ahead of a structural fault.
+
     The order-1 host has no generator, so no column lists a sum to look up
     and its one row, (zero,), is set directly.
     """
@@ -223,36 +233,43 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
     gens = groups.generating_set(host)
     # products[g](values) reads the value at x*g for every x
     products = [(g, core._gather([row[g] for row in host.table])) for g in gens]
-    key_of = core._gather(gens)
-    keys = []
+    exps: list[tuple[int, ...]] = []
+
+    def fault(e: tuple[int, ...]) -> int | None:   # the first generator e's test fails at
+        add_to = core._gather(e)   # add_to(wrap[c:c + nn]) is every chi(x) + c mod nn
+        return next((g for g, at_products in products
+                     if at_products(e) != add_to(wrap[e[g]:e[g] + nn])), None)
+    def refusal(message: str) -> ValueError:
+        for i, e in enumerate(exps):
+            if (g := fault(e)) is not None:
+                return ValueError(f"character {i} is not a homomorphism at generator {g}")
+        return ValueError(message)
+
     for i, chi in enumerate(fiber):
         e = chi.exps
         if len(e) != host.order:
-            raise ValueError(f"character {i} has {len(e)} values; "
-                             f"{host.name} has {host.order} elements")
-        if min(e) < 0 or max(e) >= nn:
-            e = tuple(v % nn for v in e)
-        add_to = core._gather(e)   # add_to(wrap[c:c + nn]) is every chi(x) + c mod nn
-        for g, at_products in products:
-            if at_products(e) != add_to(wrap[e[g]:e[g] + nn]):
-                raise ValueError(f"character {i} is not a homomorphism at generator {g}")
-        keys.append(key_of(e))
+            raise refusal(f"character {i} has {len(e)} values; "
+                          f"{host.name} has {host.order} elements")
+        exps.append(e if min(e) >= 0 and max(e) < nn else tuple(v % nn for v in e))
+    keys = [*map(core._gather(gens), exps)]
     index = {key: i for i, key in enumerate(keys)}
     if len(index) != len(fiber) or len(fiber) != host.order:
-        raise ValueError("character list is not the complete dual")
+        raise refusal("character list is not the complete dual")
     # columns[j](wrap[c:c + nn]) is (y_j + c) mod nn for every key y, in order
     columns = [core._gather(col) for col in zip(*keys)]
 
     def looked_up(i: int) -> tuple[int, ...]:
+        if fault(exps[i]) is not None:
+            raise refusal(f"character {i} is not a homomorphism")
         sums = zip(*[col(wrap[c:c + nn]) for col, c in zip(columns, keys[i])])
         try:
             return core._gather([*sums])(index)
         except KeyError:
-            raise ValueError("character list is not closed under products") from None
+            raise refusal("character list is not closed under products") from None
 
     zero = index.get((0,) * len(gens))
     if zero is None:   # a finite set of keys closed under addition holds 0
-        raise ValueError("character list is not closed under products")
+        raise refusal("character list is not closed under products")
     rows: list[tuple[int, ...] | None] = [None] * len(keys)
     rows[zero] = looked_up(zero) if gens else (zero,)
     filled, looked = [zero], []
@@ -260,19 +277,19 @@ def char_group_structure(fiber: list[Character]) -> FiniteAbelianGroup:
         if rows[i] is None:
             rows[i] = looked_up(i)
             filled.append(i)
-            looked.append((rows[i], core._gather(rows[i])))
+            looked.append((rows[i], core._gather(rows[i]), exps[i]))
             for a in filled:   # grows while it is walked
-                row_a = rows[a]
-                for row_g, compose in looked:
+                for row_g, compose, e_g in looked:
                     if rows[b := row_g[a]] is None:
-                        rows[b] = compose(row_a)   # row_a[row_g[j]] for every j
+                        if exps[b] != core._gather([*map(add, exps[a], e_g)])(wrap):
+                            raise refusal(f"character {b} is not a homomorphism")
+                        rows[b] = compose(rows[a])   # row_a[row_g[j]] for every j
                         filled.append(b)
-    # Not validated: the table is addition of keys mod nn, so it is
-    # associative and commutative, and the completeness and closure checks
-    # above make it a subgroup.  _with_exponent reads its exponent.
-    return _with_exponent(FiniteGroup(
+    # Not validated: the table is addition of keys mod nn, associative and
+    # commutative, and the completeness and closure checks make it a subgroup.
+    return FiniteGroup(
         name=f"dual({host.name})", labels=tuple(f"chi{i}" for i in range(len(fiber))),
-        table=tuple(rows), identity=zero))
+        table=tuple(rows), identity=zero)
 
 
 # --- dual bundles over groupoids ----------------------------------------

@@ -98,10 +98,10 @@ def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
     shift is a binomial of loops at one unit, and both ends of a binomial
     compose with the same members of S.  So the binomial closure and the
     S4 argument stand unchanged there.  Cost: each dead component is one
-    pass over its arrows.  Translation is injective where it is defined, so
-    the span is closed once every growing binomial has been shifted: at
-    most n of them, so O(n |S|) shifts, and O(|S|^2) seeds instead of one
-    per product.
+    pass over its arrows, and no seed is read once its source is dead.
+    Translation is injective where it is defined, so the span is closed
+    once every growing binomial has been shifted: at most n of them, so
+    O(n |S|) shifts, and at most O(|S|^2) seeds instead of one per product.
     """
     span = BinomialSpan()
     union, kill = span.union, span.kill
@@ -115,6 +115,8 @@ def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
     dead: set[int] = set()              # the units of each killed component
     grown: list[tuple[int, int]] = []   # (u, v) for each e_u - e_v that grew the span
     for s in S:
+        if src[s] in dead:   # s.t, t.s and their shifts lie in a killed component
+            continue
         for t in s_by_rng.get(src[s], ()):   # the t in S with s.t defined
             if t == s:
                 continue
@@ -122,12 +124,13 @@ def commutator_ideal(G: FiniteGroupoid) -> BinomialSpan:
             if src[t] == rng[s]:
                 if union(st, ts := rows[t][pos[s]]):
                     grown.append((st, ts))
-            elif src[t] not in dead:   # e_st alone: kill its component
+            else:   # e_st alone: kill its component, which is s's
                 component = {rng[g] for g in out_of[src[t]]}
                 dead.update(component)
                 for x in component:
                     for g in out_of[x]:
                         kill(g)
+                break
 
     def left(u: int) -> list[int]:    # s.u for each s in S out of rng(u)
         j = pos[u]

@@ -54,12 +54,14 @@ class FiniteGroupoid:
     out_of: dict[int, list[int]] = field(init=False, repr=False, compare=False)
     into: dict[int, list[int]] = field(init=False, repr=False, compare=False)
     pos: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _generators: list = field(init=False, repr=False, compare=False)   # generating_arrows fills it
 
     def __post_init__(self):
         into, pos = _arrows_by(self.rng)
         object.__setattr__(self, "out_of", _arrows_by(self.src)[0])
         object.__setattr__(self, "into", into)
         object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "_generators", [])
 
     @classmethod
     def from_comp(cls, n: int, units: frozenset[int], src: tuple[int, ...], rng: tuple[int, ...],
@@ -228,8 +230,10 @@ def _well_shaped(G: FiniteGroupoid) -> bool:
 
 
 def generating_arrows(G: FiniteGroupoid) -> list[int]:
-    """``greedy_generators`` on G's tables."""
-    return greedy_generators(G.rows, G.pos, G.src, G.rng, G.units)
+    """A copy of ``greedy_generators`` on G's tables, walked once and kept in G's slot."""
+    if not G._generators:
+        G._generators.append(tuple(greedy_generators(G.rows, G.pos, G.src, G.rng, G.units)))
+    return list(G._generators[0])
 
 
 def greedy_generators(rows, pos, src, rng, units) -> list[int]:

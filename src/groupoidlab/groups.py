@@ -334,7 +334,7 @@ def generating_set(g: FiniteGroup) -> list[int]:
     the one-unit groupoid.  Every element is then the identity, a member or
     a left-nested product of members.  The one choice of generators for a
     table: ``group_violations``, ``is_abelian``, ``abelian.invariant_factors``,
-    ``abelian._with_exponent`` and ``abelian.char_group_structure`` read it."""
+    ``abelian._with_exponent`` and ``abelian.char_group_structure``'s keys and tests read it."""
     from . import core   # core imports this module
     ends = (g.identity,) * g.order
     return core.greedy_generators(g.table, range(g.order), ends, ends, (g.identity,))

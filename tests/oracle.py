@@ -354,6 +354,32 @@ def character_violations(chi: Character) -> list[str]:
     return out
 
 
+def generator_test_fault(chi: Character) -> int | None:
+    """The first g of ``groups.generating_set(chi.host)`` with
+    chi(x g) != chi(x) + chi(g) mod N for some x, value by value; None when
+    there is none."""
+    a, nn, e = chi.host, chi.modulus, chi.exps
+    return next((g for g in groups.generating_set(a)
+                 if any((e[x] + e[g] - e[a.table[x][g]]) % nn for x in range(a.order))), None)
+
+
+def looked_up_characters(chars: list[Character]) -> list[int]:
+    """The characters whose rows ``abelian.char_group_structure`` looks up,
+    in its order: the zero character, then each character, in list order,
+    outside the subgroup that those before it generate.  The rest are
+    composed."""
+    nn = chars[0].modulus
+    exps = [tuple(v % nn for v in chi.exps) for chi in chars]
+    zero = exps.index((0,) * len(exps[0]))
+    looked, span = [zero], {exps[zero]}
+    for i, e in enumerate(exps):
+        if e not in span:
+            looked.append(i)
+            while not (grown := {tuple((u + v) % nn for u, v in zip(s, e)) for s in span}) <= span:
+                span |= grown
+    return looked
+
+
 def groupoid_associativity_violations(G: FiniteGroupoid) -> list[tuple[int, int, int]]:
     """Every triple (a, b, c) with (ab)c != a(bc), by the cubic loop over
     the composable pairs (a, b) and each c composable with b.  Needs a

@@ -6,7 +6,6 @@ import functools
 import importlib.util
 import itertools
 import sys
-from math import gcd, lcm
 from pathlib import Path
 
 import oracle
@@ -264,8 +263,6 @@ class TestCharacters:
                 dual = abelian.char_group_structure(abelian.characters(a))
                 assert groups.group_violations(dual) == []
                 assert groups.is_abelian(dual)
-                # the stored exponent against the lcm of orders read off the table
-                assert dual.exponent == lcm(*map(dual.order_of, range(dual.order)))
 
 
 def _full_tuple_char_group(fiber):
@@ -277,10 +274,9 @@ def _full_tuple_char_group(fiber):
     assert len(index) == len(fiber) == host.order
     table = [[index[tuple((u + v) % nn for u, v in zip(x.exps, y.exps))] for y in fiber]
              for x in fiber]
-    return abelian.FiniteAbelianGroup(
+    return groups.FiniteGroup(
         name=f"dual({host.name})", labels=tuple(f"chi{i}" for i in range(len(fiber))),
-        table=tuple(map(tuple, table)), identity=index[(0,) * host.order],
-        exponent=lcm(*(nn // gcd(nn, *key) for key in index)))
+        table=tuple(map(tuple, table)), identity=index[(0,) * host.order])
 
 
 class TestCharGroupStructure:
@@ -327,6 +323,28 @@ class TestCharGroupStructure:
             one = list(chars)   # one value of one character out of range
             one[-1] = dataclasses.replace(one[-1], exps=(-nn,) + one[-1].exps[1:])
             assert abelian.char_group_structure(one) == abelian.char_group_structure(chars)
+
+    @pytest.mark.parametrize("factors", [(2, 6), (2, 2, 2, 2, 2, 2), (4, 4), (3, 9), (2, 4, 8),
+                                         (64,)])
+    def test_a_bent_value_is_refused_however_its_row_is_filled(self, factors):
+        # the zero character and a looked-up one take the generator test, a
+        # composed one the sum check; a bend of any one value, a generator's
+        # included, is refused with the generator test's message
+        a = _product(*factors)
+        chars = abelian.characters(a)
+        looked = oracle.looked_up_characters(chars)
+        composed = next(i for i in range(a.order) if i not in looked)
+        assert looked[0] == 0 and len(looked) > 1
+        for c in (looked[0], looked[-1], composed):
+            for x in range(a.order):
+                exps = list(chars[c].exps)
+                exps[x] = (exps[x] + 1) % a.exponent
+                bent = list(chars)
+                bent[c] = dataclasses.replace(chars[c], exps=tuple(exps))
+                g = oracle.generator_test_fault(bent[c])
+                with pytest.raises(ValueError, match=f"^character {c} is not a homomorphism "
+                                                     f"at generator {g}$"):
+                    abelian.char_group_structure(bent)
 
     def _fiber(self):
         return abelian.characters(_product(2, 6))

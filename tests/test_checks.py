@@ -252,6 +252,26 @@ class TestReports:
         checks.corpus_report(seed=0, count=200)
         assert cold == verdict() == (True, None, 117)
 
+    def test_duality_family_fails_on_one_bent_value(self, monkeypatch):
+        # a bend off the generators keeps the character's key, and so its
+        # dual table: only char_group_structure's sum check on a composed
+        # row can refuse it
+        target = next(a for f, a in checks.abelian_groups_of_order(64) if f == (2,) * 6)
+        chars = abelian.characters(target)
+        c = next(i for i in range(target.order) if i not in oracle.looked_up_characters(chars))
+        x = max(set(range(target.order)) - {target.identity, *groups.generating_set(target)})
+        exps = list(chars[c].exps)
+        exps[x] = (exps[x] + 1) % target.exponent
+        chars[c] = dataclasses.replace(chars[c], exps=tuple(exps))
+        real = abelian.characters
+        monkeypatch.setattr(abelian, "characters",
+                            lambda a: chars if a.name == target.name else real(a))
+        result = checks.duality_family_check()
+        assert not result.ok
+        assert (result.witness["type"], result.witness["message"]) == (
+            "ValueError", f"character {c} is not a homomorphism at generator "
+                          f"{oracle.generator_test_fault(chars[c])}")
+
     def test_a_family_that_checks_no_group_fails(self):
         result = checks.duality_family_check(0)
         assert not result.ok

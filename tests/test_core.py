@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidlab import checks, core, generators, groups, quotients
+from groupoidlab import algebra, checks, core, generators, groups, quotients
 
 
 def _kinds(violations):
@@ -314,6 +314,25 @@ class TestGeneratingArrows:
     @given(_bent_tables())
     def test_matches_the_definition_on_bent_tables(self, G):
         assert core.generating_arrows(G) == oracle.generating_arrows_by_definition(G)
+
+    def test_walks_once_per_groupoid(self, monkeypatch):
+        # validate and the commutator ideal share one walk, and a caller
+        # that edits its copy leaves the next caller's untouched
+        walks = []
+        real = core.greedy_generators
+
+        def counted(*tables):
+            walks.append(tables)
+            return real(*tables)
+        monkeypatch.setattr(core, "greedy_generators", counted)
+        G = generators.klein_cross()
+        assert core.validate(G) == []
+        algebra.commutator_ideal(G)
+        assert len(walks) == 1
+        first = core.generating_arrows(G)
+        first.append(first[0])
+        assert core.generating_arrows(G) == oracle.generating_arrows_by_definition(G)
+        assert len(walks) == 1
 
 
 class TestSubsets:

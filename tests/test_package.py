@@ -288,6 +288,23 @@ def test_the_commutator_ideal_is_its_own_route():
     assert sorted(names.intersection(ABELIANIZATION_ROUTE)) == []
 
 
+# The routines that route A of fiber-duality and the duality family builds
+# its side from: the characters, the decomposition and the bundle.
+CHARACTER_ROUTE = ("characters", "invariant_factors", "smith_normal_form", "_with_exponent",
+                   "dual_bundle")
+
+
+def test_the_character_group_is_its_own_route():
+    # route B builds the character group from the characters it is given
+    # and the host's generating set alone
+    package = Path(groupoidlab.__file__).resolve().parent
+    tree = ast.parse((package / "abelian.py").read_text(encoding="utf-8"))
+    build = next(node for node in tree.body if getattr(node, "name", "") == "char_group_structure")
+    names = {getattr(ref, key, None) for ref in ast.walk(build) for key in ("id", "attr")}
+    assert "generating_set" in names
+    assert sorted(names.intersection(CHARACTER_ROUTE)) == []
+
+
 def test_composition_is_stored_once_as_rows():
     # no package function reads a .comp attribute, no field of a groupoid
     # holds a pair-keyed dict, and a groupoid holds nothing beside its fields
@@ -296,7 +313,7 @@ def test_composition_is_stored_once_as_rows():
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute) and node.attr == "comp"] == []
     assert [f.name for f in dataclasses.fields(core.FiniteGroupoid)] == [
-        "n", "units", "src", "rng", "rows", "inv", "labels", "out_of", "into", "pos"]
+        "n", "units", "src", "rng", "rows", "inv", "labels", "out_of", "into", "pos", "_generators"]
     for G in (generators.klein_cross(), generators.pair_groupoid(3), generators.random_groupoid(7)):
         assert vars(G).keys() == {f.name for f in dataclasses.fields(G)}
         assert not [name for name, value in vars(G).items()
